@@ -27,7 +27,7 @@ from .frontend import (
     run,
     tree_to_json,
 )
-from .ground import ComplementaryPairs, GroundConstraint, GroundEnumTheory
+from .ground import GroundConstraint, GroundEnumTheory
 from .harness import ConformanceResult, mutants, run_conformance
 from .kernel import (
     IllFormed,
@@ -40,8 +40,6 @@ from .kernel import (
     check_proof,
     fold,
     prove,
-    prove_di,
-    prove_sdi,
     reconstruct_ground,
 )
 from .lra import LinAtom, LraTheory, PolyConstraint, fm_eliminate, lra_sat, make_poly
@@ -81,7 +79,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "ArithAtom", "BoundVar", "ComplementaryPairs", "ConformanceResult",
+    "And", "ArithAtom", "BoundVar", "ConformanceResult",
     "ConstraintStream", "Domain", "DomainError", "EigenVar", "Exists",
     "Forall", "FunApp", "GroundConstraint", "GroundEnumTheory", "IllFormed",
     "Instantiation", "LinAtom", "LinTerm", "Lit", "Literal", "LraTheory",
@@ -92,7 +90,7 @@ __all__ = [
     "TheoryError", "WitnessUnsupported", "check_lk1_leaf", "check_proof",
     "enumerate_ground_terms", "fm_eliminate", "fold", "literals_of",
     "lra_sat", "make_poly", "make_theory", "mgu", "mutants", "parse_problem",
-    "print_problem", "prove", "prove_di", "prove_sdi", "reconstruct_ground",
+    "print_problem", "prove", "reconstruct_ground",
     "render_formula", "render_term", "run", "run_conformance", "subst_meet",
     "substitute", "tree_to_json",
 ]

@@ -4,8 +4,10 @@
     seqmod conformance THEORY       exercise a backend against the
                                     constraint-algebra laws
 
-Exit codes for prove: 0 proved, 1 exhausted, 2 bad input, 3 resource
-limit hit.  Conformance exits 0 when every law holds and 1 otherwise.
+Exit codes for prove: 0 proved, 1 exhausted, 2 bad input (a parse
+error or an ill-formed goal), 3 resource limit hit, 4 internal error
+(any other exception during search or audit).  Conformance exits 0
+when every law holds and 1 otherwise.
 Set SEQMOD_LOG=debug (or info, warning) for progress logging on stderr.
 """
 
@@ -24,6 +26,7 @@ EXIT_PROVED = 0
 EXIT_EXHAUSTED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _setup_logging() -> None:
@@ -89,11 +92,19 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     )
     try:
         problem = frontend.parse_problem(text, name)
-        report = frontend.run(problem, args.theory, cfg, depth=args.depth,
-                              check=args.check)
-    except (frontend.ParseError, IllFormed, SortError, DomainError, ValueError) as exc:
+    except (frontend.ParseError, SortError, DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    try:
+        report = frontend.run(problem, args.theory, cfg, depth=args.depth,
+                              check=args.check)
+    except IllFormed as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:  # a crash must not look like bad input or "exhausted"
+        message = " ".join(str(exc).split())
+        print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
+        return EXIT_INTERNAL
     print(report.to_json() if args.output == "json" else report.to_text())
     if report.check is not None and not (
             report.check["proof"] and report.check["reconstruction"]):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
     DEFAULT_RATIONAL_SAMPLES,
@@ -51,6 +51,7 @@ from .theory import (
     check_metas_compatible,
     complementary_pair,
     dual_pred_pairs,
+    meet_domain,
 )
 
 
@@ -92,12 +93,6 @@ class SubstConstraint:
 
 def _bot(domain: Domain) -> SubstConstraint:
     return SubstConstraint(domain, None)
-
-
-def _sorted_entries(domain: Domain, mapping: Mapping[MetaVar, Term]):
-    order = {v.name: i for i, v in enumerate(domain.decls)}
-    keys = sorted(mapping, key=lambda m: order.get(m.name, len(order)))
-    return tuple((m, mapping[m]) for m in keys)
 
 
 def _admissible(domain: Domain, meta: MetaVar, image: Term) -> bool:
@@ -187,7 +182,7 @@ def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain) -> SubstConstraint:
             _unify(domain, subst, a, b)
     except _Clash:
         return _bot(domain)
-    return SubstConstraint(domain, _sorted_entries(domain, subst))
+    return SubstConstraint(domain, domain.in_declaration_order(subst.items()))
 
 
 def _atom_pairs(a: PredAtom, b: PredAtom) -> list[tuple[Term, Term]]:
@@ -196,8 +191,7 @@ def _atom_pairs(a: PredAtom, b: PredAtom) -> list[tuple[Term, Term]]:
 
 def subst_meet(a: SubstConstraint, b: SubstConstraint) -> SubstConstraint:
     """Most general common instance of two substitutions; absurd on clash."""
-    check_metas_compatible(a.domain, b.domain)
-    domain = a.domain if len(a.domain.decls) >= len(b.domain.decls) else b.domain
+    domain = meet_domain(a, b)
     if a.is_bot or b.is_bot:
         return _bot(domain)
     pairs = [(m, t) for m, t in a.entries] + [(m, t) for m, t in b.entries]
@@ -246,11 +240,7 @@ class SubstTheory(Theory):
 
     name = "fol"
 
-    def __init__(self, p_satisfiable: bool = True,
-                 samples: Sequence[Fraction] = DEFAULT_RATIONAL_SAMPLES,
-                 ground_base: Sequence[Term] = ()) -> None:
-        super().__init__(p_satisfiable)
-        self.samples = tuple(samples)
+    def __init__(self, ground_base: Sequence[Term] = ()) -> None:
         # Closed terms of the uninterpreted sort, used when a witness has to
         # be invented and no eigenvariable is authorised.
         self.ground_base = tuple(ground_base)
@@ -260,28 +250,19 @@ class SubstTheory(Theory):
     def top(self, domain: Domain) -> SubstConstraint:
         return SubstConstraint(domain, ())
 
-    def project(self, sigma: SubstConstraint, meta: MetaVar) -> SubstConstraint:
-        if sigma.domain.last_meta() != meta:
-            raise PreconditionError("projection must target the last meta-variable")
-        domain = sigma.domain.drop_meta(meta)
+    def project_payload(self, sigma: SubstConstraint, meta: MetaVar,
+                        domain: Domain) -> SubstConstraint:
         if sigma.is_bot:
             return _bot(domain)
         return SubstConstraint(domain, tuple((m, t) for m, t in sigma.entries if m != meta))
-
-    def lift(self, sigma: SubstConstraint, meta: MetaVar) -> SubstConstraint:
-        domain = sigma.domain.add_meta(meta)
-        if sigma.is_bot:
-            return _bot(domain)
-        return SubstConstraint(domain, sigma.entries)
 
     def meet(self, a: SubstConstraint, b: SubstConstraint) -> Optional[SubstConstraint]:
         out = subst_meet(a, b)
         return None if out.is_bot else out
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
-        candidates = []
-        for l, l2 in dual_pred_pairs(lits):
-            candidates.append((frozenset((l, l2)), (l.atom, l2.atom)))
+        candidates = ((frozenset((l, l2)), (l.atom, l2.atom))
+                      for l, l2 in dual_pred_pairs(lits))
 
         def combine(cand, current: SubstConstraint):
             if current.is_bot:
@@ -289,9 +270,7 @@ class SubstTheory(Theory):
             pairs = [(m, t) for m, t in current.entries]
             pairs.extend(_atom_pairs(*cand))
             out = mgu(pairs, current.domain)
-            if out.is_bot and self.p_satisfiable:
-                return None
-            return out
+            return None if out.is_bot else out
 
         return CandidateStream(candidates, combine)
 
@@ -319,16 +298,12 @@ class SubstTheory(Theory):
             _match(pattern, rmap[m], bindings)
         return bindings
 
-    def witness(self, sigma: SubstConstraint, rho: Instantiation) -> Term:
-        if sigma.is_bot:
-            raise PreconditionError("no witness for the absurd constraint")
-        meta = sigma.domain.last_meta()
-        if meta is None:
-            raise PreconditionError("witness needs at least one meta-variable")
-        projected = self.project(sigma, meta)
-        if not self.compatible(rho, projected):
-            raise PreconditionError("instantiation incompatible with the projection")
-        bindings = self._match_all(rho, projected)
+    def witness_payload(self, sigma: SubstConstraint, meta: MetaVar,
+                        rho: Instantiation) -> Term:
+        # rho covers every meta but `meta`, on which sigma and its
+        # projection agree, so matching against sigma is matching
+        # against the projection.
+        bindings = self._match_all(rho, sigma)
         pattern = subst_term(subst_term(sigma.get(meta), rho.mapping()), bindings)
         fill = {
             v: self._first_ground(v.sort, sigma.domain.authorised(meta), sigma.domain)
@@ -338,7 +313,7 @@ class SubstTheory(Theory):
 
     def _first_ground(self, sort: str, auth: frozenset[EigenVar], domain: Domain) -> Term:
         if sort == SORT_RAT:
-            return RatConst(self.samples[0])
+            return RatConst(DEFAULT_RATIONAL_SAMPLES[0])
         for e in domain.eigens:
             if e in auth and e.sort == SORT_TERM:
                 return e
@@ -349,9 +324,6 @@ class SubstTheory(Theory):
 
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
         return complementary_pair(lits) is not None
-
-    def render(self, sigma: SubstConstraint) -> str:
-        return str(sigma)
 
     def shrink(self, sigma: SubstConstraint) -> Iterator[SubstConstraint]:
         if sigma.is_bot or not sigma.entries:

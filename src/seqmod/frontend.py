@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import kernel
 from .fol import SubstTheory
 from .ground import GroundEnumTheory
-from .kernel import ProofTree, SearchConfig, SearchOutcome
+from .kernel import ProofTree, SearchConfig
 from .lra import LraTheory
 from .terms import (
     And,
@@ -60,7 +60,6 @@ from .terms import (
     SORT_TERM,
     Term,
     lin_combine,
-    term_sort,
 )
 from .theory import Theory
 
@@ -251,10 +250,7 @@ class _GoalBuilder:
                 env[node.value].add(expected)
             return
         head = self._head(node)
-        if head in ("+", "-"):
-            for sub in node.value[1:]:
-                self.collect_term(sub, SORT_RAT, env)
-        elif head == "*":
+        if head in ("+", "-", "*"):
             for sub in node.value[1:]:
                 self.collect_term(sub, SORT_RAT, env)
         elif head is not None and self.sig.fun_arity(head) is not None:
@@ -373,16 +369,14 @@ class _GoalBuilder:
                 return FunApp(name, ())
             raise node.err("unknown symbol %r" % (name,))
         head = self._head(node)
+        if head in ("+", "-", "*") and expected != SORT_RAT:
+            raise node.err("arithmetic in a term-sorted position")
         if head == "+":
-            if expected != SORT_RAT:
-                raise node.err("arithmetic in a term-sorted position")
             parts = [self.term(sub, SORT_RAT, env) for sub in node.value[1:]]
             if not parts:
                 raise node.err("+ needs operands")
             return lin_combine(*((Fraction(1), p) for p in parts))
         if head == "-":
-            if expected != SORT_RAT:
-                raise node.err("arithmetic in a term-sorted position")
             parts = [self.term(sub, SORT_RAT, env) for sub in node.value[1:]]
             if len(parts) == 1:
                 return lin_combine((Fraction(-1), parts[0]))
@@ -390,8 +384,6 @@ class _GoalBuilder:
                 return lin_combine((Fraction(1), parts[0]), (Fraction(-1), parts[1]))
             raise node.err("- takes one or two operands")
         if head == "*":
-            if expected != SORT_RAT:
-                raise node.err("arithmetic in a term-sorted position")
             if len(node.value) != 3:
                 raise node.err("* takes a rational literal and a term")
             first, second = node.value[1], node.value[2]
@@ -666,16 +658,7 @@ def run(problem: Problem, theory_name: str = "fol",
         cfg: SearchConfig = SearchConfig(), depth: int = 3,
         check: bool = False) -> RunReport:
     theory = make_theory(theory_name, problem, depth)
-    config = {
-        "calculus": cfg.calculus,
-        "theory": theory_name,
-        "order": cfg.order,
-        "seed": cfg.seed,
-        "max_exists": cfg.max_exists,
-        "pulls": cfg.pulls,
-        "nodes": cfg.nodes,
-        "depth": depth,
-    }
+    config = {**asdict(cfg), "theory": theory_name, "depth": depth}
     start = time.perf_counter()
     outcome = kernel.prove(problem.goals, Domain.initial(()), theory, cfg)
     report = RunReport(problem=problem.name, config=config, outcome=outcome.status,

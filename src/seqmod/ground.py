@@ -4,8 +4,8 @@ Constraints are partial maps from meta-variables to ground terms.  The
 leaf stream enumerates total groundings of the meta-variables occurring
 in the leaf's literals, fairly (breadth-first on total term depth, then
 lexicographically on candidate indices), keeps the groundings whose
-instantiated literal set passes a ground validity predicate, and merges
-each survivor with the input constraint.  A depth ceiling bounds the
+instantiated literal set contains a complementary pair, and merges each
+survivor with the input constraint.  A depth ceiling bounds the
 candidate terms; beyond it the stream is exhausted, never wrong.
 
 Deliberately naive: this backend doubles as a cross-check oracle for
@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
-    DEFAULT_RATIONAL_SAMPLES,
     BoundVar,
     Domain,
     Instantiation,
@@ -45,35 +43,10 @@ from .theory import (
     WitnessUnsupported,
     check_metas_compatible,
     complementary_pair,
+    meet_domain,
 )
 
 _MAX_ASSIGNMENTS = 500_000
-
-
-class GroundValidityPredicate:
-    """Decides validity of the disjunction of a ground literal set."""
-
-    name = "abstract"
-
-    def holds(self, lits: tuple[Literal, ...]) -> bool:
-        raise NotImplementedError
-
-    def used(self, lits: tuple[Literal, ...]) -> Optional[frozenset[Literal]]:
-        """A closing subset, when one smaller than the whole set is known."""
-        return None
-
-
-class ComplementaryPairs(GroundValidityPredicate):
-    """Default instance: a syntactically complementary literal pair."""
-
-    name = "complementary-pairs"
-
-    def holds(self, lits: tuple[Literal, ...]) -> bool:
-        return complementary_pair(lits) is not None
-
-    def used(self, lits: tuple[Literal, ...]) -> Optional[frozenset[Literal]]:
-        pair = complementary_pair(lits)
-        return None if pair is None else frozenset(pair)
 
 
 @dataclass(frozen=True)
@@ -84,7 +57,10 @@ class GroundConstraint:
     entries: tuple[tuple[MetaVar, Term], ...] = ()
 
     def __post_init__(self) -> None:
-        metas = list(self.domain.metas)
+        metas = self.domain.metas
+        for m, _ in self.entries:
+            if m not in metas:
+                raise PreconditionError("%s is not declared in the domain" % (m,))
         positions = [metas.index(m) for m, _ in self.entries]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise PreconditionError("entries must follow declaration order without repeats")
@@ -114,33 +90,32 @@ def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundCon
         if m in amap and amap[m] != t:
             return None
         amap[m] = t
-    order = {v.name: i for i, v in enumerate(domain.decls)}
-    items = sorted(amap.items(), key=lambda mt: order[mt[0].name])
-    return GroundConstraint(domain, tuple(items))
+    return GroundConstraint(domain, domain.in_declaration_order(amap.items()))
 
 
 def ground_meet(a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
     """Union of two partial maps; None on disagreement."""
-    check_metas_compatible(a.domain, b.domain)
-    domain = a.domain if len(a.domain.decls) >= len(b.domain.decls) else b.domain
+    domain = meet_domain(a, b)
     return _merge(domain, GroundConstraint(domain, a.entries), b.entries)
 
 
 def _fair_assignments(cand_lists: Sequence[Sequence[Term]]) -> Iterator[tuple[Term, ...]]:
-    """Index tuples ordered by total term depth, then lexicographically."""
+    """Index tuples ordered by total term depth, then lexicographically.
+
+    The size cap is checked on the call, not on the first draw.
+    """
     total = 1
     for c in cand_lists:
         total *= max(len(c), 1)
         if total > _MAX_ASSIGNMENTS:
             raise ResourceLimit("ground assignment space exceeds %d" % _MAX_ASSIGNMENTS)
     if any(not c for c in cand_lists):
-        return
+        return iter(())
     indexed = [list(enumerate(c)) for c in cand_lists]
     tuples = list(itertools.product(*indexed))
     tuples.sort(key=lambda choice: (sum(term_depth(t) for _, t in choice),
                                     tuple(i for i, _ in choice)))
-    for choice in tuples:
-        yield tuple(t for _, t in choice)
+    return (tuple(t for _, t in choice) for choice in tuples)
 
 
 class GroundEnumTheory(Theory):
@@ -148,35 +123,18 @@ class GroundEnumTheory(Theory):
 
     name = "enum"
 
-    def __init__(
-        self,
-        sig: Signature = Signature(),
-        ceiling: int = 3,
-        gvp: Optional[GroundValidityPredicate] = None,
-        prefer_present: bool = False,
-        p_satisfiable: bool = True,
-        samples: Sequence[Fraction] = DEFAULT_RATIONAL_SAMPLES,
-    ) -> None:
-        super().__init__(p_satisfiable)
+    def __init__(self, sig: Signature = Signature(), ceiling: int = 3) -> None:
         self.sig = sig
         self.ceiling = ceiling
-        self.gvp = gvp or ComplementaryPairs()
-        self.prefer_present = prefer_present
-        self.samples = tuple(samples)
 
     # -- constraint algebra ------------------------------------------------
 
     def top(self, domain: Domain) -> GroundConstraint:
         return GroundConstraint(domain, ())
 
-    def project(self, sigma: GroundConstraint, meta: MetaVar) -> GroundConstraint:
-        if sigma.domain.last_meta() != meta:
-            raise PreconditionError("projection must target the last meta-variable")
-        domain = sigma.domain.drop_meta(meta)
+    def project_payload(self, sigma: GroundConstraint, meta: MetaVar,
+                        domain: Domain) -> GroundConstraint:
         return GroundConstraint(domain, tuple((m, t) for m, t in sigma.entries if m != meta))
-
-    def lift(self, sigma: GroundConstraint, meta: MetaVar) -> GroundConstraint:
-        return GroundConstraint(sigma.domain.add_meta(meta), sigma.entries)
 
     def meet(self, a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
         return ground_meet(a, b)
@@ -185,55 +143,23 @@ class GroundEnumTheory(Theory):
         lits = tuple(lits)
         metas = [m for m in domain.metas
                  if any(m in literal_vars(l) for l in lits)]
-        cand_lists = [self._candidates(domain, m, lits) for m in metas]
-        candidates = []
-        for images in _fair_assignments(cand_lists) if metas else iter(((),)):
-            g = tuple(zip(metas, images))
-            mapping = {m: t for m, t in g}
-            ground_lits = tuple(subst_literal(l, mapping) for l in lits)
-            if not self.gvp.holds(ground_lits):
-                continue
-            closing = self.gvp.used(ground_lits)
-            if closing is None:
-                used = frozenset(lits)
-            else:
-                # Map the closing ground literals back to their sources.
-                used = frozenset(
-                    l for l, gl in zip(lits, ground_lits) if gl in closing
-                )
-            candidates.append((used, g))
+        cand_lists = [enumerate_ground_terms(self.sig, domain, m, self.ceiling) for m in metas]
+        assignments = _fair_assignments(cand_lists)
+
+        def candidates():
+            for images in assignments:
+                g = tuple(zip(metas, images))
+                mapping = {m: t for m, t in g}
+                ground_lits = tuple(subst_literal(l, mapping) for l in lits)
+                pair = complementary_pair(ground_lits)
+                if pair is not None:
+                    # Map the closing ground literals back to their sources.
+                    yield frozenset(l for l, gl in zip(lits, ground_lits) if gl in pair), g
 
         def combine(g, current: GroundConstraint):
             return _merge(current.domain, current, g)
 
-        return CandidateStream(candidates, combine)
-
-    def _candidates(self, domain: Domain, meta: MetaVar, lits) -> list[Term]:
-        terms = list(enumerate_ground_terms(self.sig, domain, meta, self.ceiling, self.samples))
-        if self.prefer_present:
-            present: set[Term] = set()
-            for l in lits:
-                present |= self._subterms_of_literal(l)
-            terms.sort(key=lambda t: (t not in present,))  # stable
-        return terms
-
-    @staticmethod
-    def _subterms_of_literal(lit: Literal) -> set[Term]:
-        out: set[Term] = set()
-
-        def walk(t: Term) -> None:
-            out.add(t)
-            args = getattr(t, "args", ())
-            for a in args:
-                walk(a)
-
-        atom = lit.atom
-        for t in getattr(atom, "args", ()) or ():
-            walk(t)
-        for side in ("lhs", "rhs"):
-            if hasattr(atom, side):
-                walk(getattr(atom, side))
-        return out
+        return CandidateStream(candidates(), combine)
 
     # -- semantics ----------------------------------------------------------
 
@@ -245,25 +171,18 @@ class GroundEnumTheory(Theory):
         check_metas_compatible(rho.domain, sigma.domain)
         return all(rho.get(m) == t for m, t in sigma.entries)
 
-    def witness(self, sigma: GroundConstraint, rho: Instantiation) -> Term:
-        meta = sigma.domain.last_meta()
-        if meta is None:
-            raise PreconditionError("witness needs at least one meta-variable")
-        if not self.compatible(rho, self.project(sigma, meta)):
-            raise PreconditionError("instantiation incompatible with the projection")
+    def witness_payload(self, sigma: GroundConstraint, meta: MetaVar,
+                        rho: Instantiation) -> Term:
         assigned = sigma.get(meta)
         if assigned is not None:
             return assigned
-        terms = enumerate_ground_terms(self.sig, sigma.domain, meta, self.ceiling, self.samples)
+        terms = enumerate_ground_terms(self.sig, sigma.domain, meta, self.ceiling)
         if not terms:
             raise WitnessUnsupported("no ground candidate for %s" % (meta,))
         return terms[0]
 
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
-        return self.gvp.holds(tuple(lits))
-
-    def render(self, sigma: GroundConstraint) -> str:
-        return str(sigma)
+        return complementary_pair(lits) is not None
 
     def shrink(self, sigma: GroundConstraint) -> Iterator[GroundConstraint]:
         for i in range(len(sigma.entries)):

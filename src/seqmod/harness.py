@@ -27,9 +27,11 @@ Laws:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -64,7 +66,7 @@ from .terms import (
     subst_literal,
     subst_term,
 )
-from .theory import PreconditionError, Theory, WitnessUnsupported
+from .theory import Theory, WitnessUnsupported, meet_domain
 
 LAWS = ("AX_proj", "AX_wit", "AX_meet", "AX_lift", "AX_pg",
         "P1", "P2", "A1", "A2", "D1", "D2")
@@ -160,30 +162,19 @@ class Bench:
             return GroundEnumTheory(self.sig, ceiling=2)
         return LraTheory(eigen_value=self.eigen_value)
 
+    @property
+    def lo_hi(self) -> list:
+        """(domain, domain + one meta) pairs that projection and lifting connect."""
+        return [(self.levels[0], self.levels[1]), (self.levels[2], self.levels[3])]
+
     def universe(self, domain: Domain) -> list:
         cap_each = 8
-        lists = []
-        for m in domain.metas:
-            cand = list(enumerate_ground_terms(self.sig, domain, m, self.universe_depth))
-            lists.append(cand[:cap_each])
-        total = 1
-        for c in lists:
-            total *= max(len(c), 1)
-        while total > MAX_UNIVERSE:
+        lists = [enumerate_ground_terms(self.sig, domain, m, self.universe_depth)[:cap_each]
+                 for m in domain.metas]
+        while math.prod(max(len(c), 1) for c in lists) > MAX_UNIVERSE:
             lists = [c[: max(len(c) // 2, 1)] for c in lists]
-            total = 1
-            for c in lists:
-                total *= max(len(c), 1)
-        out = []
-        metas = domain.metas
-        def build(i, entries):
-            if i == len(metas):
-                out.append(Instantiation(domain, tuple(entries)))
-                return
-            for t in lists[i]:
-                build(i + 1, entries + [(metas[i], t)])
-        build(0, [])
-        return out
+        return [Instantiation(domain, tuple(zip(domain.metas, images)))
+                for images in itertools.product(*lists)]
 
 
 def _lit(positive: bool, name: str, *args: Term) -> Literal:
@@ -328,7 +319,7 @@ def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation,
     meta = sigma.domain.last_meta()
     pins = []
     for m, t in rho.entries:
-        value = lra_mod._eval_term(t, _ConstEnv(eigen_value))
+        value = lra_mod._eval_term(t, lra_mod._EigenValuation(eigen_value))
         pins.append(make_atom("=", {m: Fraction(1)}, -value))
     for s in sigma.disjuncts:
         for v in lra_mod._system_vars(s):
@@ -336,17 +327,6 @@ def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation,
                 pins.append(make_atom("=", {v: Fraction(1)}, -eigen_value))
     pinned = make_poly(sigma.domain, [frozenset(pins)])
     return lra_sat(lra_mod._conjoin(sigma, pinned))
-
-
-class _ConstEnv(dict):
-    def __init__(self, value: Fraction) -> None:
-        super().__init__()
-        self.value = value
-
-    def __missing__(self, key):
-        if isinstance(key, EigenVar):
-            return self.value
-        raise KeyError(key)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +376,7 @@ class _Probe:
             for s1, s2 in zip(pool, pool[1:]):
                 add(d, self._guard(lambda: th.meet(s1, s2)))
         # Projections and lifts move constraints between meta levels.
-        lo_hi = [(self.bench.levels[0], self.bench.levels[1]),
-                 (self.bench.levels[2], self.bench.levels[3])]
-        for lo, hi in lo_hi:
+        for lo, hi in self.bench.lo_hi:
             target = hi.metas[-1]
             for sigma in list(pools[hi]):
                 add(lo, self._guard(lambda: th.project(sigma, target)))
@@ -436,12 +414,15 @@ class _Probe:
     def _proj_pairs(self) -> list:
         """(sigma, target meta, landing domain) for projectable pool members."""
         out = []
-        lo_hi = [(self.bench.levels[0], self.bench.levels[1]),
-                 (self.bench.levels[2], self.bench.levels[3])]
-        for lo, hi in lo_hi:
+        for lo, hi in self.bench.lo_hi:
             for sigma in self.pools[hi]:
                 out.append((sigma, hi.metas[-1], lo))
         return out
+
+    def _proj_combos(self) -> list:
+        """(sigma, target meta, instantiation at the landing domain)."""
+        return [(sigma, meta, rho) for sigma, meta, lo in self._proj_pairs()
+                for rho in self.universes[lo]]
 
     def _extension_exists(self, sigma, rho) -> bool:
         if self.bench.kind == "fol":
@@ -470,11 +451,7 @@ class _Probe:
 
     def ax_proj(self) -> LawReport:
         rep = LawReport("AX_proj")
-        combos = []
-        for sigma, meta, lo in self._proj_pairs():
-            for rho in self.universes[lo]:
-                combos.append((sigma, meta, rho))
-        for sigma, meta, rho in self._sample("AX_proj", combos):
+        for sigma, meta, rho in self._sample("AX_proj", self._proj_combos()):
             rep.cases += 1
             try:
                 projected = self.theory.project(sigma, meta)
@@ -494,11 +471,7 @@ class _Probe:
 
     def ax_wit(self) -> LawReport:
         rep = LawReport("AX_wit")
-        combos = []
-        for sigma, meta, lo in self._proj_pairs():
-            for rho in self.universes[lo]:
-                combos.append((sigma, meta, rho))
-        for sigma, meta, rho in self._sample("AX_wit", combos):
+        for sigma, meta, rho in self._sample("AX_wit", self._proj_combos()):
             try:
                 projected = self.theory.project(sigma, meta)
                 if not self.theory.compatible(rho, projected):
@@ -559,9 +532,7 @@ class _Probe:
     def ax_lift(self) -> LawReport:
         rep = LawReport("AX_lift")
         combos = []
-        lo_hi = [(self.bench.levels[0], self.bench.levels[1]),
-                 (self.bench.levels[2], self.bench.levels[3])]
-        for lo, hi in lo_hi:
+        for lo, hi in self.bench.lo_hi:
             for sigma in self.pools[lo]:
                 for rho2 in self.universes[hi]:
                     combos.append((sigma, hi.metas[-1], rho2))
@@ -580,55 +551,54 @@ class _Probe:
                          % (self._render(sigma), rho2))
         return rep
 
-    def _leaf_runs(self) -> Iterable:
+    def _leaf_outputs(self) -> Iterable:
+        """(domain, literals, input, pulled) for up to 4 pulls of each leaf
+        stream; pulled is None once for a stream that could not be built."""
         for d, litsets in self.bench.litsets.items():
             inputs = [self.theory.top(d)] + self.pools[d][:2]
             for lits in litsets:
                 for inp in inputs:
-                    yield d, lits, inp
+                    stream = self._guard(lambda: self.theory.consistency(lits, d))
+                    if stream is None:
+                        yield d, lits, inp, None
+                        continue
+                    for _ in range(4):
+                        res = self._guard(lambda: stream.pull(inp))
+                        if not res:
+                            break
+                        yield d, lits, inp, res
 
     def ax_pg(self) -> LawReport:
         rep = LawReport("AX_pg")
-        for d, lits, inp in self._leaf_runs():
-            stream = self._guard(lambda: self.theory.consistency(lits, d))
-            if stream is None:
+        for d, lits, inp, res in self._leaf_outputs():
+            if res is None:
                 rep.fail("consistency stream construction failed")
                 continue
-            for _ in range(4):
-                res = self._guard(lambda: stream.pull(inp))
-                if not res:
-                    break
-                _, out = res
-                rep.cases += 1
-                if not self.compat(out) <= self.compat(inp):
-                    rep.fail("leaf output %s does not refine its input %s"
-                             % (self._render(out), self._render(inp)))
+            _, out = res
+            rep.cases += 1
+            if not self.compat(out) <= self.compat(inp):
+                rep.fail("leaf output %s does not refine its input %s"
+                         % (self._render(out), self._render(inp)))
         return rep
 
     def a2(self) -> LawReport:
         rep = LawReport("A2")
-        for d, lits, inp in self._leaf_runs():
-            stream = self._guard(lambda: self.theory.consistency(lits, d))
-            if stream is None:
+        for d, lits, inp, res in self._leaf_outputs():
+            if res is None:
                 continue
-            universe = self.universes[d]
-            for _ in range(4):
-                res = self._guard(lambda: stream.pull(inp))
-                if not res:
+            used, out = res
+            rep.cases += 1
+            if not used <= set(lits):
+                rep.fail("used literals %s are not from the leaf" % (sorted(map(str, used)),))
+                continue
+            ground_used = self._prepare_ground(used)
+            for i in self.compat(out):
+                rho = self.universes[d][i]
+                inst = tuple(rho.apply_literal(l) for l in ground_used)
+                if not self._guard(lambda: self.theory.ground_valid(inst)):
+                    rep.fail("output %s admits %s but the used literals are not valid"
+                             % (self._render(out), rho))
                     break
-                used, out = res
-                rep.cases += 1
-                if not used <= set(lits):
-                    rep.fail("used literals %s are not from the leaf" % (sorted(map(str, used)),))
-                    continue
-                ground_used = self._prepare_ground(used)
-                for i in self.compat(out):
-                    rho = universe[i]
-                    inst = tuple(rho.apply_literal(l) for l in ground_used)
-                    if not self._guard(lambda: self.theory.ground_valid(inst)):
-                        rep.fail("output %s admits %s but the used literals are not valid"
-                                 % (self._render(out), rho))
-                        break
         return rep
 
     def _prepare_ground(self, lits: Iterable[Literal]) -> list:
@@ -672,8 +642,6 @@ class _Probe:
                              % (self._render(sigma),))
                 elif sat and not nonempty:
                     rep.caveats += 1  # the bounded universe may just miss it
-        if not self.theory.p_satisfiable:
-            return rep
         for d in self.bench.levels:
             pool = self.pools[d]
             for s1, s2 in zip(pool, pool[1:]):
@@ -717,9 +685,7 @@ class _Probe:
             projected = self._guard(lambda: self.theory.project(sigma, meta))
             if projected is None or projected.domain != lo:
                 rep.fail("projection domain bookkeeping wrong for %s" % (self._render(sigma),))
-        lo_hi = [(self.bench.levels[0], self.bench.levels[1]),
-                 (self.bench.levels[2], self.bench.levels[3])]
-        for lo, hi in lo_hi:
+        for lo, hi in self.bench.lo_hi:
             for sigma in self.pools[lo]:
                 rep.cases += 1
                 lifted = self._guard(lambda: self.theory.lift(sigma, hi.metas[-1]))
@@ -740,17 +706,12 @@ class _Probe:
 
     def d2(self) -> LawReport:
         rep = LawReport("D2")
-        for d, lits, inp in self._leaf_runs():
-            stream = self._guard(lambda: self.theory.consistency(lits, d))
-            if stream is None:
+        for d, lits, inp, res in self._leaf_outputs():
+            if res is None:
                 continue
-            for _ in range(4):
-                res = self._guard(lambda: stream.pull(inp))
-                if not res:
-                    break
-                rep.cases += 1
-                if res[1].domain != d:
-                    rep.fail("leaf output lives at the wrong domain")
+            rep.cases += 1
+            if res[1].domain != d:
+                rep.fail("leaf output lives at the wrong domain")
         return rep
 
 
@@ -781,14 +742,10 @@ def run_conformance(kind: str, cases: int = 200, seed: int = 0,
 
 
 class _FolProjDropsWrongEntry(SubstTheory):
-    def project(self, sigma, meta):
-        if sigma.domain.last_meta() != meta:
-            raise PreconditionError("projection must target the last meta-variable")
-        domain = sigma.domain.drop_meta(meta)
-        if sigma.is_bot:
-            return fol_mod._bot(domain)
-        entries = sigma.entries[1:] if sigma.entries else sigma.entries
-        return SubstConstraint(domain, tuple((m, t) for m, t in entries if m != meta))
+    def project_payload(self, sigma, meta, domain):
+        if not sigma.is_bot:
+            sigma = replace(sigma, entries=sigma.entries[1:])
+        return super().project_payload(sigma, meta, domain)
 
 
 class _FolMeetIgnoresClash(SubstTheory):
@@ -799,18 +756,15 @@ class _FolMeetIgnoresClash(SubstTheory):
 
 class _FolLiftBindsExtra(SubstTheory):
     def lift(self, sigma, meta):
-        domain = sigma.domain.add_meta(meta)
-        if sigma.is_bot:
-            return fol_mod._bot(domain)
-        image = self._first_ground(meta.sort, domain.authorised(meta), domain)
-        return SubstConstraint(domain, sigma.entries + ((meta, image),))
+        lifted = super().lift(sigma, meta)
+        if lifted.is_bot:
+            return lifted
+        image = self._first_ground(meta.sort, lifted.domain.authorised(meta), lifted.domain)
+        return replace(lifted, entries=lifted.entries + ((meta, image),))
 
 
 class _LraProjDropsVarAtoms(LraTheory):
-    def project(self, sigma, meta):
-        if sigma.domain.last_meta() != meta:
-            raise PreconditionError("projection must target the last meta-variable")
-        domain = sigma.domain.drop_meta(meta)
+    def project_payload(self, sigma, meta, domain):
         kept = [
             frozenset(a for a in s if lra_mod._coeff_of(a, meta) == 0)
             for s in sigma.disjuncts
@@ -823,15 +777,13 @@ class _EnumMeetPrefersFirst(GroundEnumTheory):
         out = ground_meet(a, b)
         if out is not None:
             return out
-        d = a.domain if len(a.domain.decls) >= len(b.domain.decls) else b.domain
+        d = meet_domain(a, b)
         merged = {**dict(b.entries), **dict(a.entries)}
         return GroundConstraint(d, tuple((m, merged[m]) for m in d.metas if m in merged))
 
 
 class _LraWitnessAlwaysZero(LraTheory):
-    def witness(self, sigma, rho):
-        if sigma.domain.last_meta() is None:
-            raise PreconditionError("witness needs at least one meta-variable")
+    def witness_payload(self, sigma, meta, rho):
         return RatConst(0)
 
 

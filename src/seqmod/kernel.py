@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .terms import (
@@ -46,7 +46,7 @@ from .terms import (
     literals_of,
     substitute,
 )
-from .theory import ResourceLimit, Theory, rehouse
+from .theory import PreconditionError, ResourceLimit, Theory, rehouse
 
 log = logging.getLogger("seqmod.kernel")
 
@@ -91,7 +91,6 @@ class SearchConfig:
     max_exists: int = 4
     pulls: int = 32
     nodes: int = 10000
-    p_mode: str = "satisfiable"  # "satisfiable" | "always"
 
 
 @dataclass
@@ -294,20 +293,15 @@ class _Search:
             second_ctx = ((parts[1 - bit], 0),) + rest
             first_path = path + ("a%d" % bit,)
             second_path = path + ("a%d" % (1 - bit),)
-            if self.sdi:
-                for t1, o1 in self._alts(self.solve(first_ctx, domain, current, first_path, budget)):
-                    for t2, o2 in self._alts(self.solve(second_ctx, domain, o1, second_path, budget)):
-                        children = (t1, t2) if bit == 0 else (t2, t1)
-                        yield ProofTree("and", seq, o2, children, principal=idx, order_bit=bit), o2
-            else:
-                for t1, o1 in self._alts(self.solve(first_ctx, domain, None, first_path, budget)):
-                    for t2, o2 in self._alts(self.solve(second_ctx, domain, None, second_path, budget)):
-                        met = self.theory.meet(o1, o2)
-                        if met is None:
-                            self.stats.backtracks += 1
-                            continue
-                        children = (t1, t2) if bit == 0 else (t2, t1)
-                        yield ProofTree("and", seq, met, children, principal=idx, order_bit=bit), met
+            for t1, o1 in self._alts(self.solve(first_ctx, domain, current, first_path, budget)):
+                second_in = o1 if self.sdi else None
+                for t2, o2 in self._alts(self.solve(second_ctx, domain, second_in, second_path, budget)):
+                    out = o2 if self.sdi else self.theory.meet(o1, o2)
+                    if out is None:
+                        self.stats.backtracks += 1
+                        continue
+                    children = (t1, t2) if bit == 0 else (t2, t1)
+                    yield ProofTree("and", seq, out, children, principal=idx, order_bit=bit), out
             return
 
         # Leaf attempt.
@@ -368,16 +362,6 @@ def prove(context: Context, domain: Domain, theory: Theory,
         return SearchOutcome("resource", None, None, search.stats, str(exc))
     detail = "node budget exhausted" if search.nodes_exhausted else "alternatives exhausted"
     return SearchOutcome("exhausted", None, None, search.stats, detail)
-
-
-def prove_di(context: Context, domain: Domain, theory: Theory,
-             cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    return prove(context, domain, theory, replace(cfg, calculus="di"))
-
-
-def prove_sdi(context: Context, domain: Domain, theory: Theory,
-              cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    return prove(context, domain, theory, replace(cfg, calculus="sdi"))
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +512,6 @@ def fold(sigma, theory: Theory) -> Instantiation:
     then extends the empty instantiation with one witness per
     meta-variable, innermost projection first.
     """
-    from .theory import PreconditionError
-
     if not theory.satisfiable(sigma):
         raise PreconditionError("fold needs a satisfiable constraint")
     levels = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .terms import (
     ArithAtom,
@@ -46,7 +46,9 @@ from .theory import (
     Theory,
     WitnessUnsupported,
     check_metas_compatible,
+    complementary_pair,
     dual_pred_pairs,
+    meet_domain,
 )
 
 MAX_DISJUNCTS = 512
@@ -264,9 +266,23 @@ def lra_sat(sigma: PolyConstraint) -> bool:
 
 
 def _conjoin(a: PolyConstraint, b: PolyConstraint) -> PolyConstraint:
-    check_metas_compatible(a.domain, b.domain)
-    domain = a.domain if len(a.domain.decls) >= len(b.domain.decls) else b.domain
-    return make_poly(domain, (sa | sb for sa in a.disjuncts for sb in b.disjuncts))
+    return make_poly(meet_domain(a, b), (sa | sb for sa in a.disjuncts for sb in b.disjuncts))
+
+
+class _EigenValuation(dict):
+    """Valuation that gives every eigenvariable it lacks one fixed value.
+
+    With value None it supplies nothing, like a plain dict.
+    """
+
+    def __init__(self, value: Optional[Fraction]) -> None:
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, key):
+        if isinstance(key, EigenVar) and self.value is not None:
+            return self.value
+        raise KeyError(key)
 
 
 def _eval_term(t: Term, assignment: Mapping[Term, Fraction]) -> Fraction:
@@ -298,9 +314,7 @@ class LraTheory(Theory):
 
     name = "lra"
 
-    def __init__(self, p_satisfiable: bool = True,
-                 eigen_value: Optional[Fraction] = Fraction(0)) -> None:
-        super().__init__(p_satisfiable)
+    def __init__(self, eigen_value: Optional[Fraction] = Fraction(0)) -> None:
         # Value given to every eigenvariable when constraints are
         # evaluated; None disables evaluation-based operations on
         # constraints that mention eigenvariables.
@@ -311,14 +325,9 @@ class LraTheory(Theory):
     def top(self, domain: Domain) -> PolyConstraint:
         return PolyConstraint(domain, (frozenset(),))
 
-    def project(self, sigma: PolyConstraint, meta: MetaVar) -> PolyConstraint:
-        if sigma.domain.last_meta() != meta:
-            raise PreconditionError("projection must target the last meta-variable")
-        out = fm_eliminate(sigma, meta)
-        return PolyConstraint(sigma.domain.drop_meta(meta), out.disjuncts)
-
-    def lift(self, sigma: PolyConstraint, meta: MetaVar) -> PolyConstraint:
-        return PolyConstraint(sigma.domain.add_meta(meta), sigma.disjuncts)
+    def project_payload(self, sigma: PolyConstraint, meta: MetaVar,
+                        domain: Domain) -> PolyConstraint:
+        return PolyConstraint(domain, fm_eliminate(sigma, meta).disjuncts)
 
     def meet(self, a: PolyConstraint, b: PolyConstraint) -> Optional[PolyConstraint]:
         out = _conjoin(a, b)
@@ -346,9 +355,7 @@ class LraTheory(Theory):
 
         def combine(system: System, current: PolyConstraint):
             out = _conjoin(current, PolyConstraint(current.domain, (system,)))
-            if self.p_satisfiable and not lra_sat(out):
-                return None
-            return out
+            return out if lra_sat(out) else None
 
         return CandidateStream(candidates, combine)
 
@@ -360,7 +367,7 @@ class LraTheory(Theory):
     def _assignment(self, rho: Instantiation, vars_needed: Iterable[Term]) -> dict[Term, Fraction]:
         out: dict[Term, Fraction] = {}
         rmap = rho.mapping()
-        env = self._eigen_env()
+        env = _EigenValuation(self.eigen_value)
         for v in vars_needed:
             if v in rmap:
                 # Images are ground rational terms, possibly mentioning
@@ -375,19 +382,6 @@ class LraTheory(Theory):
                 raise PreconditionError("variable %s not covered by the instantiation" % (v,))
         return out
 
-    def _eigen_env(self) -> Mapping[Term, Fraction]:
-        class _Env(dict):
-            def __init__(self, value):
-                super().__init__()
-                self._value = value
-
-            def __missing__(self, key):
-                if isinstance(key, EigenVar) and self._value is not None:
-                    return self._value
-                raise KeyError(key)
-
-        return _Env(self.eigen_value)
-
     def compatible(self, rho: Instantiation, sigma: PolyConstraint) -> bool:
         check_metas_compatible(rho.domain, sigma.domain)
         for s in sigma.disjuncts:
@@ -396,12 +390,8 @@ class LraTheory(Theory):
                 return True
         return False
 
-    def witness(self, sigma: PolyConstraint, rho: Instantiation) -> Term:
-        meta = sigma.domain.last_meta()
-        if meta is None:
-            raise PreconditionError("witness needs at least one meta-variable")
-        if not self.compatible(rho, self.project(sigma, meta)):
-            raise PreconditionError("instantiation incompatible with the projection")
+    def witness_payload(self, sigma: PolyConstraint, meta: MetaVar,
+                        rho: Instantiation) -> Term:
         for s in sigma.disjuncts:
             value = self._witness_in_system(s, meta, rho)
             if value is not None:
@@ -460,7 +450,7 @@ class LraTheory(Theory):
         """Some arithmetic literal true under the valuation, or a
         complementary uninterpreted pair after evaluating rational
         arguments under the valuation."""
-        env = self._eigen_env()
+        env = _EigenValuation(self.eigen_value)
         pred: list[Literal] = []
         for l in lits:
             if isinstance(l.atom, ArithAtom):
@@ -479,14 +469,7 @@ class LraTheory(Theory):
                     for t in l.atom.args
                 )
                 pred.append(Literal(l.positive, PredAtom(l.atom.name, args)))
-        for i, l in enumerate(pred):
-            for l2 in pred[i + 1:]:
-                if l.atom == l2.atom and l.positive != l2.positive:
-                    return True
-        return False
-
-    def render(self, sigma: PolyConstraint) -> str:
-        return str(sigma)
+        return complementary_pair(pred) is not None
 
     def shrink(self, sigma: PolyConstraint) -> Iterator[PolyConstraint]:
         for i in range(len(sigma.disjuncts)):

@@ -15,14 +15,12 @@ terms built from the eigenvariables declared before it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 SORT_TERM = "term"
 SORT_RAT = "rat"
-
-SORTS = (SORT_TERM, SORT_RAT)
 
 # Rational constants available to bounded ground-term enumeration.  The
 # order is significant: the first entry is the default witness value.
@@ -147,8 +145,6 @@ class LinTerm:
 
 
 Term = Union[BoundVar, EigenVar, MetaVar, RatConst, FunApp, LinTerm]
-
-VarTerm = Union[BoundVar, EigenVar, MetaVar]
 
 _VAR_KINDS = {BoundVar: 0, EigenVar: 1, MetaVar: 2}
 
@@ -557,6 +553,12 @@ class Domain:
         """
         return tuple((m.name, self.authorised(m)) for m in self.metas)
 
+    def in_declaration_order(self, entries) -> tuple[tuple[MetaVar, Term], ...]:
+        """(meta, image) pairs sorted by declaration position; undeclared
+        metas go last."""
+        order = {v.name: i for i, v in enumerate(self.decls)}
+        return tuple(sorted(entries, key=lambda mt: order.get(mt[0].name, len(order))))
+
 
 # ---------------------------------------------------------------------------
 # Instantiations
@@ -605,34 +607,11 @@ class Instantiation:
         """The instantiation (self, meta -> image) over `domain` = old + meta."""
         return Instantiation(domain, self.entries + ((meta, image),))
 
-    def apply_term(self, t: Term) -> Term:
-        return subst_term(t, self.mapping())
-
     def apply_literal(self, lit: Literal) -> Literal:
         return subst_literal(lit, self.mapping())
 
     def __str__(self) -> str:
         return "{%s}" % ", ".join("%s -> %s" % (m, t) for m, t in self.entries)
-
-
-def apply_instantiation(rho: Instantiation, formula: Formula) -> Formula:
-    """Instantiate every meta-variable of a formula; pre: they are all in rho."""
-    missing = {
-        v for v in formula_vars(formula)
-        if isinstance(v, MetaVar) and v not in rho.domain.metas
-    }
-    if missing:
-        raise DomainError("formula mentions metas outside the instantiation: %s" % missing)
-    if isinstance(formula, Lit):
-        return Lit(rho.apply_literal(formula.lit))
-    if isinstance(formula, And):
-        return And(apply_instantiation(rho, formula.left), apply_instantiation(rho, formula.right))
-    if isinstance(formula, Or):
-        return Or(apply_instantiation(rho, formula.left), apply_instantiation(rho, formula.right))
-    if isinstance(formula, (Forall, Exists)):
-        cls = type(formula)
-        return cls(formula.var, formula.sort, apply_instantiation(rho, formula.body))
-    raise TypeError(formula)
 
 
 # ---------------------------------------------------------------------------

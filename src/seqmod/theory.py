@@ -13,6 +13,15 @@ plus test-facing semantics: `compatible` decides whether a ground
 instantiation satisfies a constraint and `witness` extends a compatible
 instantiation to the last meta-variable.  Proof search itself only calls
 compatible at the root gate and witness during reconstruction.
+
+Every constraint is a frozen dataclass with a `domain` field, and the
+domain bookkeeping lives here, once: `lift` re-tags the domain,
+`project` and `witness` check their preconditions before calling the
+backend's `project_payload` and `witness_payload`, and `meet_domain`
+checks the family of two meet operands and picks the result's domain.
+A backend implements `top`, `meet`, `consistency`, `satisfiable`,
+`compatible`, `ground_valid` and the two payload hooks; `render`
+(default `str`) and `shrink` are optional.
 """
 
 from __future__ import annotations
@@ -66,21 +75,19 @@ class ConstraintStream(ABC):
 
 
 class CandidateStream(ConstraintStream):
-    """Stream over a fixed candidate list with a per-pull combine step.
+    """Stream over a lazily consumed candidate iterable with a per-pull
+    combine step.
 
     combine(candidate, current) returns the output constraint or None to
     skip the candidate.  The cursor never revisits skipped candidates.
     """
 
     def __init__(self, candidates, combine) -> None:
-        self._candidates = list(candidates)
+        self._candidates = iter(candidates)
         self._combine = combine
-        self._cursor = 0
 
     def pull(self, current: object) -> Optional[tuple[frozenset[Literal], object]]:
-        while self._cursor < len(self._candidates):
-            used, cand = self._candidates[self._cursor]
-            self._cursor += 1
+        for used, cand in self._candidates:
             out = self._combine(cand, current)
             if out is not None:
                 return used, out
@@ -98,6 +105,16 @@ def check_metas_compatible(a_domain: Domain, b_domain: Domain) -> None:
             "domains disagree on meta-variables: %s vs %s"
             % (a_domain.metas, b_domain.metas)
         )
+
+
+def meet_domain(a, b) -> Domain:
+    """Domain of the meet of two constraints of one family.
+
+    Operands may differ in trailing eigenvariables; the meet lives at
+    the longer domain.
+    """
+    check_metas_compatible(a.domain, b.domain)
+    return a.domain if len(a.domain.decls) >= len(b.domain.decls) else b.domain
 
 
 def rehouse(sigma, domain: Domain):
@@ -149,22 +166,22 @@ class Theory(ABC):
 
     name: str = "abstract"
 
-    def __init__(self, p_satisfiable: bool = True) -> None:
-        # P-mode: when True the leaf stream only yields satisfiable
-        # outputs and the kernel prunes unsatisfiable running meets.
-        self.p_satisfiable = p_satisfiable
-
     @abstractmethod
     def top(self, domain: Domain):
         raise NotImplementedError
 
-    @abstractmethod
     def project(self, sigma, meta: MetaVar):
-        raise NotImplementedError
+        if sigma.domain.last_meta() != meta:
+            raise PreconditionError("projection must target the last meta-variable")
+        return self.project_payload(sigma, meta, sigma.domain.drop_meta(meta))
 
     @abstractmethod
-    def lift(self, sigma, meta: MetaVar):
+    def project_payload(self, sigma, meta: MetaVar, domain: Domain):
+        """sigma with `meta` eliminated, at `domain` (sigma's minus meta)."""
         raise NotImplementedError
+
+    def lift(self, sigma, meta: MetaVar):
+        return dataclasses.replace(sigma, domain=sigma.domain.add_meta(meta))
 
     @abstractmethod
     def meet(self, a, b):
@@ -183,12 +200,21 @@ class Theory(ABC):
     def compatible(self, rho: Instantiation, sigma) -> bool:
         raise NotImplementedError
 
-    @abstractmethod
     def witness(self, sigma, rho: Instantiation) -> Term:
         """Image for the last meta of sigma's domain extending rho.
 
         pre: rho is compatible with project(sigma, last meta).
         """
+        meta = sigma.domain.last_meta()
+        if meta is None:
+            raise PreconditionError("witness needs at least one meta-variable")
+        if not self.compatible(rho, self.project(sigma, meta)):
+            raise PreconditionError("instantiation incompatible with the projection")
+        return self.witness_payload(sigma, meta, rho)
+
+    @abstractmethod
+    def witness_payload(self, sigma, meta: MetaVar, rho: Instantiation) -> Term:
+        """witness once its precondition holds; `meta` is the last meta."""
         raise NotImplementedError
 
     @abstractmethod
@@ -196,16 +222,9 @@ class Theory(ABC):
         """Ground-leaf validity used by proof reconstruction."""
         raise NotImplementedError
 
-    @abstractmethod
     def render(self, sigma) -> str:
-        raise NotImplementedError
+        return str(sigma)
 
     def shrink(self, sigma) -> Iterator[object]:
         """Strictly smaller constraints for counterexample shrinking."""
         return iter(())
-
-    def project_last(self, sigma) -> tuple[MetaVar, object]:
-        meta = sigma.domain.last_meta()
-        if meta is None:
-            raise PreconditionError("projection needs at least one meta-variable")
-        return meta, self.project(sigma, meta)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqmod import frontend
 from seqmod.cli import main
 from seqmod.frontend import (
     ParseError,
@@ -18,10 +19,11 @@ from seqmod.frontend import (
     render_term,
     run,
 )
-from seqmod.kernel import SearchConfig
+from seqmod.kernel import IllFormed, SearchConfig
 from seqmod.terms import (
     And,
     ArithAtom,
+    DomainError,
     Exists,
     Forall,
     FunApp,
@@ -313,6 +315,23 @@ def test_cli_rejects_bad_input():
     bad = PROBLEMS.parent.parent.parent / "tests"  # a directory, not a file
     code, _, err = cli("prove", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("exc, code", [
+    (IllFormed("free bound variable"), 2),
+    (DomainError("meta-variable ?X1 not declared"), 4),
+    (RuntimeError("two\nlines"), 4),
+])
+def test_cli_exit_code_for_errors_during_search(monkeypatch, exc, code):
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(frontend, "run", crash)
+    got, out, err = cli("prove", str(PROBLEMS / "prop_peirce.prob"))
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: " if code == 4 else "error: ")
 
 
 def test_cli_json_output_is_stable(tmp_path):

@@ -3,7 +3,6 @@
 import pytest
 
 from seqmod.ground import (
-    ComplementaryPairs,
     GroundConstraint,
     GroundEnumTheory,
     ground_meet,
@@ -21,7 +20,7 @@ from seqmod.terms import (
     pos,
     term_depth,
 )
-from seqmod.theory import PreconditionError, ResourceLimit
+from seqmod.theory import PreconditionError, ResourceLimit, complementary_pair
 
 E = lambda n: EigenVar(n, SORT_TERM)
 M = lambda n: MetaVar(n, SORT_TERM)
@@ -60,6 +59,8 @@ def test_entries_follow_declaration_order():
         GroundConstraint(d, ((M("Y"), b), (M("X"), a)))
     with pytest.raises(PreconditionError):
         GroundConstraint(d, ((M("X"), a), (M("X"), b)))
+    with pytest.raises(PreconditionError):
+        GroundConstraint(d, ((M("Z"), a),))  # not declared in d
 
 
 def test_images_must_be_ground_and_authorised():
@@ -213,11 +214,10 @@ def test_witness_defaults_to_first_enumerated_term():
 
 
 def test_ground_valid_needs_a_complementary_pair():
-    gvp = ComplementaryPairs()
-    assert gvp.holds((lit("p", a), nlit("p", a)))
-    assert not gvp.holds((lit("p", a), nlit("p", b)))
-    assert gvp.used((lit("p", a), nlit("p", a), lit("q", a, b))) == \
-        frozenset({lit("p", a), nlit("p", a)})
+    assert TH.ground_valid((lit("p", a), nlit("p", a)))
+    assert not TH.ground_valid((lit("p", a), nlit("p", b)))
+    assert set(complementary_pair((lit("p", a), nlit("p", a), lit("q", a, b)))) == \
+        {lit("p", a), nlit("p", a)}
 
 
 def test_shrink_removes_one_entry_at_a_time():

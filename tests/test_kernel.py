@@ -14,8 +14,6 @@ from seqmod.kernel import (
     check_proof,
     fold,
     prove,
-    prove_di,
-    prove_sdi,
     reconstruct_ground,
 )
 from seqmod.lra import LraTheory, make_atom, make_poly
@@ -304,8 +302,8 @@ def test_di_and_sdi_agree_on_small_goals():
              plit("p", a),
              Forall("x", SORT_TERM, plit("p", x))]
     for goal in goals:
-        di = prove_di((goal,), Domain(), TH, SearchConfig())
-        sdi = prove_sdi((goal,), Domain(), TH, SearchConfig())
+        di = prove((goal,), Domain(), TH, dataclasses.replace(SearchConfig(), calculus="di"))
+        sdi = prove((goal,), Domain(), TH, dataclasses.replace(SearchConfig(), calculus="sdi"))
         assert di.status == sdi.status
 
 

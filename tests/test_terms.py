@@ -20,14 +20,12 @@ from seqmod.terms import (
     Lit,
     Literal,
     MetaVar,
-    Or,
     PredAtom,
     RatConst,
     Signature,
     SortError,
     SORT_RAT,
     SORT_TERM,
-    apply_instantiation,
     enumerate_ground_terms,
     lin_combine,
     lin_of,
@@ -233,22 +231,6 @@ def test_instantiation_checks_sorts():
     d = Domain().add_meta(MetaVar("X", SORT_RAT))
     with pytest.raises(SortError):
         Instantiation(d, ((MetaVar("X", SORT_RAT), FunApp("a", ())),))
-
-
-def test_apply_instantiation_grounds_a_formula():
-    d = Domain().add_meta(M("X"))
-    rho = Instantiation(d, ((M("X"), FunApp("a", ())),))
-    f = Or(Lit(pos(PredAtom("p", (M("X"),)))),
-           Forall("y", SORT_TERM, Lit(pos(PredAtom("q", (BoundVar("y", SORT_TERM),))))))
-    out = apply_instantiation(rho, f)
-    assert out.left == Lit(pos(PredAtom("p", (FunApp("a", ()),))))
-
-
-def test_apply_instantiation_requires_coverage():
-    d = Domain().add_meta(M("X"))
-    rho = Instantiation(d, ((M("X"), FunApp("a", ())),))
-    with pytest.raises(DomainError):
-        apply_instantiation(rho, Lit(pos(PredAtom("p", (M("Z"),)))))
 
 
 # ---------------------------------------------------------------------------
