@@ -4,10 +4,11 @@
     seqmod conformance THEORY       exercise a backend against the
                                     constraint-algebra laws
 
-Exit codes for prove: 0 proved, 1 exhausted, 2 bad input (a parse
-error or an ill-formed goal), 3 resource limit hit, 4 internal error
-(any other exception during search or audit).  Conformance exits 0
-when every law holds and 1 otherwise.
+Exit codes for prove: 0 proved, 1 exhausted, 2 bad input (a bad
+option, an unreadable or non-UTF-8 file, a parse error, input nested
+too deeply, or an ill-formed goal), 3 resource limit hit, 4 internal
+error (any other exception during search or audit).  Conformance exits
+0 when every law holds, 1 otherwise, and 2 on a bad option.
 Set SEQMOD_LOG=debug (or info, warning) for progress logging on stderr.
 """
 
@@ -39,6 +40,14 @@ def _setup_logging() -> None:
         )
 
 
+def _count(text: str) -> int:
+    """argparse type for budgets and counts: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %s" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqmod",
@@ -54,13 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("left", "right", "random"), default="left",
                    help="which conjunct is explored first")
     p.add_argument("--seed", type=int, default=0, help="seed for --order random")
-    p.add_argument("--max-exists", type=int, default=4,
+    p.add_argument("--max-exists", type=_count, default=4,
                    help="expansion cap per existential occurrence")
-    p.add_argument("--pulls", type=int, default=32,
+    p.add_argument("--pulls", type=_count, default=32,
                    help="closure attempts per leaf")
-    p.add_argument("--nodes", type=int, default=10000,
+    p.add_argument("--nodes", type=_count, default=10000,
                    help="total rule applications")
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--depth", type=_count, default=3,
                    help="ground term depth ceiling for the enum theory")
     p.add_argument("--check", action="store_true",
                    help="audit the proof and rebuild a ground instance")
@@ -68,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("conformance", help="check a backend against the constraint laws")
     c.add_argument("theory", choices=("fol", "enum", "lra"))
-    c.add_argument("--cases", type=int, default=200, help="cases per law")
+    c.add_argument("--cases", type=_count, default=200, help="cases per law")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--output", choices=("text", "json"), default="text")
     return parser
@@ -78,7 +87,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     name = os.path.splitext(os.path.basename(args.file))[0]
@@ -94,6 +103,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         problem = frontend.parse_problem(text, name)
     except (frontend.ParseError, SortError, DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     try:
         report = frontend.run(problem, args.theory, cfg, depth=args.depth,

@@ -662,7 +662,7 @@ def run(problem: Problem, theory_name: str = "fol",
     start = time.perf_counter()
     outcome = kernel.prove(problem.goals, Domain.initial(()), theory, cfg)
     report = RunReport(problem=problem.name, config=config, outcome=outcome.status,
-                       detail=outcome.detail, stats=outcome.stats.as_dict())
+                       detail=outcome.detail, stats=asdict(outcome.stats))
     if outcome.status == "proved":
         report.constraint = theory.render(outcome.constraint)
         report.proof = tree_to_json(outcome.tree, theory)

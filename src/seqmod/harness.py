@@ -72,6 +72,7 @@ LAWS = ("AX_proj", "AX_wit", "AX_meet", "AX_lift", "AX_pg",
         "P1", "P2", "A1", "A2", "D1", "D2")
 
 MAX_UNIVERSE = 4096
+UNIVERSE_DEPTH = 1
 MAX_POOL = 24
 MAX_RECORDED = 5
 
@@ -151,8 +152,6 @@ class Bench:
     levels: list  # base, +meta, +eigen, +meta
     litsets: dict  # Domain -> list of literal tuples
     synthetic: Callable[[Theory, Domain], list]
-    eigen_value: Fraction = Fraction(0)
-    universe_depth: int = 1
 
     def default_theory(self) -> Theory:
         if self.kind == "fol":
@@ -160,7 +159,7 @@ class Bench:
             return SubstTheory(ground_base=base)
         if self.kind == "enum":
             return GroundEnumTheory(self.sig, ceiling=2)
-        return LraTheory(eigen_value=self.eigen_value)
+        return LraTheory()
 
     @property
     def lo_hi(self) -> list:
@@ -169,7 +168,7 @@ class Bench:
 
     def universe(self, domain: Domain) -> list:
         cap_each = 8
-        lists = [enumerate_ground_terms(self.sig, domain, m, self.universe_depth)[:cap_each]
+        lists = [enumerate_ground_terms(self.sig, domain, m, UNIVERSE_DEPTH)[:cap_each]
                  for m in domain.metas]
         while math.prod(max(len(c), 1) for c in lists) > MAX_UNIVERSE:
             lists = [c[: max(len(c) // 2, 1)] for c in lists]
@@ -314,17 +313,15 @@ def _enum_extension_exists(sigma: GroundConstraint, rho: Instantiation) -> bool:
     return all(rho.get(m) == t for m, t in sigma.entries if m != meta)
 
 
-def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation,
-                          eigen_value: Fraction) -> bool:
+def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation) -> bool:
     meta = sigma.domain.last_meta()
     pins = []
     for m, t in rho.entries:
-        value = lra_mod._eval_term(t, lra_mod._EigenValuation(eigen_value))
-        pins.append(make_atom("=", {m: Fraction(1)}, -value))
+        pins.append(make_atom("=", {m: Fraction(1)}, -lra_mod._eval_term(t)))
     for s in sigma.disjuncts:
         for v in lra_mod._system_vars(s):
             if isinstance(v, EigenVar):
-                pins.append(make_atom("=", {v: Fraction(1)}, -eigen_value))
+                pins.append(make_atom("=", {v: Fraction(1)}, -lra_mod.EIGEN_VALUE))
     pinned = make_poly(sigma.domain, [frozenset(pins)])
     return lra_sat(lra_mod._conjoin(sigma, pinned))
 
@@ -429,7 +426,7 @@ class _Probe:
             return _fol_extension_exists(sigma, rho)
         if self.bench.kind == "enum":
             return _enum_extension_exists(sigma, rho)
-        return _lra_extension_exists(sigma, rho, self.bench.eigen_value)
+        return _lra_extension_exists(sigma, rho)
 
     def _shrink(self, sigma, still_fails) -> object:
         for _ in range(20):
@@ -607,7 +604,7 @@ class _Probe:
             return lits
         # Eigenvariables denote fixed rationals here; evaluate them away
         # so validity and the stream see the same ground atoms.
-        val = RatConst(self.bench.eigen_value)
+        val = RatConst(lra_mod.EIGEN_VALUE)
         out = []
         for l in lits:
             mapping = {v: val for v in literal_vars(l) if isinstance(v, EigenVar)}
@@ -765,11 +762,7 @@ class _FolLiftBindsExtra(SubstTheory):
 
 class _LraProjDropsVarAtoms(LraTheory):
     def project_payload(self, sigma, meta, domain):
-        kept = [
-            frozenset(a for a in s if lra_mod._coeff_of(a, meta) == 0)
-            for s in sigma.disjuncts
-        ]
-        return make_poly(domain, kept)
+        return make_poly(domain, [lra_mod._split(s, meta)[0] for s in sigma.disjuncts])
 
 
 class _EnumMeetPrefersFirst(GroundEnumTheory):

@@ -101,15 +101,6 @@ class SearchStats:
     rounds: int = 0
     memo_hits: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "pulls": self.pulls,
-            "backtracks": self.backtracks,
-            "rounds": self.rounds,
-            "memo_hits": self.memo_hits,
-        }
-
 
 @dataclass(frozen=True)
 class SearchOutcome:

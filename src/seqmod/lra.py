@@ -10,8 +10,8 @@ as equalities), and satisfiability eliminates every variable.
 The leaf stream proposes, in context order, equality systems from
 opposite-polarity predicate pairs, then single arithmetic literals, and
 conjoins each with the input.  Compatibility and leaf validity evaluate
-eigenvariables under a configured valuation (default: 0 everywhere),
-since witness terms are rational constants, not symbolic expressions.
+every eigenvariable at the module constant EIGEN_VALUE (0), since witness
+terms are rational constants, not symbolic expressions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .terms import (
     RatConst,
     SORT_RAT,
     Term,
-    is_var,
     lin_combine,
     lin_of,
     mk_lin,
@@ -44,7 +43,6 @@ from .theory import (
     PreconditionError,
     ResourceLimit,
     Theory,
-    WitnessUnsupported,
     check_metas_compatible,
     complementary_pair,
     dual_pred_pairs,
@@ -53,6 +51,7 @@ from .theory import (
 
 MAX_DISJUNCTS = 512
 MAX_ATOMS = 1024
+EIGEN_VALUE = Fraction(0)  # the value every eigenvariable takes when evaluated
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,18 @@ def lin_atom_of_literal(lit: Literal) -> LinAtom:
     raise PreconditionError("negated equality reached the backend unsplit: %s" % (lit,))
 
 
+def _holds(op: str, total: Fraction) -> bool:
+    """Truth of `total OP 0`."""
+    if op == "<=":
+        return total <= 0
+    if op == "<":
+        return total < 0
+    return total == 0
+
+
 def _const_truth(atom: LinAtom) -> Optional[bool]:
     """Truth value of a variable-free atom, None when variables remain."""
-    if atom.coeffs:
-        return None
-    if atom.op == "<=":
-        return atom.const <= 0
-    if atom.op == "<":
-        return atom.const < 0
-    return atom.const == 0
+    return None if atom.coeffs else _holds(atom.op, atom.const)
 
 
 def normalize_system(atoms: Iterable[LinAtom]) -> Optional[frozenset[LinAtom]]:
@@ -182,15 +184,33 @@ def make_poly(domain: Domain, systems: Iterable[Optional[Iterable[LinAtom]]]) ->
     return PolyConstraint(domain, tuple(disjuncts))
 
 
-def _coeff_of(atom: LinAtom, var: Term) -> Fraction:
-    for v, c in atom.coeffs:
-        if v == var:
-            return c
-    return Fraction(0)
+# A bound on a variable X: (coeffs, const, strict) for the expression
+# `coeffs . vars + const`, which is below X (a lower bound) or above it
+# (an upper bound), strictly when `strict`.
+Bound = tuple[tuple[tuple[Term, Fraction], ...], Fraction, bool]
 
 
-def _without(atom: LinAtom, var: Term) -> tuple[dict[Term, Fraction], Fraction]:
-    return {v: c for v, c in atom.coeffs if v != var}, atom.const
+def _split(atoms: Iterable[LinAtom], var: Term) -> tuple[list[LinAtom], list[Bound], list[Bound]]:
+    """The atoms without `var`, and the lower and upper bounds the others
+    put on `var`; an equality is both a lower and an upper bound."""
+    keep: list[LinAtom] = []
+    lowers: list[Bound] = []
+    uppers: list[Bound] = []
+    for atom in atoms:
+        for v, c in atom.coeffs:
+            if v == var:
+                break
+        else:
+            keep.append(atom)
+            continue
+        # c*X + rest + k OP 0  <=>  X OP' -(rest + k)/c, flipping on c < 0.
+        bound = (tuple((v, -cc / c) for v, cc in atom.coeffs if v != var),
+                 -atom.const / c, atom.op == "<")
+        if atom.op == "=" or c < 0:
+            lowers.append(bound)
+        if atom.op == "=" or c > 0:
+            uppers.append(bound)
+    return keep, lowers, uppers
 
 
 def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
@@ -198,31 +218,12 @@ def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
 
     Returns None when the elimination exposes a contradiction.
     """
-    keep: list[LinAtom] = []
-    lowers: list[tuple[dict[Term, Fraction], Fraction, bool]] = []  # expr <=/< X
-    uppers: list[tuple[dict[Term, Fraction], Fraction, bool]] = []  # X <=/< expr
-    for atom in atoms:
-        c = _coeff_of(atom, var)
-        if c == 0:
-            keep.append(atom)
-            continue
-        rest, k = _without(atom, var)
-        # c*X + rest + k OP 0  <=>  X OP' -(rest + k)/c, flipping on c < 0.
-        bound = ({v: -cc / c for v, cc in rest.items()}, -k / c)
-        if atom.op == "=":
-            lowers.append((bound[0], bound[1], False))
-            uppers.append((bound[0], bound[1], False))
-        else:
-            strict = atom.op == "<"
-            if c > 0:
-                uppers.append((bound[0], bound[1], strict))
-            else:
-                lowers.append((bound[0], bound[1], strict))
+    keep, lowers, uppers = _split(atoms, var)
     out = set(keep)
     for lo_c, lo_k, lo_s in lowers:
         for hi_c, hi_k, hi_s in uppers:
             coeffs = dict(lo_c)
-            for v, c in hi_c.items():
+            for v, c in hi_c:
                 coeffs[v] = coeffs.get(v, Fraction(0)) - c
             atom = make_atom("<" if (lo_s or hi_s) else "<=", coeffs, lo_k - hi_k)
             t = _const_truth(atom)
@@ -269,56 +270,38 @@ def _conjoin(a: PolyConstraint, b: PolyConstraint) -> PolyConstraint:
     return make_poly(meet_domain(a, b), (sa | sb for sa in a.disjuncts for sb in b.disjuncts))
 
 
-class _EigenValuation(dict):
-    """Valuation that gives every eigenvariable it lacks one fixed value.
-
-    With value None it supplies nothing, like a plain dict.
-    """
-
-    def __init__(self, value: Optional[Fraction]) -> None:
-        super().__init__()
-        self.value = value
-
-    def __missing__(self, key):
-        if isinstance(key, EigenVar) and self.value is not None:
-            return self.value
-        raise KeyError(key)
-
-
-def _eval_term(t: Term, assignment: Mapping[Term, Fraction]) -> Fraction:
-    # Plain indexing so that defaulting mappings can supply eigen values.
-    if isinstance(t, RatConst):
-        return t.value
-    if is_var(t):
-        return assignment[t]
-    coeffs, const = lin_of(t)
+def _value(coeffs: Iterable[tuple[Term, Fraction]], const: Fraction,
+           assignment: Mapping[Term, Fraction]) -> Fraction:
     total = const
-    for v, c in coeffs.items():
+    for v, c in coeffs:
         total += c * assignment[v]
     return total
 
 
+def _eval_term(t: Term) -> Fraction:
+    """Value of a ground rational term, every eigenvariable at EIGEN_VALUE."""
+    coeffs, const = lin_of(t)
+    return _value(coeffs.items(), const,
+                  {v: EIGEN_VALUE for v in coeffs if isinstance(v, EigenVar)})
+
+
 def _eval_atom(atom: LinAtom, assignment: Mapping[Term, Fraction]) -> bool:
-    total = atom.const
-    for v, c in atom.coeffs:
-        total += c * assignment[v]
-    if atom.op == "<=":
-        return total <= 0
-    if atom.op == "<":
-        return total < 0
-    return total == 0
+    return _holds(atom.op, _value(atom.coeffs, atom.const, assignment))
+
+
+def _tightest(bounds: list[tuple[Fraction, bool]], pick) -> tuple[Optional[Fraction], bool]:
+    """The tightest of evaluated (value, strict) bounds, `pick` being max for
+    lower bounds and min for upper ones; a tie is strict when any tied bound is."""
+    if not bounds:
+        return None, False
+    best = pick(v for v, _ in bounds)
+    return best, any(st for v, st in bounds if v == best)
 
 
 class LraTheory(Theory):
     """Fourier-Motzkin backend; see the module docstring."""
 
     name = "lra"
-
-    def __init__(self, eigen_value: Optional[Fraction] = Fraction(0)) -> None:
-        # Value given to every eigenvariable when constraints are
-        # evaluated; None disables evaluation-based operations on
-        # constraints that mention eigenvariables.
-        self.eigen_value = eigen_value
 
     # -- constraint algebra ------------------------------------------------
 
@@ -367,17 +350,13 @@ class LraTheory(Theory):
     def _assignment(self, rho: Instantiation, vars_needed: Iterable[Term]) -> dict[Term, Fraction]:
         out: dict[Term, Fraction] = {}
         rmap = rho.mapping()
-        env = _EigenValuation(self.eigen_value)
         for v in vars_needed:
             if v in rmap:
                 # Images are ground rational terms, possibly mentioning
-                # eigenvariables; evaluate them under the valuation.
-                out[v] = _eval_term(rmap[v], env)
+                # eigenvariables; evaluate them at EIGEN_VALUE.
+                out[v] = _eval_term(rmap[v])
             elif isinstance(v, EigenVar):
-                if self.eigen_value is None:
-                    raise WitnessUnsupported(
-                        "constraint mentions eigenvariable %s and no valuation is configured" % (v,))
-                out[v] = self.eigen_value
+                out[v] = EIGEN_VALUE
             else:
                 raise PreconditionError("variable %s not covered by the instantiation" % (v,))
         return out
@@ -400,40 +379,12 @@ class LraTheory(Theory):
 
     def _witness_in_system(self, s: System, meta: MetaVar,
                            rho: Instantiation) -> Optional[Fraction]:
-        others = _system_vars(s) - {meta}
-        assignment = self._assignment(rho, others)
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        lo_strict = hi_strict = False
-        for atom in s:
-            c = _coeff_of(atom, meta)
-            if c == 0:
-                if not _eval_atom(atom, assignment):
-                    return None
-                continue
-            rest, k = _without(atom, meta)
-            total = k
-            for v, cc in rest.items():
-                total += cc * assignment[v]
-            bound = -total / c
-            strict = atom.op == "<"
-            if atom.op == "=":
-                sides = (("lo", bound, False), ("hi", bound, False))
-            elif c > 0:
-                sides = (("hi", bound, strict),)
-            else:
-                sides = (("lo", bound, strict),)
-            for side, b, st in sides:
-                if side == "lo":
-                    if lo is None or b > lo:
-                        lo, lo_strict = b, st
-                    elif b == lo:
-                        lo_strict = lo_strict or st
-                else:
-                    if hi is None or b < hi:
-                        hi, hi_strict = b, st
-                    elif b == hi:
-                        hi_strict = hi_strict or st
+        assignment = self._assignment(rho, _system_vars(s) - {meta})
+        keep, lowers, uppers = _split(s, meta)
+        if not all(_eval_atom(a, assignment) for a in keep):
+            return None
+        lo, lo_strict = _tightest([(_value(c, k, assignment), st) for c, k, st in lowers], max)
+        hi, hi_strict = _tightest([(_value(c, k, assignment), st) for c, k, st in uppers], min)
         if lo is not None and hi is not None:
             if lo > hi or (lo == hi and (lo_strict or hi_strict)):
                 return None
@@ -447,25 +398,18 @@ class LraTheory(Theory):
         return Fraction(0)
 
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
-        """Some arithmetic literal true under the valuation, or a
-        complementary uninterpreted pair after evaluating rational
-        arguments under the valuation."""
-        env = _EigenValuation(self.eigen_value)
+        """Some arithmetic literal true with eigenvariables at EIGEN_VALUE,
+        or a complementary uninterpreted pair after evaluating rational
+        arguments the same way."""
         pred: list[Literal] = []
         for l in lits:
             if isinstance(l.atom, ArithAtom):
-                a = lin_atom_of_literal(l) if l.positive or l.atom.op != "=" else None
-                if a is None:
-                    # Negated equality: true unless both sides are equal.
-                    if _eval_term(l.atom.lhs, env) != _eval_term(l.atom.rhs, env):
-                        return True
-                    continue
-                assignment = {v: env[v] for v, _ in a.coeffs}
-                if _eval_atom(a, assignment):
+                diff = _eval_term(l.atom.lhs) - _eval_term(l.atom.rhs)
+                if _holds(l.atom.op, diff) == l.positive:
                     return True
             else:
                 args = tuple(
-                    RatConst(_eval_term(t, env)) if term_sort(t) == SORT_RAT else t
+                    RatConst(_eval_term(t)) if term_sort(t) == SORT_RAT else t
                     for t in l.atom.args
                 )
                 pred.append(Literal(l.positive, PredAtom(l.atom.name, args)))

@@ -623,20 +623,19 @@ def enumerate_ground_terms(
     domain: Domain,
     meta: MetaVar,
     depth: int,
-    samples: Sequence[Fraction] = DEFAULT_RATIONAL_SAMPLES,
 ) -> tuple[Term, ...]:
     """Ground candidate terms for one meta-variable, smallest first.
 
     Uninterpreted sort: authorised eigenvariables in declaration order at
     depth 0, then function applications level by level up to `depth`.
-    Rational sort: the configured samples followed by authorised
+    Rational sort: DEFAULT_RATIONAL_SAMPLES followed by authorised
     rational eigenvariables (flat; depth does not grow this set).
     Deterministic, and a prefix of any deeper enumeration.
     """
     auth = domain.authorised(meta)
     ordered_auth = [e for e in domain.eigens if e in auth]
     if meta.sort == SORT_RAT:
-        out: list[Term] = [RatConst(s) for s in samples]
+        out: list[Term] = [RatConst(s) for s in DEFAULT_RATIONAL_SAMPLES]
         out.extend(e for e in ordered_auth if e.sort == SORT_RAT)
         return tuple(out)
     base: list[Term] = [e for e in ordered_auth if e.sort == SORT_TERM]

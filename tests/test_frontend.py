@@ -309,12 +309,36 @@ def test_cli_prove_exit_codes():
     assert "EXHAUSTED" in out
 
 
-def test_cli_rejects_bad_input():
+def test_cli_rejects_bad_input(tmp_path):
     code, _, err = cli("prove", str(PROBLEMS / "nonexistent.prob"))
     assert code == 2
     bad = PROBLEMS.parent.parent.parent / "tests"  # a directory, not a file
     code, _, err = cli("prove", str(bad))
     assert code == 2
+    not_utf8 = tmp_path / "not_utf8.prob"
+    not_utf8.write_bytes(b"\xff")
+    deep = tmp_path / "deep.prob"
+    deep.write_text("(declare-pred p 0)\n(goal (or p %sp%s))\n" % ("(not " * 991, ")" * 991))
+    for path in (not_utf8, deep):
+        code, out, err = cli("prove", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+    assert err == "error: input nested too deeply\n"  # from `deep`, the last path
+
+
+@pytest.mark.parametrize("argv", [
+    ("conformance", "fol", "--cases", "-3"),
+    ("prove", str(PROBLEMS / "prop_peirce.prob"), "--nodes", "-1"),
+    ("prove", str(PROBLEMS / "prop_peirce.prob"), "--depth", "-2"),
+])
+def test_cli_rejects_negative_counts(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc, code", [

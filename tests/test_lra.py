@@ -32,7 +32,7 @@ from seqmod.terms import (
     lin_combine,
     pos,
 )
-from seqmod.theory import PreconditionError, WitnessUnsupported
+from seqmod.theory import PreconditionError
 
 Q = Fraction
 R = lambda v: RatConst(Q(v))
@@ -208,9 +208,6 @@ def test_compatible_uses_the_eigen_valuation():
     sigma = make_poly(d, [(make_atom("<=", {M("X"): Q(1), ex: Q(-1)}, Q(0)),)])
     assert TH.compatible(point(d, -1), sigma)
     assert not TH.compatible(point(d, 1), sigma)
-    picky = LraTheory(eigen_value=None)
-    with pytest.raises(WitnessUnsupported):
-        picky.compatible(point(d, -1), sigma)
 
 
 def test_witness_midpoint_of_a_band():
@@ -237,6 +234,21 @@ def test_witness_skips_infeasible_disjuncts():
                            make_atom("<=", {M("X"): Q(-1)}, Q(1))),   # 1 <= X <= 0
                           (make_atom("=", {M("X"): Q(2)}, Q(-5)),)])  # 2X = 5
     rho = Instantiation(Domain(), ())
+    assert TH.witness(sigma, rho) == R(Q(5, 2))
+
+
+def test_witness_tie_between_bounds_is_strict_when_any_tied_bound_is():
+    d = dom(M("X"))
+    rho = Instantiation(Domain(), ())
+    one_le_x = make_atom("<=", {M("X"): Q(-1)}, Q(1))
+    one_lt_x = make_atom("<", {M("X"): Q(-1)}, Q(1))
+    # 1 <= X, 1 < X, X <= 2
+    sigma = make_poly(d, [(one_le_x, one_lt_x, make_atom("<=", {M("X"): Q(1)}, Q(-2)))])
+    assert TH.witness(sigma, rho) == R(Q(3, 2))
+    # (1 <= X, 1 < X, X <= 1) | 2X = 5: the first disjunct is empty only
+    # because the tied lower bound 1 < X is strict.
+    sigma = make_poly(d, [(one_le_x, one_lt_x, make_atom("<=", {M("X"): Q(1)}, Q(-1))),
+                          (make_atom("=", {M("X"): Q(2)}, Q(-5)),)])
     assert TH.witness(sigma, rho) == R(Q(5, 2))
 
 
