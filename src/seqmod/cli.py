@@ -6,9 +6,10 @@
 
 Exit codes for prove: 0 proved, 1 exhausted, 2 bad input (a bad
 option, an unreadable or non-UTF-8 file, a parse error, input nested
-too deeply, or an ill-formed goal), 3 resource limit hit, 4 internal
-error (any other exception during search or audit).  Conformance exits
-0 when every law holds, 1 otherwise, and 2 on a bad option.
+too deeply, or an ill-formed goal), 3 resource limit hit (the --nodes
+budget or a backend's size cap), 4 internal error (any other exception
+during search or audit).  Conformance exits 0 when every law holds,
+1 otherwise, and 2 on a bad option.
 Set SEQMOD_LOG=debug (or info, warning) for progress logging on stderr.
 """
 
@@ -112,6 +113,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
                               check=args.check)
     except IllFormed as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a crash must not look like bad input or "exhausted"
         message = " ".join(str(exc).split())

@@ -34,8 +34,8 @@ from .terms import (
     SORT_RAT,
     SORT_TERM,
     Term,
-    is_var,
     lin_combine,
+    lin_of,
     mk_lin,
     subst_term,
     term_eigens,
@@ -148,19 +148,23 @@ def _unify_rational(domain: Domain, subst: dict[MetaVar, Term], a: Term, b: Term
     # Syntactic treatment with one linear special case: when the
     # difference a - b has exactly one meta-variable, solve for it.
     diff = lin_combine((Fraction(1), a), (Fraction(-1), b))
-    if isinstance(diff, RatConst):
-        if diff.value == 0:
-            return
-        raise _Clash
-    coeffs, const = ({diff: Fraction(1)}, Fraction(0)) if is_var(diff) else (dict(diff.coeffs), diff.const)
-    metas = [v for v in coeffs if isinstance(v, MetaVar)]
-    if len(metas) == 1 and not any(isinstance(v, BoundVar) for v in coeffs):
-        x = metas[0]
-        c = coeffs.pop(x)
-        rest = mk_lin({v: -k / c for v, k in coeffs.items()}, -const / c)
-        _bind(domain, subst, x, rest)
+    if diff == RatConst(Fraction(0)):
         return
-    raise _Clash
+    solved = _solve_linear(diff)
+    if solved is None:
+        raise _Clash
+    _bind(domain, subst, *solved)
+
+
+def _solve_linear(t: Term) -> Optional[tuple[MetaVar, Term]]:
+    """(X, -rest/c) for t = c*X + rest with X its only meta-variable, else None."""
+    coeffs, const = lin_of(t)
+    metas = [v for v in coeffs if isinstance(v, MetaVar)]
+    if len(metas) != 1 or any(isinstance(v, BoundVar) for v in coeffs):
+        return None
+    (x,) = metas
+    c = coeffs.pop(x)
+    return x, mk_lin({v: -k / c for v, k in coeffs.items()}, -const / c)
 
 
 def _bind(domain: Domain, subst: dict[MetaVar, Term], meta: MetaVar, image: Term) -> None:
@@ -219,19 +223,12 @@ def _match(pattern: Term, target: Term, bindings: dict[MetaVar, Term]) -> None:
             _match(p, t, bindings)
         return
     if isinstance(pattern, LinTerm) and term_sort(target) == SORT_RAT:
-        metas = [v for v, _ in pattern.coeffs if isinstance(v, MetaVar)]
-        if len(metas) == 1:
-            # Solve c*x + rest = target for the only meta-variable x.
-            x = metas[0]
-            coeffs = dict(pattern.coeffs)
-            c = coeffs.pop(x)
-            parts = [(Fraction(1) / c, target), (Fraction(1), RatConst(-pattern.const / c))]
-            for v, k in coeffs.items():
-                parts.append((-k / c, v))
-            bindings[x] = lin_combine(*parts)
-            if subst_term(pattern, bindings) == target:
-                return
-        raise _Mismatch
+        solved = _solve_linear(lin_combine((Fraction(1), pattern), (Fraction(-1), target)))
+        if solved is None:
+            raise _Mismatch
+        x, image = solved
+        bindings[x] = image
+        return
     raise _Mismatch
 
 

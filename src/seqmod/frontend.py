@@ -587,12 +587,12 @@ def tree_to_json(tree: ProofTree, theory: Theory) -> dict:
 # Orchestration
 
 
-def make_theory(name: str, problem: Problem, depth: int = 3) -> Theory:
+def make_theory(name: str, sig: Signature, depth: int = 3) -> Theory:
+    """The backend called `name` over a signature; `depth` is enum's term ceiling."""
     if name == "fol":
-        base = tuple(FunApp(c, ()) for c in problem.signature.consts)
-        return SubstTheory(ground_base=base)
+        return SubstTheory(ground_base=tuple(FunApp(c, ()) for c in sig.consts))
     if name == "enum":
-        return GroundEnumTheory(problem.signature, ceiling=depth)
+        return GroundEnumTheory(sig, ceiling=depth)
     if name == "lra":
         return LraTheory()
     raise ValueError("unknown theory %r" % (name,))
@@ -657,7 +657,7 @@ class RunReport:
 def run(problem: Problem, theory_name: str = "fol",
         cfg: SearchConfig = SearchConfig(), depth: int = 3,
         check: bool = False) -> RunReport:
-    theory = make_theory(theory_name, problem, depth)
+    theory = make_theory(theory_name, problem.signature, depth)
     config = {**asdict(cfg), "theory": theory_name, "depth": depth}
     start = time.perf_counter()
     outcome = kernel.prove(problem.goals, Domain.initial(()), theory, cfg)

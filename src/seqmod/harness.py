@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Optional
 from . import fol as fol_mod
 from . import lra as lra_mod
 from .fol import SubstConstraint, SubstTheory, mgu, subst_meet
+from .frontend import make_theory
 from .ground import GroundConstraint, GroundEnumTheory, ground_meet
 from .lra import (
     LraTheory,
@@ -152,14 +153,6 @@ class Bench:
     levels: list  # base, +meta, +eigen, +meta
     litsets: dict  # Domain -> list of literal tuples
     synthetic: Callable[[Theory, Domain], list]
-
-    def default_theory(self) -> Theory:
-        if self.kind == "fol":
-            base = tuple(FunApp(c, ()) for c in self.sig.consts)
-            return SubstTheory(ground_base=base)
-        if self.kind == "enum":
-            return GroundEnumTheory(self.sig, ceiling=2)
-        return LraTheory()
 
     @property
     def lo_hi(self) -> list:
@@ -716,7 +709,7 @@ def run_conformance(kind: str, cases: int = 200, seed: int = 0,
                     theory: Optional[Theory] = None,
                     label: Optional[str] = None) -> ConformanceResult:
     bench = make_bench(kind)
-    theory = theory or bench.default_theory()
+    theory = theory or make_theory(kind, bench.sig, depth=2)
     probe = _Probe(bench, theory, cases, seed)
     laws = [
         probe.ax_proj(),

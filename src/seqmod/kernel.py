@@ -17,12 +17,19 @@ most recently produced formulas are examined first.  Existential
 expansion keeps the quantified formula in context with a per-occurrence
 budget, raised by iterative deepening (1, 2, 4, ... up to the cap).
 Backtracking is chronological: the most recent choice point (a leaf
-stream or a sibling alternative) is retried first.
+stream or a sibling alternative) is retried first.  The only subproof
+whose alternatives are consumed more than once is a conjunction's second
+premise, re-entered for each alternative of the first; the conjunction
+node keeps those alternatives, per input, while it runs (counted as
+`memo_hits`).  Nothing else is cached.  A search that spends its node
+budget ends with status "resource".
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -99,7 +106,7 @@ class SearchStats:
     pulls: int = 0
     backtracks: int = 0
     rounds: int = 0
-    memo_hits: int = 0
+    memo_hits: int = 0  # replays of a second conjunct's alternatives
 
 
 @dataclass(frozen=True)
@@ -112,36 +119,6 @@ class SearchOutcome:
 
 
 Entry = tuple[Formula, int]
-
-
-class _LazyList:
-    """Cache of a generator's items supporting repeated iteration.
-
-    Search subproblems are keyed by (entries, domain, input); re-entry
-    with an identical key replays cached alternatives before resuming
-    the underlying generator.  Identical keys never nest within their
-    own computation because every rule strictly transforms its premise.
-    """
-
-    def __init__(self, source: Iterator) -> None:
-        self.items: list = []
-        self.source = source
-        self.done = False
-
-    def iter(self) -> Iterator:
-        i = 0
-        while True:
-            while i < len(self.items):
-                yield self.items[i]
-                i += 1
-            if self.done:
-                return
-            try:
-                item = next(self.source)
-            except StopIteration:
-                self.done = True
-                return
-            self.items.append(item)
 
 
 def _well_formed(context: Context, domain: Domain) -> None:
@@ -160,7 +137,6 @@ class _Search:
         self.cfg = cfg
         self.sdi = cfg.calculus == "sdi"
         self.stats = SearchStats()
-        self.memo: dict = {}
         self.used_names: set[str] = set()
         self.counters: dict[str, int] = {}
         self.exists_blocked = False
@@ -226,16 +202,6 @@ class _Search:
     # -- the engine --------------------------------------------------------
 
     def solve(self, entries, domain, current, path, budget) -> Iterator:
-        key = (entries, domain, current)
-        cache = self.memo.get(key)
-        if cache is None:
-            cache = _LazyList(self._solve_raw(entries, domain, current, path, budget))
-            self.memo[key] = cache
-        else:
-            self.stats.memo_hits += 1
-        return cache.iter()
-
-    def _solve_raw(self, entries, domain, current, path, budget) -> Iterator:
         if self.stats.nodes >= self.cfg.nodes:
             self.nodes_exhausted = True
             return
@@ -284,9 +250,18 @@ class _Search:
             second_ctx = ((parts[1 - bit], 0),) + rest
             first_path = path + ("a%d" % bit,)
             second_path = path + ("a%d" % (1 - bit),)
+            # Second-conjunct alternatives, per input (None in di): each pass
+            # iterates a copy of a never-advanced tee, sharing its buffer.
+            replays: dict = {}
             for t1, o1 in self._alts(self.solve(first_ctx, domain, current, first_path, budget)):
                 second_in = o1 if self.sdi else None
-                for t2, o2 in self._alts(self.solve(second_ctx, domain, second_in, second_path, budget)):
+                replay = replays.get(second_in)
+                if replay is None:
+                    second = self.solve(second_ctx, domain, second_in, second_path, budget)
+                    replay = replays[second_in] = itertools.tee(second, 1)[0]
+                else:
+                    self.stats.memo_hits += 1
+                for t2, o2 in self._alts(copy.copy(replay)):
                     out = o2 if self.sdi else self.theory.meet(o1, o2)
                     if out is None:
                         self.stats.backtracks += 1
@@ -338,7 +313,6 @@ def prove(context: Context, domain: Domain, theory: Theory,
     try:
         for b in _deepening_budgets(cfg.max_exists):
             search.stats.rounds += 1
-            search.memo.clear()
             search.exists_blocked = False
             for tree, out in search.solve(entries, domain, root_input, (), b):
                 if gate and not theory.compatible(rho_empty, out):
@@ -351,8 +325,9 @@ def prove(context: Context, domain: Domain, theory: Theory,
                 break
     except ResourceLimit as exc:
         return SearchOutcome("resource", None, None, search.stats, str(exc))
-    detail = "node budget exhausted" if search.nodes_exhausted else "alternatives exhausted"
-    return SearchOutcome("exhausted", None, None, search.stats, detail)
+    if search.nodes_exhausted:
+        return SearchOutcome("resource", None, None, search.stats, "node budget exhausted")
+    return SearchOutcome("exhausted", None, None, search.stats, "alternatives exhausted")
 
 
 # ---------------------------------------------------------------------------

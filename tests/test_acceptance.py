@@ -53,7 +53,7 @@ def test_c1_producing_run_on_interval_pair():
     assert report.wall_ms < 1000.0
 
     # structural audit of the same deterministic search
-    theory = make_theory("lra", prob)
+    theory = make_theory("lra", prob.signature)
     out = prove(prob.goals, Domain.initial(()), theory,
                 SearchConfig(calculus="di", order="left"))
     assert out.status == "proved"
@@ -81,7 +81,7 @@ def test_c1_producing_run_on_interval_pair():
 
 def test_c2_refining_chain_left_order():
     prob = load("lra_interval_pair")
-    theory = make_theory("lra", prob)
+    theory = make_theory("lra", prob.signature)
     out = prove(prob.goals, Domain.initial(()), theory,
                 SearchConfig(calculus="sdi", order="left"))
     assert out.status == "proved"
@@ -179,7 +179,7 @@ def test_c4_every_proved_run_reconstructs():
         if entry["pure_fol"]:
             jobs.append(("sdi", "enum"))
         for calculus, theory_name in jobs:
-            theory = make_theory(theory_name, prob, depth=3)
+            theory = make_theory(theory_name, prob.signature, depth=3)
             out = prove(prob.goals, Domain.initial(()), theory,
                         SearchConfig(calculus=calculus, order="left"))
             if out.status != "proved":
@@ -215,7 +215,7 @@ def test_c5_statuses_agree_across_strategies():
         got = {}
         for entry in CORPUS:
             prob = load(entry["name"])
-            theory = make_theory(entry["theory"], prob, depth=3)
+            theory = make_theory(entry["theory"], prob.signature, depth=3)
             got[entry["name"]] = prove(prob.goals, Domain.initial(()),
                                        theory, cfg).status
         verdicts[(calculus, order, seed)] = got
@@ -239,7 +239,7 @@ def test_c6_backends_agree_on_shared_fragment():
         prob = load(entry["name"])
         for theory_name, bucket in (("fol", fol_proved),
                                     ("enum", enum_proved)):
-            theory = make_theory(theory_name, prob, depth=3)
+            theory = make_theory(theory_name, prob.signature, depth=3)
             out = prove(prob.goals, Domain.initial(()), theory,
                         SearchConfig())
             if out.status == "proved":

@@ -1,5 +1,7 @@
 """Syntactic backend: idempotent substitutions as constraints."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,10 @@ from seqmod.terms import (
     Literal,
     MetaVar,
     PredAtom,
+    RatConst,
+    SORT_RAT,
     SORT_TERM,
+    mk_lin,
     pos,
     subst_term,
     term_metas,
@@ -25,6 +30,7 @@ a = FunApp("a", ())
 b = FunApp("b", ())
 f = lambda t: FunApp("f", (t,))
 g = lambda s, t: FunApp("g", (s, t))
+rat = lambda q: RatConst(Fraction(q))
 
 
 def dom(*decls):
@@ -108,6 +114,30 @@ def test_mgu_solves_equal_depth_chains(i, j):
     assert sigma.is_bot == (i > j)
     if i <= j:
         assert subst_term(lhs, sigma.mapping()) == rhs
+
+
+def test_mgu_solves_a_rational_term_for_its_only_meta_variable():
+    c = EigenVar("c", SORT_RAT)
+    X, Y = MetaVar("X", SORT_RAT), MetaVar("Y", SORT_RAT)
+    d = dom(c, X, Y)
+    # 2X + c = 1 gives X -> 1/2 - c/2
+    sigma = mgu([(mk_lin({X: Fraction(2), c: Fraction(1)}, Fraction(0)), rat(1))], d)
+    assert sigma.get(X) == mk_lin({c: Fraction(-1, 2)}, Fraction(1, 2))
+    assert mgu([(mk_lin({X: Fraction(3)}, Fraction(0)), rat(3))], d).get(X) == rat(1)
+    # two meta-variables, or a false equation, clash
+    assert mgu([(mk_lin({X: Fraction(1), Y: Fraction(1)}, Fraction(0)), rat(1))], d).is_bot
+    assert mgu([(rat(1), rat(2))], d).is_bot
+
+
+def test_compatibility_solves_an_erased_rational_meta_variable():
+    Y, Z, X = (MetaVar(n, SORT_RAT) for n in "YZX")
+    d = dom(Y, Z, X)
+    sigma = mgu([(Y, mk_lin({X: Fraction(2)}, Fraction(1))), (Z, X)], d)
+    proj = TH.project(sigma, X)  # Y -> 2X + 1, Z -> X, with X erased
+    low = proj.domain
+    # rho(Y) = 5 forces X = 2, which rho(Z) must then equal
+    assert TH.compatible(Instantiation(low, ((Y, rat(5)), (Z, rat(2)))), proj)
+    assert not TH.compatible(Instantiation(low, ((Y, rat(5)), (Z, rat(3)))), proj)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,9 @@ def test_cli_prove_exit_codes():
     code, out, _ = cli("prove", str(PROBLEMS / "fol_atom_unprovable.prob"))
     assert code == 1
     assert "EXHAUSTED" in out
+    code, out, _ = cli("prove", str(PROBLEMS / "fol_drinker.prob"), "--nodes", "5")
+    assert code == 3
+    assert "node budget exhausted" in out
 
 
 def test_cli_rejects_bad_input(tmp_path):
@@ -319,14 +322,22 @@ def test_cli_rejects_bad_input(tmp_path):
     not_utf8.write_bytes(b"\xff")
     deep = tmp_path / "deep.prob"
     deep.write_text("(declare-pred p 0)\n(goal (or p %sp%s))\n" % ("(not " * 991, ")" * 991))
-    for path in (not_utf8, deep):
+    wide = []
+    for n in (1000, 5000):
+        # Parsed flat, but nested once the search walks the disjunction.
+        names = ["p%d" % i for i in range(n)]
+        wide.append(tmp_path / ("or%d.prob" % n))
+        wide[-1].write_text("".join("(declare-pred %s 0)\n" % p for p in names)
+                            + "(goal (or %s))\n" % " ".join(names))
+    for path in (not_utf8, *wide, deep):
         code, out, err = cli("prove", str(path))
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
-    assert err == "error: input nested too deeply\n"  # from `deep`, the last path
+        if path != not_utf8:
+            assert err == "error: input nested too deeply\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seqmod.fol import SubstTheory, mgu
+from seqmod.frontend import make_theory, parse_problem
 from seqmod.ground import GroundEnumTheory
 from seqmod.kernel import (
     IllFormed,
@@ -116,7 +117,7 @@ def test_no_exists_means_single_round():
 
 def test_node_budget_reports_exhaustion():
     out = prove((drinker(),), Domain(), TH, SearchConfig(nodes=2))
-    assert out.status == "exhausted"
+    assert out.status == "resource"
     assert out.detail == "node budget exhausted"
 
 
@@ -316,3 +317,42 @@ def test_branch_order_does_not_change_the_verdict():
                         SearchConfig(order=order, seed=seed))
             verdicts.add(out.status)
     assert verdicts == {"proved"}
+
+
+# ---------------------------------------------------------------------------
+# replay of the second conjunct
+
+
+def prove_text(text, theory, calculus):
+    prob = parse_problem(text, name="replay")
+    return prove(prob.goals, Domain(), make_theory(theory, prob.signature),
+                 SearchConfig(calculus=calculus))
+
+
+def counts(out):
+    s = out.stats
+    return out.status, s.nodes, s.pulls, s.backtracks, s.memo_hits
+
+
+@pytest.mark.parametrize("theory, calculus, n, expected", [
+    ("enum", "di", 3, ("proved", 18, 35, 216, 12)),
+    ("fol", "di", 8, ("proved", 66, 37, 99, 6)),
+    ("fol", "sdi", 4, ("proved", 224, 292, 408, 46)),
+])
+def test_second_conjunct_alternatives_are_replayed(theory, calculus, n, expected):
+    # p(a), forall x. p(x) -> p(f x) |- p(f^n a): the hypotheses form a
+    # conjunction whose second premise is re-entered for every
+    # alternative of the first; memo_hits counts the replays.
+    text = ("(declare-pred p 1) (declare-fun f 1) (declare-const a)"
+            " (goal (=> (and (p a) (forall (x) (=> (p x) (p (f x))))) (p %s)))"
+            % ("(f " * n + "a" + ")" * n))
+    assert counts(prove_text(text, theory, calculus)) == expected
+
+
+@pytest.mark.parametrize("theory", ["fol", "enum", "lra"])
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_equal_conjuncts_are_solved_separately(theory, calculus):
+    # Replays are local to one conjunction node, so a second conjunct
+    # equal to the first is searched again rather than shared.
+    text = "(declare-pred p 0) (goal (and (or p (not p)) (or p (not p))))"
+    assert counts(prove_text(text, theory, calculus)) == ("proved", 5, 2, 0, 0)
