@@ -559,10 +559,22 @@ def _render_domain(domain: Domain) -> list[list[str]]:
 
 
 def tree_to_json(tree: ProofTree, theory: Theory) -> dict:
+    return _node_json(tree, theory, {})
+
+
+def _node_json(tree: ProofTree, theory: Theory, rendered: dict[int, str]) -> dict:
+    # Sibling sequents share almost every formula object, so each one is
+    # rendered once per proof, keyed by id(): the tree keeps them alive.
+    context = []
+    for f in tree.sequent.context:
+        text = rendered.get(id(f))
+        if text is None:
+            text = rendered[id(f)] = render_formula(f)
+        context.append(text)
     node: dict = {
         "rule": tree.rule,
         "domain": _render_domain(tree.sequent.domain),
-        "context": [render_formula(f) for f in tree.sequent.context],
+        "context": context,
         "output": theory.render(tree.output),
     }
     if tree.sequent.input is not None:
@@ -579,7 +591,7 @@ def tree_to_json(tree: ProofTree, theory: Theory) -> dict:
     if tree.rule == "and":
         node["order_bit"] = tree.order_bit
     if tree.children:
-        node["children"] = [tree_to_json(c, theory) for c in tree.children]
+        node["children"] = [_node_json(c, theory, rendered) for c in tree.children]
     return node
 
 

@@ -45,6 +45,7 @@ from .terms import (
     Forall,
     Formula,
     Instantiation,
+    Lit,
     Literal,
     MetaVar,
     Or,
@@ -163,23 +164,45 @@ class _Search:
     # -- rule selection --------------------------------------------------
 
     @staticmethod
-    def _select(entries: tuple[Entry, ...], budget: int) -> tuple[str, int]:
+    def _select(entries: tuple[Entry, ...], budget: int) -> tuple[str, int, bool]:
+        """The rule to apply, its principal index, and whether the leaf
+        rule is chosen while an existential (out of budget) is in context.
+
+        One pass over the entries; each rule takes its first candidate.
+        """
         # A never-instantiated existential fires before conjunctions so
         # that every disjunct contributes its meta-variables early, but a
         # contraction copy waits until the branch has split; re-expanding
         # it first would spend the whole budget before the branch's
         # universals declare the eigenvariables the new instance needs.
-        for kind, pick in (
-            ("or", lambda f, k: isinstance(f, Or)),
-            ("forall", lambda f, k: isinstance(f, Forall)),
-            ("exists", lambda f, k: isinstance(f, Exists) and k == 0 and k < budget),
-            ("and", lambda f, k: isinstance(f, And)),
-            ("exists", lambda f, k: isinstance(f, Exists) and k < budget),
-        ):
-            for i, (f, k) in enumerate(entries):
-                if pick(f, k):
-                    return kind, i
-        return "leaf", -1
+        forall = fresh = conj = contraction = -1
+        exists_left = False
+        for i, (f, k) in enumerate(entries):
+            if isinstance(f, Lit):
+                continue
+            if isinstance(f, Or):
+                return "or", i, False
+            if isinstance(f, Forall):
+                if forall < 0:
+                    forall = i
+            elif isinstance(f, Exists):
+                exists_left = True
+                if k == 0:
+                    if fresh < 0 and budget > 0:
+                        fresh = i
+                elif contraction < 0 and k < budget:
+                    contraction = i
+            elif conj < 0:  # a conjunction
+                conj = i
+        if forall >= 0:
+            return "forall", forall, False
+        if fresh >= 0:
+            return "exists", fresh, False
+        if conj >= 0:
+            return "and", conj, False
+        if contraction >= 0:
+            return "exists", contraction, False
+        return "leaf", -1, exists_left
 
     def _order_bit(self, path: tuple[str, ...]) -> int:
         if self.cfg.order == "left":
@@ -206,7 +229,7 @@ class _Search:
             self.nodes_exhausted = True
             return
         self.stats.nodes += 1
-        kind, idx = self._select(entries, budget)
+        kind, idx, blocked = self._select(entries, budget)
         context = tuple(f for f, _ in entries)
         seq = Sequent(domain, context, current if self.sdi else None)
         log.debug("rule %s at %s (domain %d decls)", kind, idx, len(domain.decls))
@@ -271,7 +294,7 @@ class _Search:
             return
 
         # Leaf attempt.
-        if any(isinstance(f, Exists) for f, _ in entries):
+        if blocked:
             self.exists_blocked = True
         lits = literals_of(context)
         stream = self.theory.consistency(lits, domain)

@@ -438,11 +438,7 @@ def formula_vars(formula: Formula) -> frozenset[Term]:
 
 def literals_of(context: Context) -> tuple[Literal, ...]:
     """Literal members of a context, deduplicated, in first-occurrence order."""
-    seen: dict[Literal, None] = {}
-    for f in context:
-        if isinstance(f, Lit) and f.lit not in seen:
-            seen[f.lit] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(f.lit for f in context if isinstance(f, Lit)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Search engine, proof checking, folding, ground reconstruction."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from seqmod.fol import SubstTheory, mgu
-from seqmod.frontend import make_theory, parse_problem
+from seqmod.frontend import make_theory, parse_problem, render_formula, run, tree_to_json
 from seqmod.ground import GroundEnumTheory
 from seqmod.kernel import (
     IllFormed,
     SearchConfig,
+    _Search,
     check_lk1_leaf,
     check_proof,
     fold,
@@ -356,3 +358,82 @@ def test_equal_conjuncts_are_solved_separately(theory, calculus):
     # equal to the first is searched again rather than shared.
     text = "(declare-pred p 0) (goal (and (or p (not p)) (or p (not p))))"
     assert counts(prove_text(text, theory, calculus)) == ("proved", 5, 2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# rule selection
+
+
+def _ex(count):
+    return (drinker(), count)
+
+
+_OR = (excluded_middle(), 0)
+_ALL = (Forall("x", SORT_TERM, plit("p", x)), 0)
+_AND = (And(plit("p"), plit("q")), 0)
+_LIT = (plit("p", a), 0)
+
+
+@pytest.mark.parametrize("entries, budget, expected", [
+    # a disjunction anywhere in the context beats every other rule
+    ((_ALL, _ex(0), _AND, _ex(1), _LIT, _OR), 2, ("or", 5)),
+    ((_OR, _OR), 2, ("or", 0)),
+    # a universal beats a never-expanded existential
+    ((_ex(0), _AND, _LIT, _ALL), 2, ("forall", 3)),
+    # a never-expanded existential beats a conjunction and an earlier copy
+    ((_AND, _ex(1), _ex(0)), 2, ("exists", 2)),
+    # a conjunction beats a contraction copy
+    ((_ex(1), _LIT, _AND), 2, ("and", 2)),
+    ((_AND, _AND), 2, ("and", 0)),
+    # a contraction copy under its budget fires when nothing else does
+    ((_LIT, _ex(2), _ex(1)), 3, ("exists", 1)),
+    # a copy at its budget, or any existential at budget 0, falls through
+    ((_LIT, _ex(2)), 2, ("leaf", -1)),
+    ((_ex(0), _LIT), 0, ("leaf", -1)),
+    ((_LIT,), 2, ("leaf", -1)),
+], ids=["or-beats-all", "first-or", "forall-beats-fresh-exists",
+        "fresh-exists-beats-and", "and-beats-copy", "first-and", "copy-under-budget",
+        "copy-at-budget", "exists-at-budget-0", "literals-only"])
+def test_rule_priority(entries, budget, expected):
+    assert _Search._select(entries, budget)[:2] == expected
+
+
+# ---------------------------------------------------------------------------
+# implication chain outside the corpus
+
+
+CHAIN = ("".join("(declare-pred p%d 0) " % i for i in range(6))
+         + "(declare-pred q0 0) (declare-pred q1 0) (goal (=> (and p0 "
+         + " ".join("(=> p%d p%d)" % (i, i + 1) for i in range(5))
+         + " q0 q1) p5))")
+
+
+def _json_walk(node):
+    yield node
+    for c in node.get("children", ()):
+        yield from _json_walk(c)
+
+
+@pytest.mark.parametrize("calculus, expected, digest", [
+    ("di", ("proved", 71, 32, 0, 1),
+     "5ae8e304049f1ea718c1f1988aeb8135b58788b7c53bd424ad2739e4c6ff50a5"),
+    ("sdi", ("proved", 71, 32, 0, 1),
+     "f14178046fb0a797e9f9f769bb5d52c024fdc08ae90f90b1167ed42040b1a4e3"),
+], ids=["di", "sdi"])
+def test_implication_chain_is_pinned(calculus, expected, digest):
+    # p0, p0->p1, ..., p4->p5, q0, q1 |- p5: sibling sequents share almost
+    # every formula object, so each proof node's context must still read
+    # as its own rendering.
+    prob = parse_problem(CHAIN, name="chain")
+    cfg = SearchConfig(calculus=calculus)
+    report = run(prob, "fol", cfg, check=True)
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
+    theory = make_theory("fol", prob.signature)
+    out = prove(prob.goals, Domain(), theory, cfg)
+    s = out.stats
+    assert (out.status, s.nodes, s.pulls, s.backtracks, s.rounds) == expected
+    nodes = list(out.tree.walk())
+    rendered = list(_json_walk(tree_to_json(out.tree, theory)))
+    assert len(nodes) == len(rendered)
+    for node, js in zip(nodes, rendered):
+        assert js["context"] == [render_formula(f) for f in node.sequent.context]
