@@ -8,6 +8,13 @@ included in X's (authorised sets along one domain form a chain, so
 variable-variable pairs always orient).  The meet of two substitutions
 is their most general unifier.
 
+Unification keeps its bindings triangular: an image may mention
+meta-variables bound after it, and binding a variable rewrites no other
+image.  Unification looks only at the top of each side through the
+bindings; a new image is resolved once, so the checks above see it as
+an idempotent substitution would, and `mgu` resolves each image once
+more when it builds the constraint, which therefore stays idempotent.
+
 Projection erases the entry of the projected meta-variable; remaining
 images may still mention it, in which case compatibility solves for the
 erased variable by one-way matching.
@@ -41,6 +48,7 @@ from .terms import (
     term_eigens,
     term_metas,
     term_sort,
+    term_vars,
 )
 from .theory import (
     CandidateStream,
@@ -97,12 +105,13 @@ def _bot(domain: Domain) -> SubstConstraint:
 
 def _admissible(domain: Domain, meta: MetaVar, image: Term) -> bool:
     # Occurs check plus the dependency discipline described above.
-    if meta in term_metas(image):
-        return False
-    if not term_eigens(image) <= domain.authorised(meta):
+    metas = term_metas(image)
+    if meta in metas:
         return False
     auth = domain.authorised(meta)
-    for y in term_metas(image):
+    if not term_eigens(image) <= auth:
+        return False
+    for y in metas:
         if not domain.authorised(y) <= auth:
             return False
     return True
@@ -112,9 +121,35 @@ class _Clash(Exception):
     """Internal: unification failed."""
 
 
+def _walk(t: Term, subst: dict[MetaVar, Term]) -> Term:
+    """Follow bindings from the top of t until an unbound meta or a non-meta."""
+    while isinstance(t, MetaVar) and t in subst:
+        t = subst[t]
+    return t
+
+
+def _resolve(t: Term, subst: dict[MetaVar, Term]) -> Term:
+    """t with every bound meta-variable replaced, through chains of bindings."""
+    if isinstance(t, MetaVar):
+        image = subst.get(t)
+        return t if image is None else _resolve(image, subst)
+    if isinstance(t, FunApp):
+        if subst.keys().isdisjoint(term_vars(t)):
+            return t
+        return FunApp(t.symbol, tuple([_resolve(x, subst) for x in t.args]))
+    if isinstance(t, LinTerm):
+        return subst_term(t, {v: _resolve(v, subst) for v, _ in t.coeffs})
+    return t
+
+
 def _unify(domain: Domain, subst: dict[MetaVar, Term], a: Term, b: Term) -> None:
-    a = subst_term(a, subst)
-    b = subst_term(b, subst)
+    a = _walk(a, subst)
+    b = _walk(b, subst)
+    if isinstance(a, LinTerm) or isinstance(b, LinTerm):
+        # Renormalising can collapse a combination to a variable or a
+        # constant, so linear terms are compared fully resolved.
+        a = _resolve(a, subst)
+        b = _resolve(b, subst)
     if a == b:
         return
     if isinstance(a, BoundVar) or isinstance(b, BoundVar):
@@ -168,13 +203,13 @@ def _solve_linear(t: Term) -> Optional[tuple[MetaVar, Term]]:
 
 
 def _bind(domain: Domain, subst: dict[MetaVar, Term], meta: MetaVar, image: Term) -> None:
+    # The checks see the image resolved, as they would in an idempotent
+    # substitution; the images bound earlier are left as they are.
+    image = _resolve(image, subst)
     if term_sort(image) != meta.sort:
         raise _Clash
     if not _admissible(domain, meta, image):
         raise _Clash
-    one = {meta: image}
-    for m in list(subst):
-        subst[m] = subst_term(subst[m], one)
     subst[meta] = image
 
 
@@ -186,7 +221,8 @@ def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain) -> SubstConstraint:
             _unify(domain, subst, a, b)
     except _Clash:
         return _bot(domain)
-    return SubstConstraint(domain, domain.in_declaration_order(subst.items()))
+    return SubstConstraint(domain, domain.in_declaration_order(
+        (m, _resolve(t, subst)) for m, t in subst.items()))
 
 
 def _atom_pairs(a: PredAtom, b: PredAtom) -> list[tuple[Term, Term]]:
@@ -207,8 +243,15 @@ class _Mismatch(Exception):
 
 
 def _match(pattern: Term, target: Term, bindings: dict[MetaVar, Term]) -> None:
-    """Solve pattern = target for the pattern's meta-variables; target is ground."""
-    pattern = subst_term(pattern, bindings)
+    """Solve pattern = target for the pattern's meta-variables; target is ground.
+
+    Every binding is ground, so only the top of the pattern and linear
+    terms need them substituted.
+    """
+    if isinstance(pattern, MetaVar):
+        pattern = bindings.get(pattern, pattern)
+    elif isinstance(pattern, LinTerm):
+        pattern = subst_term(pattern, bindings)
     if pattern == target:
         return
     if isinstance(pattern, MetaVar):

@@ -57,11 +57,11 @@ class GroundConstraint:
     entries: tuple[tuple[MetaVar, Term], ...] = ()
 
     def __post_init__(self) -> None:
-        metas = self.domain.metas
-        for m, _ in self.entries:
-            if m not in metas:
+        positions = [self.domain.position(m) if isinstance(m, MetaVar) else None
+                     for m, _ in self.entries]
+        for (m, _), i in zip(self.entries, positions):
+            if i is None:
                 raise PreconditionError("%s is not declared in the domain" % (m,))
-        positions = [metas.index(m) for m, _ in self.entries]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise PreconditionError("entries must follow declaration order without repeats")
         for m, t in self.entries:
@@ -96,7 +96,7 @@ def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundCon
 def ground_meet(a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
     """Union of two partial maps; None on disagreement."""
     domain = meet_domain(a, b)
-    return _merge(domain, GroundConstraint(domain, a.entries), b.entries)
+    return _merge(domain, a, b.entries)
 
 
 def _fair_assignments(cand_lists: Sequence[Sequence[Term]]) -> Iterator[tuple[Term, ...]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -95,7 +96,10 @@ class RatConst:
 
 @dataclass(frozen=True)
 class FunApp:
-    """Application of an uninterpreted function symbol."""
+    """Application of an uninterpreted function symbol.
+
+    `term_vars` caches the variable set on the instance.
+    """
 
     symbol: str
     args: tuple["Term", ...] = ()
@@ -210,15 +214,20 @@ def lin_combine(*weighted: tuple[Fraction, Term]) -> Term:
 
 def term_vars(t: Term) -> frozenset[Term]:
     """All variables (bound, eigen, meta) occurring in a term."""
+    if isinstance(t, FunApp):
+        # Computed at most once per application, on first use.  A plain
+        # instance attribute, not a cached_property: most applications
+        # compute it once and are dropped, and before Python 3.12 each
+        # cached_property computation takes a lock.
+        out = t.__dict__.get("_vars")
+        if out is None:
+            out = frozenset().union(*[term_vars(a) for a in t.args])
+            object.__setattr__(t, "_vars", out)
+        return out
     if is_var(t):
         return frozenset([t])
     if isinstance(t, RatConst):
         return frozenset()
-    if isinstance(t, FunApp):
-        out: frozenset[Term] = frozenset()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
     if isinstance(t, LinTerm):
         return frozenset(v for v, _ in t.coeffs)
     raise TypeError(t)
@@ -485,6 +494,8 @@ class Domain:
 
     decls interleaves both kinds in declaration order; a meta-variable's
     authorised eigenvariables are exactly those declared before it.
+    The lookups (declaration positions, authorised sets, metas, eigens,
+    metas_key) are computed once per domain, on first use, and cached.
     """
 
     decls: tuple[Union[EigenVar, MetaVar], ...] = ()
@@ -508,22 +519,39 @@ class Domain:
         self._check_fresh(v.name)
         return Domain(self.decls + (v,))
 
-    @property
+    @cached_property
     def eigens(self) -> tuple[EigenVar, ...]:
         return tuple(v for v in self.decls if isinstance(v, EigenVar))
 
-    @property
+    @cached_property
     def metas(self) -> tuple[MetaVar, ...]:
         return tuple(v for v in self.decls if isinstance(v, MetaVar))
 
-    def authorised(self, meta: MetaVar) -> frozenset[EigenVar]:
-        out: list[EigenVar] = []
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {v.name: i for i, v in enumerate(self.decls)}
+
+    @cached_property
+    def _authorised(self) -> dict[MetaVar, frozenset[EigenVar]]:
+        out: dict[MetaVar, frozenset[EigenVar]] = {}
+        seen: frozenset[EigenVar] = frozenset()
         for v in self.decls:
-            if v == meta:
-                return frozenset(out)
             if isinstance(v, EigenVar):
-                out.append(v)
-        raise DomainError("meta-variable %s not declared" % (meta,))
+                seen = seen | {v}
+            elif isinstance(v, MetaVar):
+                out[v] = seen
+        return out
+
+    def authorised(self, meta: MetaVar) -> frozenset[EigenVar]:
+        try:
+            return self._authorised[meta]
+        except KeyError:
+            raise DomainError("meta-variable %s not declared" % (meta,)) from None
+
+    def position(self, v: Union[EigenVar, MetaVar]) -> Optional[int]:
+        """Index of v in decls, or None when v is not declared."""
+        i = self._positions.get(v.name)
+        return i if i is not None and self.decls[i] == v else None
 
     def last_meta(self) -> Optional[MetaVar]:
         for v in reversed(self.decls):
@@ -547,12 +575,16 @@ class Domain:
         Appending eigenvariables does not change the family, so only the
         metas and their authorised sets matter.
         """
+        return self._metas_key
+
+    @cached_property
+    def _metas_key(self) -> tuple[tuple[str, frozenset[EigenVar]], ...]:
         return tuple((m.name, self.authorised(m)) for m in self.metas)
 
     def in_declaration_order(self, entries) -> tuple[tuple[MetaVar, Term], ...]:
         """(meta, image) pairs sorted by declaration position; undeclared
         metas go last."""
-        order = {v.name: i for i, v in enumerate(self.decls)}
+        order = self._positions
         return tuple(sorted(entries, key=lambda mt: order.get(mt[0].name, len(order))))
 
 

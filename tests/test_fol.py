@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from seqmod.fol import SubstConstraint, SubstTheory, mgu, subst_meet
+from seqmod.fol import SubstConstraint, SubstTheory, _solve_linear, mgu, subst_meet
 from seqmod.terms import (
+    BoundVar,
     Domain,
+    DomainError,
     EigenVar,
     FunApp,
     Instantiation,
@@ -17,12 +19,20 @@ from seqmod.terms import (
     RatConst,
     SORT_RAT,
     SORT_TERM,
+    lin_combine,
     mk_lin,
     pos,
     subst_term,
+    term_eigens,
     term_metas,
+    term_sort,
 )
-from seqmod.theory import DomainMismatch, WitnessUnsupported
+from seqmod.theory import (
+    DomainMismatch,
+    PreconditionError,
+    WitnessUnsupported,
+    meet_domain,
+)
 
 E = lambda n: EigenVar(n, SORT_TERM)
 M = lambda n: MetaVar(n, SORT_TERM)
@@ -342,3 +352,188 @@ def test_shrink_drops_entries():
     smaller = list(TH.shrink(sigma))
     assert all(len(s.entries) < len(sigma.entries) for s in smaller)
     assert all(not s.is_bot for s in smaller)
+
+
+# ---------------------------------------------------------------------------
+# triangular unification against the eager reference
+#
+# The reference below is the eager algorithm the backend used before its
+# bindings became triangular: every binding rewrites all images, and
+# every unification step substitutes both sides first.  The two must
+# agree on every result, the absurd constraint and the DomainError
+# included.
+
+
+class _EagerClash(Exception):
+    pass
+
+
+def _eager_admissible(domain, meta, image):
+    if meta in term_metas(image):
+        return False
+    if not term_eigens(image) <= domain.authorised(meta):
+        return False
+    auth = domain.authorised(meta)
+    for y in term_metas(image):
+        if not domain.authorised(y) <= auth:
+            return False
+    return True
+
+
+def _eager_unify(domain, subst, a, b):
+    a = subst_term(a, subst)
+    b = subst_term(b, subst)
+    if a == b:
+        return
+    if isinstance(a, BoundVar) or isinstance(b, BoundVar):
+        raise PreconditionError("bound variable escaped into unification")
+    if isinstance(a, MetaVar) and isinstance(b, MetaVar):
+        if domain.authorised(b) <= domain.authorised(a):
+            _eager_bind(domain, subst, a, b)
+        else:
+            _eager_bind(domain, subst, b, a)
+        return
+    if isinstance(a, MetaVar):
+        _eager_bind(domain, subst, a, b)
+        return
+    if isinstance(b, MetaVar):
+        _eager_bind(domain, subst, b, a)
+        return
+    if isinstance(a, FunApp) and isinstance(b, FunApp):
+        if a.symbol != b.symbol or len(a.args) != len(b.args):
+            raise _EagerClash
+        for x, y in zip(a.args, b.args):
+            _eager_unify(domain, subst, x, y)
+        return
+    if term_sort(a) == SORT_RAT and term_sort(b) == SORT_RAT:
+        diff = lin_combine((Fraction(1), a), (Fraction(-1), b))
+        if diff == RatConst(Fraction(0)):
+            return
+        solved = _solve_linear(diff)
+        if solved is None:
+            raise _EagerClash
+        _eager_bind(domain, subst, *solved)
+        return
+    raise _EagerClash
+
+
+def _eager_bind(domain, subst, meta, image):
+    if term_sort(image) != meta.sort:
+        raise _EagerClash
+    if not _eager_admissible(domain, meta, image):
+        raise _EagerClash
+    one = {meta: image}
+    for m in list(subst):
+        subst[m] = subst_term(subst[m], one)
+    subst[meta] = image
+
+
+def _eager_mgu(pairs, domain):
+    subst = {}
+    try:
+        for x, y in pairs:
+            _eager_unify(domain, subst, x, y)
+    except _EagerClash:
+        return SubstConstraint(domain, None)
+    return SubstConstraint(domain, domain.in_declaration_order(subst.items()))
+
+
+def _eager_meet(sa, sb):
+    domain = meet_domain(sa, sb)
+    if sa.is_bot or sb.is_bot:
+        return SubstConstraint(domain, None)
+    return _eager_mgu(list(sa.entries) + list(sb.entries), domain)
+
+
+def _outcome(op, *args):
+    """The result with its rendering, or the DomainError's message."""
+    try:
+        out = op(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return out, str(out)
+
+
+_METAS = tuple(M("X%d" % i) for i in range(4))
+_R = MetaVar("R", SORT_RAT)
+_Z = M("Z")  # declared last, then projected away
+_EIGENS = tuple(E("e%d" % i) for i in range(3))
+
+# Interleaved declarations, or the problem constants first, as at a root.
+_domains = st.one_of(
+    st.permutations(_METAS + _EIGENS + (_R,)),
+    st.permutations(_METAS + (_R,)).map(lambda metas: list(_EIGENS) + metas),
+).map(lambda decls: dom(*decls))
+
+
+def _terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(st.builds(f, sub), st.builds(g, sub, sub)),
+        max_leaves=5)
+
+
+# Half the leaves are meta-variables, so that fewer lists clash at once.
+_leaves = st.one_of(st.sampled_from(_METAS + (_Z,)), st.sampled_from(_EIGENS + (a, b)))
+_term_pairs = st.tuples(*[_terms(_leaves)] * 2)
+_rat_terms = st.sampled_from((_R, rat(0), rat(1), mk_lin({_R: Fraction(2)}, Fraction(1))))
+_random_pairs = st.lists(st.one_of(_term_pairs, _term_pairs, st.tuples(_rat_terms, _rat_terms)),
+                         max_size=4)
+
+
+@st.composite
+def _chain_pairs(draw):
+    """Y1 = f(Y2), Y2 = g(Y3, t), ...: each image mentions a meta bound
+    later; the last pair closes the chain on a ground term, or on Y1 so
+    that the occurs check fails only through the chain."""
+    ys = draw(st.permutations(_METAS))[:draw(st.integers(2, 4))]
+    pairs = []
+    for y, nxt in zip(ys, ys[1:]):
+        wrap = draw(st.sampled_from((f, lambda t: g(t, a), lambda t: g(b, t))))
+        pairs.append((y, wrap(nxt)))
+    pairs.append((ys[-1], draw(st.sampled_from((a, f(b), ys[0], f(ys[0]), g(a, ys[0]))))))
+    if draw(st.booleans()):
+        pairs.reverse()
+    return pairs + draw(_random_pairs)
+
+
+_pair_lists = st.one_of(_random_pairs, _chain_pairs())
+
+
+_X0, _X1, _X2, _X3 = _METAS
+
+
+@settings(max_examples=200, deadline=None)
+@given(_domains, _pair_lists)
+# X2 = X0 fails the occurs check only through X0 -> f(X1) -> f(g(X2, a)).
+@example(dom(*_METAS), [(_X0, f(_X1)), (_X1, g(_X2, a)), (_X2, _X0)])
+# Z is not declared.
+@example(dom(*_METAS), [(_X0, f(_X1)), (_X1, _Z)])
+# 2R + 1 = 1 once R -> 1 is bound: the linear term is false only resolved.
+@example(dom(_R), [(_R, rat(1)), (mk_lin({_R: Fraction(2)}, Fraction(1)), rat(1))])
+def test_mgu_agrees_with_the_eager_reference(d, pairs):
+    assert _outcome(mgu, pairs, d) == _outcome(_eager_mgu, pairs, d)
+
+
+# Meet operands: a few bindings each, so that both are often satisfiable,
+# some with eigenvariable-free images that mention Z.
+_bindings = st.lists(st.tuples(st.sampled_from(_METAS + (_Z,)), _terms(_leaves)), max_size=3)
+_z_bindings = st.lists(
+    st.tuples(st.sampled_from(_METAS), _terms(st.sampled_from((_Z, _Z, a, b) + _METAS))),
+    min_size=1, max_size=2)
+_operands = st.one_of(_bindings, _chain_pairs(), _z_bindings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_domains, _operands, _operands, st.booleans())
+# After projection, X0 -> f(Z) meets X0 -> f(X1), which asks for Z's authorised set.
+@example(dom(_EIGENS[0], _X0, _X1), [(_X0, f(_Z))], [(_X0, f(_X1))], True)
+def test_meet_agrees_with_the_eager_reference(d, left, right, project):
+    # Operands live at d with Z declared right after its last meta, so
+    # that Z may occur in images; projecting Z leaves them mentioning it.
+    k = max(i for i, v in enumerate(d.decls) if isinstance(v, MetaVar)) + 1
+    dz = dom(*d.decls[:k], _Z, *d.decls[k:])
+    sa, sb = mgu(left, dz), mgu(right, dz)
+    if project:
+        sa, sb = TH.project(sa, _Z), TH.project(sb, _Z)
+    assert _outcome(subst_meet, sa, sb) == _outcome(_eager_meet, sa, sb)

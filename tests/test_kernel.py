@@ -340,6 +340,8 @@ def counts(out):
     ("enum", "di", 3, ("proved", 18, 35, 216, 12)),
     ("fol", "di", 8, ("proved", 66, 37, 99, 6)),
     ("fol", "sdi", 4, ("proved", 224, 292, 408, 46)),
+    ("fol", "sdi", 7, ("proved", 479, 819, 1596, 211)),
+    ("enum", "sdi", 4, ("proved", 99, 88, 82, 8)),
 ])
 def test_second_conjunct_alternatives_are_replayed(theory, calculus, n, expected):
     # p(a), forall x. p(x) -> p(f x) |- p(f^n a): the hypotheses form a

@@ -193,6 +193,89 @@ def test_metas_key_tracks_authorised_sets(kinds):
     assert d.add_meta(M("Tail")).metas_key() != d.metas_key()
 
 
+def _scan_lookups(decls, probes):
+    """The Domain lookups computed by a plain scan of decls."""
+
+    def authorised(meta):
+        out = []
+        for v in decls:
+            if v == meta:
+                return frozenset(out)
+            if isinstance(v, EigenVar):
+                out.append(v)
+        return DomainError
+
+    metas = tuple(v for v in decls if isinstance(v, MetaVar))
+    order = {v.name: i for i, v in enumerate(decls)}
+    return {
+        "metas": metas,
+        "eigens": tuple(v for v in decls if isinstance(v, EigenVar)),
+        "metas_key": tuple((m.name, authorised(m)) for m in metas),
+        "authorised": [authorised(p) for p in probes if isinstance(p, MetaVar)],
+        "position": [decls.index(p) if p in decls else None for p in probes],
+        "order": tuple(sorted(((p, p) for p in probes),
+                              key=lambda mt: order.get(mt[0].name, len(order)))),
+    }
+
+
+def _cached_lookups(d, probes):
+    def authorised(meta):
+        try:
+            return d.authorised(meta)
+        except DomainError:
+            return DomainError
+
+    return {
+        "metas": d.metas,
+        "eigens": d.eigens,
+        "metas_key": d.metas_key(),
+        "authorised": [authorised(p) for p in probes if isinstance(p, MetaVar)],
+        "position": [d.position(p) for p in probes],
+        "order": d.in_declaration_order((p, p) for p in probes),
+    }
+
+
+_KINDS = st.sampled_from((EigenVar, MetaVar))
+_SORTS = st.sampled_from((SORT_TERM, SORT_RAT))
+
+
+@given(st.lists(st.tuples(_KINDS, _SORTS), max_size=7),
+       st.lists(st.tuples(st.sampled_from((EigenVar, MetaVar, "drop")), _SORTS), max_size=5),
+       st.data())
+def test_cached_domain_lookups_equal_a_scan_of_decls(initial, steps, data):
+    def check(d):
+        # Probes: every declaration, the same names under the other kind
+        # and sort, and a name never declared.
+        probes = list(d.decls) + [MetaVar("unused", SORT_TERM)]
+        probes += [MetaVar(v.name, SORT_RAT if v.sort == SORT_TERM else SORT_TERM)
+                   for v in d.decls]
+        probes += [MetaVar(v.name, v.sort) for v in d.eigens]
+        probes = data.draw(st.permutations(probes))
+        expected = _scan_lookups(d.decls, probes)
+        assert _cached_lookups(d, probes) == expected
+        assert _cached_lookups(d, probes) == expected  # served from the cache
+
+    def declare(d, kind, sort):
+        v = kind("v%d" % len(names), sort)
+        names.append(v.name)
+        return d.add_eigen(v) if kind is EigenVar else d.add_meta(v)
+
+    names = []
+    d = Domain()
+    for kind, sort in initial:
+        d = declare(d, kind, sort)
+    check(d)
+    # Each derived domain starts from one whose lookups are cached.
+    for op, sort in steps:
+        if op == "drop":
+            if not d.metas:
+                continue
+            d = d.drop_meta(data.draw(st.sampled_from(d.metas)))
+        else:
+            d = declare(d, op, sort)
+        check(d)
+
+
 # ---------------------------------------------------------------------------
 # instantiations
 
