@@ -41,6 +41,7 @@ from .terms import (
     SORT_RAT,
     SORT_TERM,
     Term,
+    hash_once,
     lin_combine,
     lin_of,
     mk_lin,
@@ -63,6 +64,7 @@ from .theory import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class SubstConstraint:
     """Idempotent substitution, or the absurd constraint when entries is None.
@@ -111,10 +113,10 @@ def _admissible(domain: Domain, meta: MetaVar, image: Term) -> bool:
     auth = domain.authorised(meta)
     if not term_eigens(image) <= auth:
         return False
-    for y in metas:
-        if not domain.authorised(y) <= auth:
-            return False
-    return True
+    # Every lookup comes before any comparison, so an undeclared meta
+    # raises DomainError whatever the iteration order of `metas`.
+    auths = [domain.authorised(y) for y in metas]
+    return all(a <= auth for a in auths)
 
 
 class _Clash(Exception):

@@ -27,6 +27,7 @@ from .terms import (
     Signature,
     Term,
     enumerate_ground_terms,
+    hash_once,
     literal_vars,
     subst_literal,
     term_depth,
@@ -49,6 +50,7 @@ from .theory import (
 _MAX_ASSIGNMENTS = 500_000
 
 
+@hash_once
 @dataclass(frozen=True)
 class GroundConstraint:
     """Partial map from meta-variables to ground terms, declaration order."""

@@ -31,6 +31,7 @@ from .terms import (
     RatConst,
     SORT_RAT,
     Term,
+    hash_once,
     lin_combine,
     lin_of,
     mk_lin,
@@ -54,6 +55,7 @@ MAX_ATOMS = 1024
 EIGEN_VALUE = Fraction(0)  # the value every eigenvariable takes when evaluated
 
 
+@hash_once
 @dataclass(frozen=True)
 class LinAtom:
     """Canonical linear atom: coeffs . vars + const OP 0.
@@ -136,6 +138,7 @@ def normalize_system(atoms: Iterable[LinAtom]) -> Optional[frozenset[LinAtom]]:
 System = frozenset[LinAtom]
 
 
+@hash_once
 @dataclass(frozen=True)
 class PolyConstraint:
     """Disjunction of conjunctive systems; no disjuncts means FALSE."""

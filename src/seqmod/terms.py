@@ -10,12 +10,18 @@ existential quantifiers, to be solved by a theory backend).
 A Domain records the declaration order of eigenvariables and
 meta-variables; each meta-variable may only be instantiated with ground
 terms built from the eigenvariables declared before it.
+
+All of these values are immutable.  Each caches its hash on first use
+(`hash_once`), a FunApp also its variable set (`term_vars`), and a
+Domain its lookups.  The caches hold per-process values, such as string
+hashes; nothing in seqmod pickles these objects.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -43,10 +49,38 @@ class SortError(ValueError):
     """A term or atom was built with inconsistent sorts."""
 
 
+def hash_once(cls):
+    """Class decorator: a frozen dataclass whose instances hash once.
+
+    The generated `__hash__` hashes the tuple of the fields on every
+    call, and so the whole tree below a node.  The replacement computes
+    the same value, `hash` of the tuple of the fields, on first use and
+    stores it on the instance as `_hash`; set and dict iteration order
+    are therefore unchanged.  `_hash` is not a field, so equality,
+    `repr`, `dataclasses.fields` and `dataclasses.replace` ignore it.
+    Apply it above `@dataclass(frozen=True)`.
+    """
+    names = [f.name for f in fields(cls)]
+    get = operator.attrgetter(*names)
+    single = len(names) == 1
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((get(self),) if single else get(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    cls._hash = None  # read when the instance has no cached hash yet
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
+@hash_once
 @dataclass(frozen=True)
 class BoundVar:
     """Occurrence of a quantified variable inside its binder's body."""
@@ -58,6 +92,7 @@ class BoundVar:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True)
 class EigenVar:
     """Rigid variable: a problem constant or a universally bound witness."""
@@ -69,6 +104,7 @@ class EigenVar:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True)
 class MetaVar:
     """Flexible variable awaiting instantiation by a theory backend."""
@@ -80,6 +116,7 @@ class MetaVar:
         return "?" + self.name
 
 
+@hash_once
 @dataclass(frozen=True)
 class RatConst:
     """Exact rational constant."""
@@ -94,6 +131,7 @@ class RatConst:
         return str(self.value)
 
 
+@hash_once
 @dataclass(frozen=True)
 class FunApp:
     """Application of an uninterpreted function symbol.
@@ -119,6 +157,7 @@ class FunApp:
         return "%s(%s)" % (self.symbol, ", ".join(map(str, self.args)))
 
 
+@hash_once
 @dataclass(frozen=True)
 class LinTerm:
     """Canonical linear combination over rational-sorted variables.
@@ -215,9 +254,10 @@ def lin_combine(*weighted: tuple[Fraction, Term]) -> Term:
 def term_vars(t: Term) -> frozenset[Term]:
     """All variables (bound, eigen, meta) occurring in a term."""
     if isinstance(t, FunApp):
-        # Computed at most once per application, on first use.  A plain
-        # instance attribute, not a cached_property: most applications
-        # compute it once and are dropped, and before Python 3.12 each
+        # Computed at most once per application, on first use, and kept
+        # for this process only, like the cached hash.  A plain instance
+        # attribute, not a cached_property: most applications compute it
+        # once and are dropped, and before Python 3.12 each
         # cached_property computation takes a lock.
         out = t.__dict__.get("_vars")
         if out is None:
@@ -275,6 +315,7 @@ def subst_term(t: Term, mapping: Mapping[Term, Term]) -> Term:
 ARITH_OPS = ("<=", "<", "=")
 
 
+@hash_once
 @dataclass(frozen=True)
 class PredAtom:
     """Uninterpreted predicate application."""
@@ -288,6 +329,7 @@ class PredAtom:
         return "%s(%s)" % (self.name, ", ".join(map(str, self.args)))
 
 
+@hash_once
 @dataclass(frozen=True)
 class ArithAtom:
     """Comparison of two rational-sorted terms; op is one of <=, <, =."""
@@ -307,6 +349,7 @@ class ArithAtom:
 Atom = Union[PredAtom, ArithAtom]
 
 
+@hash_once
 @dataclass(frozen=True)
 class Literal:
     """Signed atom."""
@@ -352,6 +395,7 @@ def subst_literal(lit: Literal, mapping: Mapping[Term, Term]) -> Literal:
 # Formulas in negation normal form
 
 
+@hash_once
 @dataclass(frozen=True)
 class Lit:
     lit: Literal
@@ -360,6 +404,7 @@ class Lit:
         return str(self.lit)
 
 
+@hash_once
 @dataclass(frozen=True)
 class And:
     left: "Formula"
@@ -369,6 +414,7 @@ class And:
         return "(%s /\\ %s)" % (self.left, self.right)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
@@ -378,6 +424,7 @@ class Or:
         return "(%s \\/ %s)" % (self.left, self.right)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Forall:
     var: str
@@ -388,6 +435,7 @@ class Forall:
         return "forall %s. %s" % (self.var, self.body)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Exists:
     var: str
@@ -488,6 +536,7 @@ class DomainError(ValueError):
     """A domain was extended or queried inconsistently."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class Domain:
     """Ordered declarations of eigenvariables and meta-variables.

@@ -1,10 +1,15 @@
 """Syntactic backend: idempotent substitutions as constraints."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import seqmod
 from seqmod.fol import SubstConstraint, SubstTheory, _solve_linear, mgu, subst_meet
 from seqmod.terms import (
     BoundVar,
@@ -374,10 +379,8 @@ def _eager_admissible(domain, meta, image):
     if not term_eigens(image) <= domain.authorised(meta):
         return False
     auth = domain.authorised(meta)
-    for y in term_metas(image):
-        if not domain.authorised(y) <= auth:
-            return False
-    return True
+    auths = [domain.authorised(y) for y in term_metas(image)]
+    return all(a <= auth for a in auths)
 
 
 def _eager_unify(domain, subst, a, b):
@@ -537,3 +540,32 @@ def test_meet_agrees_with_the_eager_reference(d, left, right, project):
     if project:
         sa, sb = TH.project(sa, _Z), TH.project(sb, _Z)
     assert _outcome(subst_meet, sa, sb) == _outcome(_eager_meet, sa, sb)
+
+
+# ---------------------------------------------------------------------------
+# independence from the hash seed
+
+# X0 -> g(X1, Z) at (X0, e0, X1): X1's authorised set is too large for X0,
+# and Z is not declared.  Which of the two `_admissible` met first used to
+# depend on the iteration order of a frozenset of metas.
+_UNDECLARED_NEXT_TO_UNAUTHORISED = """
+from seqmod.fol import mgu
+from seqmod.terms import Domain, DomainError, EigenVar, FunApp, MetaVar
+X0, X1, Z = MetaVar("X0"), MetaVar("X1"), MetaVar("Z")
+try:
+    print(mgu([(X0, FunApp("g", (X1, Z)))], Domain((X0, EigenVar("e0"), X1))))
+except DomainError as e:
+    print("DomainError:", e)
+"""
+
+
+def test_undeclared_meta_raises_under_every_hash_seed():
+    src = str(Path(seqmod.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "5"):
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _UNDECLARED_NEXT_TO_UNAUTHORISED],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        outputs.append(done.stdout)
+    assert outputs == ["DomainError: meta-variable ?Z not declared\n"] * 2

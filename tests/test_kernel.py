@@ -228,6 +228,55 @@ def test_check_proof_rejects_dropped_context_formula():
     assert not ok
 
 
+STRICT_CHAIN_3 = ("(goal (exists ((x0 rat) (x1 rat) (x2 rat))"
+                  " (and (< 0 x0) (< x0 x1) (< x1 x2) (< x2 1))))\n")
+
+
+def _fresh(v):
+    """A structurally equal copy of v that shares no dataclass with it."""
+    if dataclasses.is_dataclass(v):
+        return type(v)(**{f.name: _fresh(getattr(v, f.name)) for f in dataclasses.fields(v)})
+    if isinstance(v, tuple):
+        return tuple(_fresh(x) for x in v)
+    return v
+
+
+@pytest.mark.parametrize("calc", ["di", "sdi"])
+def test_context_multiset_check_tells_formulas_apart(calc):
+    prob = parse_problem(STRICT_CHAIN_3, name="strict_chain_n3")
+    theory = make_theory("lra", prob.signature)
+    out = prove(prob.goals, Domain(), theory, SearchConfig(calculus=calc))
+    assert out.status == "proved"
+    assert check_proof(out.tree, theory) == (True, [])
+    node = next(t for t in out.tree.walk() if t.rule == "and")
+    left = node.children[0]
+    ctx = left.sequent.context
+    assert len(ctx) >= 2
+
+    def with_left_context(context):
+        child = dataclasses.replace(left, sequent=dataclasses.replace(left.sequent,
+                                                                       context=context))
+        new = dataclasses.replace(node, children=(child,) + node.children[1:])
+
+        def swap(t):
+            if t is node:
+                return new
+            return dataclasses.replace(t, children=tuple(swap(c) for c in t.children))
+
+        return check_proof(swap(out.tree), theory)
+
+    rebuilt = _fresh(ctx)
+    assert rebuilt == ctx
+    assert all(f is not g for f, g in zip(rebuilt, ctx))
+    assert with_left_context(rebuilt) == (True, [])
+
+    other = Lit(pos(PredAtom("unrelated", ())))
+    for context in (ctx[:-1] + (other,), ctx[1:], ctx + ctx[-1:]):
+        ok, diags = with_left_context(context)
+        assert not ok
+        assert "left conjunct context mismatch" in diags
+
+
 # ---------------------------------------------------------------------------
 # leaf validity, folding, reconstruction
 

@@ -1,10 +1,15 @@
 """Core syntax: terms, literals, formulas, domains, instantiations."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from seqmod import fol, ground, lra, terms
+from seqmod.fol import SubstConstraint, mgu
+from seqmod.ground import GroundConstraint
+from seqmod.lra import LinAtom, PolyConstraint, atom_from_terms, make_poly
 from seqmod.terms import (
     And,
     ArithAtom,
@@ -20,6 +25,7 @@ from seqmod.terms import (
     Lit,
     Literal,
     MetaVar,
+    Or,
     PredAtom,
     RatConst,
     Signature,
@@ -27,6 +33,7 @@ from seqmod.terms import (
     SORT_RAT,
     SORT_TERM,
     enumerate_ground_terms,
+    hash_once,
     lin_combine,
     lin_of,
     literals_of,
@@ -370,3 +377,170 @@ def test_signature_lookup():
     assert SIG.pred_sorts("missing") is None
     assert SIG.fun_arity("f") == 1
     assert SIG.fun_arity("p") is None
+
+
+# ---------------------------------------------------------------------------
+# cached hashes
+
+# Every frozen value that is hashed on a search or audit path.
+HASHED = (BoundVar, EigenVar, MetaVar, RatConst, FunApp, LinTerm, PredAtom,
+          ArithAtom, Literal, Lit, And, Or, Forall, Exists, Domain,
+          LinAtom, PolyConstraint, SubstConstraint, GroundConstraint)
+
+
+@hash_once
+@dataclasses.dataclass(frozen=True)
+class _Decorated:
+    x: int
+
+
+def test_every_hashed_frozen_value_caches_its_hash():
+    frozen = {
+        cls
+        for mod in (terms, lra, fol, ground)
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and cls.__module__ == mod.__name__
+        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    }
+    # Signatures and instantiations are never hashed.
+    assert frozen - {Signature, Instantiation} == set(HASHED)
+    # Every hash_once hash is a closure over the same code.
+    for cls in HASHED:
+        assert cls.__hash__.__code__ is _Decorated.__hash__.__code__, cls
+
+
+_NAMES = st.sampled_from("xyz")
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_VAR_CLASSES = st.sampled_from((BoundVar, EigenVar, MetaVar))
+_tvars = st.builds(lambda k, n: k(n, SORT_TERM), _VAR_CLASSES, _NAMES)
+_rvars = st.builds(lambda k, n: k(n.upper(), SORT_RAT), _VAR_CLASSES, _NAMES)
+_tterms = st.recursive(
+    _tvars | st.builds(FunApp, st.sampled_from("ab")),
+    lambda sub: st.builds(FunApp, st.sampled_from("fg"),
+                          st.lists(sub, min_size=1, max_size=2).map(tuple)),
+    max_leaves=5)
+_rterms = st.builds(
+    lambda k, ws: lin_combine((Fraction(1), RatConst(k)), *ws),
+    _Q, st.lists(st.tuples(_Q, _rvars), max_size=3))
+_lin_terms = st.builds(
+    lambda k, c1, c2, v1, v2: lin_combine((Fraction(1), RatConst(k)), (c1, v1), (c2, v2)),
+    _Q, _Q.filter(bool), _Q.filter(bool), _rvars, _rvars).filter(
+        lambda t: isinstance(t, LinTerm))
+_preds = st.builds(PredAtom, st.sampled_from("pq"),
+                   st.lists(_tterms | _rterms, max_size=2).map(tuple))
+_ariths = st.builds(ArithAtom, st.sampled_from(("<=", "<", "=")), _rterms, _rterms)
+_atoms = _preds | _ariths
+_literals = st.builds(Literal, st.booleans(), _atoms)
+_formulas = st.recursive(
+    st.builds(Lit, _literals),
+    lambda sub: (st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+                 | st.builds(Forall, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), sub)
+                 | st.builds(Exists, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), sub)),
+    max_leaves=3)
+
+
+@st.composite
+def _domains(draw):
+    d = Domain()
+    for i, (kind, sort) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from((EigenVar, MetaVar)),
+                      st.sampled_from((SORT_TERM, SORT_RAT))), max_size=5))):
+        v = kind("v%d" % i, sort)
+        d = d.add_eigen(v) if kind is EigenVar else d.add_meta(v)
+    return d
+
+
+# Constraints over one fixed domain, built the way the backends build them.
+_D = Domain((EigenVar("e0"), MetaVar("X0"), EigenVar("e1"), MetaVar("X1"),
+             MetaVar("X2"), EigenVar("q", SORT_RAT), MetaVar("R", SORT_RAT)))
+_d_terms = st.recursive(
+    st.sampled_from(_D.decls[:5]) | st.builds(FunApp, st.sampled_from("ab")),
+    lambda sub: st.builds(FunApp, st.sampled_from("fg"),
+                          st.lists(sub, min_size=1, max_size=2).map(tuple)),
+    max_leaves=4)
+_d_rterms = st.builds(
+    lambda k, ws: lin_combine((Fraction(1), RatConst(k)), *ws),
+    _Q, st.lists(st.tuples(_Q, st.sampled_from(_D.decls[5:])), max_size=2))
+_lin_atoms = st.builds(atom_from_terms, st.sampled_from(("<=", "<", "=")),
+                       _d_rterms, _d_rterms)
+_sig = Signature(funs=(("f", 1), ("g", 2)), consts=("a", "b"))
+
+
+@st.composite
+def _ground_constraints(draw):
+    metas = draw(st.lists(st.sampled_from(_D.metas), unique=True))
+    entries = [(m, draw(st.sampled_from(enumerate_ground_terms(_sig, _D, m, 1))))
+               for m in metas]
+    return GroundConstraint(_D, _D.in_declaration_order(entries))
+
+
+_VALUES = {
+    BoundVar: st.builds(BoundVar, _NAMES),
+    EigenVar: st.builds(EigenVar, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT))),
+    MetaVar: st.builds(MetaVar, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT))),
+    RatConst: st.builds(RatConst, _Q),
+    FunApp: st.builds(FunApp, st.sampled_from("fg"),
+                      st.lists(_tterms, min_size=1, max_size=2).map(tuple)),
+    LinTerm: _lin_terms,
+    PredAtom: _preds,
+    ArithAtom: _ariths,
+    Literal: _literals,
+    Lit: st.builds(Lit, _literals),
+    And: st.builds(And, _formulas, _formulas),
+    Or: st.builds(Or, _formulas, _formulas),
+    Forall: st.builds(Forall, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), _formulas),
+    Exists: st.builds(Exists, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), _formulas),
+    Domain: _domains(),
+    LinAtom: _lin_atoms,
+    PolyConstraint: st.builds(
+        make_poly, st.just(_D),
+        st.lists(st.lists(_lin_atoms, max_size=3), max_size=3)),
+    SubstConstraint: st.builds(
+        mgu, st.lists(st.tuples(_d_terms, _d_terms), max_size=3), st.just(_D)),
+    GroundConstraint: _ground_constraints(),
+}
+
+
+def _rebuild(v):
+    """An equal copy of v that shares no hashed object with it."""
+    if dataclasses.is_dataclass(v):
+        return type(v)(**{f.name: _rebuild(getattr(v, f.name))
+                          for f in dataclasses.fields(v)})
+    if isinstance(v, (tuple, frozenset)):
+        return type(v)(_rebuild(x) for x in v)
+    if isinstance(v, Fraction):
+        return Fraction(v.numerator, v.denominator)
+    return v
+
+
+def _field_names(x):
+    return [f.name for f in dataclasses.fields(x)]
+
+
+@pytest.mark.parametrize("cls", HASHED, ids=lambda c: c.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cached_hash_is_the_hash_of_the_fields(cls, data):
+    x = data.draw(_VALUES[cls])
+    assert type(x) is cls
+    fields_hash = hash(tuple(getattr(x, name) for name in _field_names(x)))
+    assert hash(x) == fields_hash
+    assert hash(x) == fields_hash  # served from the cache
+
+    # An equal value built separately hashes equal, before and after
+    # either side has cached its hash.
+    y = _rebuild(x)
+    assert y == x and y is not x
+    assert "_hash" not in vars(y)
+    text = repr(y)
+    assert hash(y) == hash(x)
+    assert vars(y)["_hash"] == fields_hash
+
+    # The cache takes no part in equality, repr, fields or replace.
+    z = _rebuild(x)
+    assert y == z and z == y and x == z
+    assert repr(y) == text == repr(z)
+    assert _field_names(y) == _field_names(z) == _field_names(cls)
+    assert "_hash" not in _field_names(cls)
+    r = dataclasses.replace(y)
+    assert r == y and "_hash" not in vars(r) and hash(r) == fields_hash
