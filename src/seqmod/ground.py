@@ -8,8 +8,13 @@ instantiated literal set contains a complementary pair, and merges each
 survivor with the input constraint.  A depth ceiling bounds the
 candidate terms; beyond it the stream is exhausted, never wrong.
 
-Deliberately naive: this backend doubles as a cross-check oracle for
-the unification backend on problems both can express.
+Groundings are produced lazily, one total depth at a time, so a leaf
+that closes early never builds the whole product.  Only literals whose
+predicate occurs with both polarities can close a leaf; each of them is
+instantiated once per grounding of its own meta-variables, for the life
+of the stream.  This backend doubles as a cross-check oracle for the
+unification backend on problems both can express, so it stays a plain
+enumeration: no unification, no pruning of groundings.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .terms import (
     Instantiation,
     Literal,
     MetaVar,
+    PredAtom,
     Signature,
     Term,
     enumerate_ground_terms,
@@ -102,22 +108,47 @@ def ground_meet(a: GroundConstraint, b: GroundConstraint) -> Optional[GroundCons
 
 
 def _fair_assignments(cand_lists: Sequence[Sequence[Term]]) -> Iterator[tuple[Term, ...]]:
-    """Index tuples ordered by total term depth, then lexicographically.
+    """Term tuples, one candidate per list, ordered by total term depth,
+    then lexicographically on candidate indices.
 
-    The size cap is checked on the call, not on the first draw.
+    Produced level by level, one total depth at a time, with each
+    candidate's depth computed once.  An empty list gives an empty
+    stream; otherwise the size cap is checked on the call, not on the
+    first draw.
     """
-    total = 1
-    for c in cand_lists:
-        total *= max(len(c), 1)
-        if total > _MAX_ASSIGNMENTS:
-            raise ResourceLimit("ground assignment space exceeds %d" % _MAX_ASSIGNMENTS)
     if any(not c for c in cand_lists):
         return iter(())
-    indexed = [list(enumerate(c)) for c in cand_lists]
-    tuples = list(itertools.product(*indexed))
-    tuples.sort(key=lambda choice: (sum(term_depth(t) for _, t in choice),
-                                    tuple(i for i, _ in choice)))
-    return (tuple(t for _, t in choice) for choice in tuples)
+    total = 1
+    for c in cand_lists:
+        total *= len(c)
+        if total > _MAX_ASSIGNMENTS:
+            raise ResourceLimit("ground assignment space exceeds %d" % _MAX_ASSIGNMENTS)
+    depths = [[term_depth(t) for t in c] for c in cand_lists]
+    # lo[i], hi[i]: least and greatest total depth of positions i onwards.
+    lo = [0] * (len(depths) + 1)
+    hi = [0] * (len(depths) + 1)
+    for i in range(len(depths) - 1, -1, -1):
+        lo[i] = lo[i + 1] + min(depths[i])
+        hi[i] = hi[i + 1] + max(depths[i])
+
+    def level(i: int, rest: int, prefix: tuple[Term, ...]) -> Iterator[tuple[Term, ...]]:
+        # Tuples extending `prefix` whose depths from position i sum to `rest`.
+        if i == len(depths):
+            yield prefix
+            return
+        for t, d in zip(cand_lists[i], depths[i]):
+            if lo[i + 1] <= rest - d <= hi[i + 1]:
+                yield from level(i + 1, rest - d, prefix + (t,))
+
+    return itertools.chain.from_iterable(level(0, total_depth, ())
+                                         for total_depth in range(lo[0], hi[0] + 1))
+
+
+def _pred_key(atom) -> object:
+    """The predicate of an atom: name and arity, or the arithmetic op."""
+    if isinstance(atom, PredAtom):
+        return (atom.name, len(atom.args))
+    return atom.op
 
 
 class GroundEnumTheory(Theory):
@@ -147,16 +178,35 @@ class GroundEnumTheory(Theory):
                  if any(m in literal_vars(l) for l in lits)]
         cand_lists = [enumerate_ground_terms(self.sig, domain, m, self.ceiling) for m in metas]
         assignments = _fair_assignments(cand_lists)
+        # Only a literal whose predicate occurs with both polarities can
+        # be, or equal, a member of a complementary pair.
+        polarities: dict = {}
+        for l in lits:
+            polarities.setdefault(_pred_key(l.atom), set()).add(l.positive)
+        live = tuple(l for l in lits if len(polarities[_pred_key(l.atom)]) == 2)
+        # Each live literal's metas, as positions in `metas`.
+        positions = tuple(tuple(i for i, m in enumerate(metas) if m in vs)
+                          for vs in map(literal_vars, live))
+        instances: dict = {}  # (literal index, images of its metas) -> ground literal
+
+        def ground(k: int, images: tuple[Term, ...]) -> Literal:
+            own = tuple(images[i] for i in positions[k])
+            gl = instances.get((k, own))
+            if gl is None:
+                mapping = {metas[i]: t for i, t in zip(positions[k], own)}
+                gl = instances[(k, own)] = subst_literal(live[k], mapping)
+            return gl
 
         def candidates():
+            if not live:
+                return
             for images in assignments:
-                g = tuple(zip(metas, images))
-                mapping = {m: t for m, t in g}
-                ground_lits = tuple(subst_literal(l, mapping) for l in lits)
+                ground_lits = tuple(ground(k, images) for k in range(len(live)))
                 pair = complementary_pair(ground_lits)
                 if pair is not None:
                     # Map the closing ground literals back to their sources.
-                    yield frozenset(l for l, gl in zip(lits, ground_lits) if gl in pair), g
+                    used = frozenset(l for l, gl in zip(live, ground_lits) if gl in pair)
+                    yield used, tuple(zip(metas, images))
 
         def combine(g, current: GroundConstraint):
             return _merge(current.domain, current, g)

@@ -21,8 +21,12 @@ stream or a sibling alternative) is retried first.  The only subproof
 whose alternatives are consumed more than once is a conjunction's second
 premise, re-entered for each alternative of the first; the conjunction
 node keeps those alternatives, per input, while it runs (counted as
-`memo_hits`).  Nothing else is cached.  A search that spends its node
-budget ends with status "resource".
+`memo_hits`).  So one output can reach the same ancestor many times;
+two more memos, each living only while its generator runs, compute
+each value once: an existential node keeps its child's projected
+output per child output, and each deepening round keeps the root
+gate's verdict per root output.  Nothing else is cached.  A search that
+spends its node budget ends with status "resource".
 """
 
 from __future__ import annotations
@@ -260,8 +264,14 @@ class _Search:
             d2 = domain.add_meta(meta)
             child = ((substitute(f.body, f.var, meta), 0), (f, count + 1)) + rest
             child_in = self.theory.lift(current, meta) if self.sdi else None
+            # Projections, per child output: in sdi an `and` below passes
+            # the same output up once for each alternative of its first
+            # conjunct.
+            projected: dict = {}
             for t, child_out in self._alts(self.solve(child, d2, child_in, path + ("e",), budget)):
-                out = self.theory.project(child_out, meta)
+                out = projected.get(child_out)
+                if out is None:
+                    out = projected[child_out] = self.theory.project(child_out, meta)
                 yield ProofTree("exists", seq, out, (t,), principal=idx, meta=meta), out
             return
 
@@ -337,10 +347,15 @@ def prove(context: Context, domain: Domain, theory: Theory,
         for b in _deepening_budgets(cfg.max_exists):
             search.stats.rounds += 1
             search.exists_blocked = False
+            verdicts: dict = {}  # the gate's verdict, per root output
             for tree, out in search.solve(entries, domain, root_input, (), b):
-                if gate and not theory.compatible(rho_empty, out):
-                    search.stats.backtracks += 1
-                    continue
+                if gate:
+                    ok = verdicts.get(out)
+                    if ok is None:
+                        ok = verdicts[out] = theory.compatible(rho_empty, out)
+                    if not ok:
+                        search.stats.backtracks += 1
+                        continue
                 log.info("proved in round %d (%d nodes)", search.stats.rounds, search.stats.nodes)
                 return SearchOutcome("proved", tree, out, search.stats)
             if not search.exists_blocked and not search.nodes_exhausted:

@@ -1,13 +1,20 @@
 """Enumeration backend: partial ground maps and fair candidate streams."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqmod.ground import (
+    _MAX_ASSIGNMENTS,
     GroundConstraint,
     GroundEnumTheory,
+    _fair_assignments,
+    _merge,
     ground_meet,
 )
 from seqmod.terms import (
+    ArithAtom,
     Domain,
     EigenVar,
     FunApp,
@@ -15,12 +22,22 @@ from seqmod.terms import (
     Literal,
     MetaVar,
     PredAtom,
+    RatConst,
     Signature,
+    SORT_RAT,
     SORT_TERM,
+    enumerate_ground_terms,
+    literal_vars,
     pos,
+    subst_literal,
     term_depth,
 )
-from seqmod.theory import PreconditionError, ResourceLimit, complementary_pair
+from seqmod.theory import (
+    CandidateStream,
+    PreconditionError,
+    ResourceLimit,
+    complementary_pair,
+)
 
 E = lambda n: EigenVar(n, SORT_TERM)
 M = lambda n: MetaVar(n, SORT_TERM)
@@ -194,6 +211,118 @@ def test_assignment_space_guard():
     lits = (lit("q", *metas), nlit("q", *([a] * 4)))
     with pytest.raises(ResourceLimit):
         th.consistency(lits, d)
+
+
+def test_empty_candidate_list_exhausts_before_the_space_guard():
+    # No constant and no eigenvariable before X0, so X0 has no candidate
+    # and the stream is empty, though X1..X4 have 45^4 groundings.
+    sig = Signature(preds=(("q", (SORT_TERM,) * 5),), funs=(("f", 1), ("g", 1)))
+    th = GroundEnumTheory(sig, ceiling=3)
+    metas = [M("X%d" % i) for i in range(5)]
+    d = dom(metas[0], E("e0"), E("e1"), E("e2"), *metas[1:])
+    assert enumerate_ground_terms(sig, d, metas[0], 3) == ()
+    assert len(enumerate_ground_terms(sig, d, metas[1], 3)) ** 4 > _MAX_ASSIGNMENTS
+    lits = (lit("q", *metas), nlit("q", *metas))
+    assert pull_all(th.consistency(lits, d), th.top(d)) == []
+
+
+# ---------------------------------------------------------------------------
+# the lazy stream against the eager reference
+#
+# The reference below is the eager stream the backend used before it
+# became lazy: it sorts the whole product of the candidate lists, and
+# substitutes every leaf literal for each grounding.  The two must give
+# the same groundings in the same order, and the same pulls.
+
+
+def _eager_fair_assignments(cand_lists):
+    total = 1
+    for c in cand_lists:
+        total *= max(len(c), 1)
+        if total > _MAX_ASSIGNMENTS:
+            raise ResourceLimit("ground assignment space exceeds %d" % _MAX_ASSIGNMENTS)
+    if any(not c for c in cand_lists):
+        return iter(())
+    indexed = [list(enumerate(c)) for c in cand_lists]
+    tuples = list(itertools.product(*indexed))
+    tuples.sort(key=lambda choice: (sum(term_depth(t) for _, t in choice),
+                                    tuple(i for i, _ in choice)))
+    return (tuple(t for _, t in choice) for choice in tuples)
+
+
+def _eager_consistency(theory, lits, domain):
+    lits = tuple(lits)
+    metas = [m for m in domain.metas
+             if any(m in literal_vars(l) for l in lits)]
+    cand_lists = [enumerate_ground_terms(theory.sig, domain, m, theory.ceiling) for m in metas]
+    assignments = _eager_fair_assignments(cand_lists)
+
+    def candidates():
+        for images in assignments:
+            g = tuple(zip(metas, images))
+            mapping = {m: t for m, t in g}
+            ground_lits = tuple(subst_literal(l, mapping) for l in lits)
+            pair = complementary_pair(ground_lits)
+            if pair is not None:
+                yield frozenset(l for l, gl in zip(lits, ground_lits) if gl in pair), g
+
+    def combine(g, current):
+        return _merge(current.domain, current, g)
+
+    return CandidateStream(candidates(), combine)
+
+
+g2 = lambda s, t: FunApp("g", (s, t))
+_POOL = (a, b, E("e0"), f(a), f(b), g2(a, b), f(f(a)), g2(f(b), a))
+
+# Depth-sorted lists, as enumerate_ground_terms gives them; within one
+# depth the order is the drawn one.
+_cand_lists = st.lists(
+    st.lists(st.sampled_from(_POOL), unique=True, max_size=5).map(
+        lambda ts: sorted(ts, key=term_depth)),
+    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cand_lists)
+@example([[a, b], [b, a], [f(a), f(b)]])
+@example([[a], [], [b]])
+@example([])
+def test_fair_order_is_the_sorted_product(cand_lists):
+    assert list(_fair_assignments(cand_lists)) == list(_eager_fair_assignments(cand_lists))
+
+
+_XS = tuple(M("X%d" % i) for i in range(4))
+_R = MetaVar("R", SORT_RAT)
+_STREAM_SIG = Signature(preds=(("p", (SORT_TERM,)), ("q", (SORT_TERM, SORT_TERM)),
+                               ("r", (SORT_TERM,))),
+                        funs=(("f", 1),), consts=("a", "b"))
+_STREAM_TH = GroundEnumTheory(_STREAM_SIG, ceiling=1)
+
+_args = st.sampled_from(_XS + (a, b, f(a)) + tuple(f(m) for m in _XS))
+_atoms = st.one_of(
+    st.builds(lambda t: PredAtom("p", (t,)), _args),
+    st.builds(lambda s, t: PredAtom("q", (s, t)), _args, _args),
+    st.builds(lambda t: PredAtom("r", (t,)), _args),
+    st.builds(lambda op, t: ArithAtom(op, _R, t), st.sampled_from(("<=", "=")),
+              st.sampled_from((_R, RatConst(0), RatConst(1)))),
+)
+# Drawn from a small pool, so literals repeat, share metas, and a
+# predicate often occurs with one polarity only.
+_leaf_lits = st.lists(st.builds(Literal, st.booleans(), _atoms), min_size=1, max_size=6)
+_stream_domains = st.permutations(_XS + (_R, E("e0"))).map(lambda decls: dom(*decls))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stream_domains, _leaf_lits)
+# p is dead, so only the q pair closes; X0 is shared between them.
+@example(dom(*_XS), [lit("p", _XS[0]), lit("q", _XS[0], _XS[1]), nlit("q", a, f(_XS[0]))])
+# A repeated literal closes against both copies of its complement.
+@example(dom(*_XS), [lit("p", _XS[0]), nlit("p", _XS[1]), nlit("p", _XS[1]), lit("r", _XS[2])])
+def test_stream_agrees_with_the_eager_reference(d, lits):
+    top = _STREAM_TH.top(d)
+    lazy = pull_all(_STREAM_TH.consistency(lits, d), top)
+    assert lazy == pull_all(_eager_consistency(_STREAM_TH, lits, d), top)
 
 
 # ---------------------------------------------------------------------------

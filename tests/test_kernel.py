@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,60 @@ def test_equal_conjuncts_are_solved_separately(theory, calculus):
     # equal to the first is searched again rather than shared.
     text = "(declare-pred p 0) (goal (and (or p (not p)) (or p (not p))))"
     assert counts(prove_text(text, theory, calculus)) == ("proved", 5, 2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# projection and gate memos
+
+
+RUNAWAY = "(goal (forall (x) (exists (y) (and (> y x) (< y 0)))))"
+FN_CHAIN_N4 = ("(declare-pred p 1) (declare-fun f 1) (declare-const a)"
+               " (goal (=> (and (p a) (forall (x) (=> (p x) (p (f x)))))"
+               " (p (f (f (f (f a)))))))")
+
+
+def _prove_capped(text, theory, calculus, nodes):
+    prob = parse_problem(text, name="capped")
+    if isinstance(theory, str):
+        theory = make_theory(theory, prob.signature)
+    return prove(prob.goals, Domain(), theory, SearchConfig(calculus=calculus, nodes=nodes))
+
+
+@pytest.mark.parametrize("text, theory, calculus, nodes, expected", [
+    (FN_CHAIN_N4, "enum", "di", 10000, ("exhausted", 66, 554, 35436, 1883)),
+    (RUNAWAY, "lra", "di", 30, ("resource", 30, 31, 144, 26)),
+    (RUNAWAY, "lra", "sdi", 120, ("resource", 120, 286, 14462, 20)),
+], ids=["fn_chain_n4-enum-di", "runaway-lra-di", "runaway-lra-sdi"])
+def test_search_counts_are_pinned(text, theory, calculus, nodes, expected):
+    assert counts(_prove_capped(text, theory, calculus, nodes)) == expected
+
+
+class _CountingLra(LraTheory):
+    def __init__(self):
+        super().__init__()
+        self.projected = Counter()
+        self.gated = Counter()
+
+    def project(self, sigma, meta):
+        self.projected[(sigma, meta)] += 1
+        return super().project(sigma, meta)
+
+    def compatible(self, rho, sigma):
+        self.gated[sigma] += 1
+        return super().compatible(rho, sigma)
+
+
+def test_projection_and_gate_run_once_per_distinct_input():
+    # In sdi the runaway's conjunction passes its second conjunct's
+    # output up once per alternative of the first: 4,041 projections of
+    # 168 distinct (child output, meta) pairs, and 3,089 root outputs of
+    # 3 distinct values.  Each meta belongs to one existential node.
+    theory = _CountingLra()
+    out = _prove_capped(RUNAWAY, theory, "sdi", 120)
+    assert counts(out) == ("resource", 120, 286, 14462, 20)
+    assert set(theory.projected.values()) == {1}
+    assert set(theory.gated.values()) == {1}
+    assert (sum(theory.projected.values()), sum(theory.gated.values())) == (168, 3)
 
 
 # ---------------------------------------------------------------------------
