@@ -15,6 +15,18 @@ bindings; a new image is resolved once, so the checks above see it as
 an idempotent substitution would, and `mgu` resolves each image once
 more when it builds the constraint, which therefore stays idempotent.
 
+A leaf closure or a meet extends a constraint that is already solved,
+so `mgu` takes it as a seed: its entries are the starting substitution
+and only the new pairs are unified.  Re-solving an idempotent
+admissible substitution from scratch rebuilds it binding for binding,
+also after `lift` and `rehouse`, whose appended declarations change no
+authorised set of an existing meta-variable; so the seeded result is
+the one a from-scratch `mgu` of the seed's entries followed by the new
+pairs gives.  A seed is used only when it is closed: every meta-variable
+it mentions is declared.  Otherwise it is re-solved from scratch with
+the new pairs, so that an image mentioning a projected meta-variable
+raises the same DomainError as before.
+
 Projection erases the entry of the projected meta-variable; remaining
 images may still mention it, in which case compatibility solves for the
 erased variable by one-way matching.
@@ -27,10 +39,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
-    DEFAULT_RATIONAL_SAMPLES,
     BoundVar,
     Domain,
-    EigenVar,
     FunApp,
     Instantiation,
     LinTerm,
@@ -39,7 +49,6 @@ from .terms import (
     PredAtom,
     RatConst,
     SORT_RAT,
-    SORT_TERM,
     Term,
     hash_once,
     lin_combine,
@@ -56,10 +65,10 @@ from .theory import (
     ConstraintStream,
     PreconditionError,
     Theory,
-    WitnessUnsupported,
     check_metas_compatible,
     complementary_pair,
     dual_pred_pairs,
+    first_ground,
     meet_domain,
 )
 
@@ -87,6 +96,22 @@ class SubstConstraint:
             if m == meta:
                 return t
         return meta
+
+    @property
+    def closed(self) -> bool:
+        """Every meta-variable of the entries is declared in the domain.
+
+        Only projection breaks this: the remaining images may still
+        mention the erased meta-variable.  Computed once per constraint.
+        """
+        out = self.__dict__.get("_closed")
+        if out is None:
+            position = self.domain.position
+            out = self.entries is not None and all(
+                position(y) is not None
+                for m, t in self.entries for y in (m, *term_metas(t)))
+            object.__setattr__(self, "_closed", out)
+        return out
 
     def mapping(self) -> dict[Term, Term]:
         if self.entries is None:
@@ -215,9 +240,20 @@ def _bind(domain: Domain, subst: dict[MetaVar, Term], meta: MetaVar, image: Term
     subst[meta] = image
 
 
-def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain) -> SubstConstraint:
-    """Most general unifier of the pairs as a constraint; absurd on failure."""
+def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain,
+        seed: Optional[SubstConstraint] = None) -> SubstConstraint:
+    """Most general unifier of the pairs as a constraint; absurd on failure.
+
+    With a satisfiable `seed` of domain's family, the result is the mgu
+    of the seed's entries followed by the pairs; a closed seed is the
+    starting substitution and only the pairs are unified.
+    """
     subst: dict[MetaVar, Term] = {}
+    if seed is not None:
+        if seed.closed:
+            subst.update(seed.entries)
+        else:
+            pairs = [*seed.entries, *pairs]
     try:
         for a, b in pairs:
             _unify(domain, subst, a, b)
@@ -236,8 +272,7 @@ def subst_meet(a: SubstConstraint, b: SubstConstraint) -> SubstConstraint:
     domain = meet_domain(a, b)
     if a.is_bot or b.is_bot:
         return _bot(domain)
-    pairs = [(m, t) for m, t in a.entries] + [(m, t) for m, t in b.entries]
-    return mgu(pairs, domain)
+    return mgu(b.entries, domain, seed=a)
 
 
 class _Mismatch(Exception):
@@ -309,9 +344,7 @@ class SubstTheory(Theory):
         def combine(cand, current: SubstConstraint):
             if current.is_bot:
                 return None
-            pairs = [(m, t) for m, t in current.entries]
-            pairs.extend(_atom_pairs(*cand))
-            out = mgu(pairs, current.domain)
+            out = mgu(_atom_pairs(*cand), current.domain, seed=current)
             return None if out.is_bot else out
 
         return CandidateStream(candidates, combine)
@@ -347,22 +380,10 @@ class SubstTheory(Theory):
         # against the projection.
         bindings = self._match_all(rho, sigma)
         pattern = subst_term(subst_term(sigma.get(meta), rho.mapping()), bindings)
-        fill = {
-            v: self._first_ground(v.sort, sigma.domain.authorised(meta), sigma.domain)
-            for v in term_metas(pattern)
-        }
+        auth = sigma.domain.authorised(meta)
+        fill = {v: first_ground(v.sort, auth, sigma.domain, self.ground_base)
+                for v in term_metas(pattern)}
         return subst_term(pattern, fill)
-
-    def _first_ground(self, sort: str, auth: frozenset[EigenVar], domain: Domain) -> Term:
-        if sort == SORT_RAT:
-            return RatConst(DEFAULT_RATIONAL_SAMPLES[0])
-        for e in domain.eigens:
-            if e in auth and e.sort == SORT_TERM:
-                return e
-        for t in self.ground_base:
-            if term_sort(t) == SORT_TERM:
-                return t
-        raise WitnessUnsupported("no authorised ground term of the uninterpreted sort")
 
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
         return complementary_pair(lits) is not None

@@ -601,12 +601,13 @@ def _node_json(tree: ProofTree, theory: Theory, rendered: dict[int, str]) -> dic
 
 def make_theory(name: str, sig: Signature, depth: int = 3) -> Theory:
     """The backend called `name` over a signature; `depth` is enum's term ceiling."""
+    ground_base = tuple(FunApp(c, ()) for c in sig.consts)
     if name == "fol":
-        return SubstTheory(ground_base=tuple(FunApp(c, ()) for c in sig.consts))
+        return SubstTheory(ground_base=ground_base)
     if name == "enum":
         return GroundEnumTheory(sig, ceiling=depth)
     if name == "lra":
-        return LraTheory()
+        return LraTheory(ground_base=ground_base)
     raise ValueError("unknown theory %r" % (name,))
 
 

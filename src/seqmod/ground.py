@@ -9,12 +9,19 @@ survivor with the input constraint.  A depth ceiling bounds the
 candidate terms; beyond it the stream is exhausted, never wrong.
 
 Groundings are produced lazily, one total depth at a time, so a leaf
-that closes early never builds the whole product.  Only literals whose
-predicate occurs with both polarities can close a leaf; each of them is
+that closes early never builds the whole product.  Each pull first
+compares a grounding with the images its input already fixes for the
+stream's meta-variables and skips it, before grounding any literal, when
+they disagree.  The merge would reject exactly those groundings, and a
+skipped grounding is consumed either way, so the stream's outputs are
+the same for any sequence of inputs.  Only literals whose predicate
+occurs with both polarities can close a leaf; each of them is
 instantiated once per grounding of its own meta-variables, for the life
 of the stream.  This backend doubles as a cross-check oracle for the
 unification backend on problems both can express, so it stays a plain
-enumeration: no unification, no pruning of groundings.
+enumeration: no unification, and the fair order and its cap are those of
+the whole product; the input filter only skips groundings the merge
+would drop.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .terms import (
     term_vars,
 )
 from .theory import (
-    CandidateStream,
     ConstraintStream,
     PreconditionError,
     ResourceLimit,
@@ -80,11 +86,16 @@ class GroundConstraint:
             if not term_eigens(t) <= self.domain.authorised(m):
                 raise PreconditionError("image %s uses unauthorised eigenvariables" % (t,))
 
+    def mapping(self) -> dict[MetaVar, Term]:
+        """The entries as a dict, built once per constraint; not to be mutated."""
+        out = self.__dict__.get("_mapping")
+        if out is None:
+            out = dict(self.entries)
+            object.__setattr__(self, "_mapping", out)
+        return out
+
     def get(self, meta: MetaVar) -> Optional[Term]:
-        for m, t in self.entries:
-            if m == meta:
-                return t
-        return None
+        return self.mapping().get(meta)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -93,12 +104,17 @@ class GroundConstraint:
 
 
 def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundConstraint]:
-    amap = dict(a.entries)
+    """a extended by b_entries, whose metas are distinct, at domain; None
+    when a maps one of them to another image."""
+    amap = a.mapping()
+    added: dict[MetaVar, Term] = {}
     for m, t in b_entries:
-        if m in amap and amap[m] != t:
+        old = amap.get(m)
+        if old is None:
+            added[m] = t
+        elif old != t:
             return None
-        amap[m] = t
-    return GroundConstraint(domain, domain.in_declaration_order(amap.items()))
+    return GroundConstraint(domain, domain.in_declaration_order({**amap, **added}.items()))
 
 
 def ground_meet(a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
@@ -151,6 +167,32 @@ def _pred_key(atom) -> object:
     return atom.op
 
 
+class _GroundingStream(ConstraintStream):
+    """Closing groundings of a leaf, each merged with the pull's input.
+
+    `close(images)` is the closing literal subset of a grounding, or
+    None.  A grounding that disagrees with an image the input fixes is
+    skipped before `close` sees it; it is consumed all the same, as a
+    grounding the merge rejects would be.  So every merge succeeds.
+    """
+
+    def __init__(self, metas: Sequence[MetaVar], assignments, close) -> None:
+        self._metas = tuple(metas)
+        self._assignments = assignments
+        self._close = close
+
+    def pull(self, current: GroundConstraint):
+        fixed = current.mapping()
+        checks = [(i, fixed[m]) for i, m in enumerate(self._metas) if m in fixed]
+        for images in self._assignments:
+            if any(images[i] != t for i, t in checks):
+                continue
+            used = self._close(images)
+            if used is not None:
+                return used, _merge(current.domain, current, zip(self._metas, images))
+        return None
+
+
 class GroundEnumTheory(Theory):
     """Enumeration backend; see the module docstring."""
 
@@ -197,21 +239,15 @@ class GroundEnumTheory(Theory):
                 gl = instances[(k, own)] = subst_literal(live[k], mapping)
             return gl
 
-        def candidates():
-            if not live:
-                return
-            for images in assignments:
-                ground_lits = tuple(ground(k, images) for k in range(len(live)))
-                pair = complementary_pair(ground_lits)
-                if pair is not None:
-                    # Map the closing ground literals back to their sources.
-                    used = frozenset(l for l, gl in zip(live, ground_lits) if gl in pair)
-                    yield used, tuple(zip(metas, images))
+        def close(images: tuple[Term, ...]) -> Optional[frozenset[Literal]]:
+            ground_lits = tuple(ground(k, images) for k in range(len(live)))
+            pair = complementary_pair(ground_lits)
+            if pair is None:
+                return None
+            # Map the closing ground literals back to their sources.
+            return frozenset(l for l, gl in zip(live, ground_lits) if gl in pair)
 
-        def combine(g, current: GroundConstraint):
-            return _merge(current.domain, current, g)
-
-        return CandidateStream(candidates(), combine)
+        return _GroundingStream(metas, assignments if live else iter(()), close)
 
     # -- semantics ----------------------------------------------------------
 

@@ -67,7 +67,7 @@ from .terms import (
     subst_literal,
     subst_term,
 )
-from .theory import Theory, WitnessUnsupported, meet_domain
+from .theory import Theory, WitnessUnsupported, first_ground, meet_domain
 
 LAWS = ("AX_proj", "AX_wit", "AX_meet", "AX_lift", "AX_pg",
         "P1", "P2", "A1", "A2", "D1", "D2")
@@ -749,7 +749,8 @@ class _FolLiftBindsExtra(SubstTheory):
         lifted = super().lift(sigma, meta)
         if lifted.is_bot:
             return lifted
-        image = self._first_ground(meta.sort, lifted.domain.authorised(meta), lifted.domain)
+        image = first_ground(meta.sort, lifted.domain.authorised(meta), lifted.domain,
+                             self.ground_base)
         return replace(lifted, entries=lifted.entries + ((meta, image),))
 
 

@@ -11,14 +11,16 @@ The leaf stream proposes, in context order, equality systems from
 opposite-polarity predicate pairs, then single arithmetic literals, and
 conjoins each with the input.  Compatibility and leaf validity evaluate
 every eigenvariable at the module constant EIGEN_VALUE (0), since witness
-terms are rational constants, not symbolic expressions.
+terms are rational constants, not symbolic expressions.  A meta-variable
+of the uninterpreted sort is never constrained here; its witness is the
+first authorised eigenvariable of that sort, else the first constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .terms import (
     ArithAtom,
@@ -47,6 +49,7 @@ from .theory import (
     check_metas_compatible,
     complementary_pair,
     dual_pred_pairs,
+    first_ground,
     meet_domain,
 )
 
@@ -306,6 +309,11 @@ class LraTheory(Theory):
 
     name = "lra"
 
+    def __init__(self, ground_base: Sequence[Term] = ()) -> None:
+        # Closed terms of the uninterpreted sort, for the witness of a
+        # meta-variable this backend never constrains.
+        self.ground_base = tuple(ground_base)
+
     # -- constraint algebra ------------------------------------------------
 
     def top(self, domain: Domain) -> PolyConstraint:
@@ -374,6 +382,9 @@ class LraTheory(Theory):
 
     def witness_payload(self, sigma: PolyConstraint, meta: MetaVar,
                         rho: Instantiation) -> Term:
+        if meta.sort != SORT_RAT:
+            return first_ground(meta.sort, sigma.domain.authorised(meta), sigma.domain,
+                                self.ground_base)
         for s in sigma.disjuncts:
             value = self._witness_in_system(s, meta, rho)
             if value is not None:

@@ -28,15 +28,21 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
+    DEFAULT_RATIONAL_SAMPLES,
     Domain,
+    EigenVar,
     Instantiation,
     Literal,
     MetaVar,
     PredAtom,
+    RatConst,
+    SORT_RAT,
+    SORT_TERM,
     Term,
+    term_sort,
 )
 
 
@@ -128,6 +134,25 @@ def rehouse(sigma, domain: Domain):
         return sigma
     check_metas_compatible(sigma.domain, domain)
     return dataclasses.replace(sigma, domain=domain)
+
+
+def first_ground(sort: str, auth: frozenset[EigenVar], domain: Domain,
+                 ground_base: Sequence[Term]) -> Term:
+    """A closed term of `sort` to invent a witness with.
+
+    A rational is the first default sample.  A term of the uninterpreted
+    sort is the first eigenvariable of the domain in `auth`, else the
+    first such term of `ground_base` (the problem's constants).
+    """
+    if sort == SORT_RAT:
+        return RatConst(DEFAULT_RATIONAL_SAMPLES[0])
+    for e in domain.eigens:
+        if e in auth and e.sort == SORT_TERM:
+            return e
+    for t in ground_base:
+        if term_sort(t) == SORT_TERM:
+            return t
+    raise WitnessUnsupported("no authorised ground term of the uninterpreted sort")
 
 
 def complementary_pair(lits) -> Optional[tuple[Literal, Literal]]:

@@ -36,6 +36,7 @@ from seqmod.theory import (
     DomainMismatch,
     PreconditionError,
     WitnessUnsupported,
+    dual_pred_pairs,
     meet_domain,
 )
 
@@ -527,19 +528,77 @@ _z_bindings = st.lists(
 _operands = st.one_of(_bindings, _chain_pairs(), _z_bindings)
 
 
+def _input(d, bindings, project):
+    """mgu(bindings) at d with Z declared right after its last meta, so
+    that Z may occur in images; projecting Z leaves them mentioning it."""
+    k = max(i for i, v in enumerate(d.decls) if isinstance(v, MetaVar)) + 1
+    sigma = mgu(bindings, dom(*d.decls[:k], _Z, *d.decls[k:]))
+    return TH.project(sigma, _Z) if project else sigma
+
+
 @settings(max_examples=200, deadline=None)
 @given(_domains, _operands, _operands, st.booleans())
 # After projection, X0 -> f(Z) meets X0 -> f(X1), which asks for Z's authorised set.
 @example(dom(_EIGENS[0], _X0, _X1), [(_X0, f(_Z))], [(_X0, f(_X1))], True)
+# The same first operand, not closed, meets a binding of X1 alone.
+@example(dom(_EIGENS[0], _X0, _X1), [(_X0, f(_Z))], [(_X1, a)], True)
+# X0 and X1 have equal authorised sets, so X0 = X1 orients by pair order:
+# the first operand's binding wins.
+@example(dom(_X0, _X1), [(_X0, _X1)], [(_X1, _X0)], False)
 def test_meet_agrees_with_the_eager_reference(d, left, right, project):
-    # Operands live at d with Z declared right after its last meta, so
-    # that Z may occur in images; projecting Z leaves them mentioning it.
-    k = max(i for i, v in enumerate(d.decls) if isinstance(v, MetaVar)) + 1
-    dz = dom(*d.decls[:k], _Z, *d.decls[k:])
-    sa, sb = mgu(left, dz), mgu(right, dz)
-    if project:
-        sa, sb = TH.project(sa, _Z), TH.project(sb, _Z)
+    sa, sb = _input(d, left, project), _input(d, right, project)
     assert _outcome(subst_meet, sa, sb) == _outcome(_eager_meet, sa, sb)
+
+
+def _eager_pulls(current, lits):
+    """Every pull of a leaf stream with one input, each solved from
+    scratch: the input's entries, then the closing pair's arguments."""
+    if current.is_bot:
+        return []
+    out = []
+    for l, l2 in dual_pred_pairs(lits):
+        pairs = list(current.entries) + list(zip(l.atom.args, l2.atom.args))
+        sigma = _eager_mgu(pairs, current.domain)
+        if not sigma.is_bot:
+            out.append((frozenset((l, l2)), sigma))
+    return out
+
+
+def _pulls(current, lits):
+    stream = TH.consistency(tuple(lits), current.domain)
+    out = []
+    while (step := stream.pull(current)) is not None:
+        out.append(step)
+    return out
+
+
+# Leaf literals over one binary predicate with shallow arguments, mostly
+# meta-variables, so that most lists hold a dual pair, some several, and
+# pairs often unify.
+_shallow = st.one_of(st.sampled_from(_METAS), _leaves, st.builds(f, _leaves))
+_leaf_lits = st.lists(
+    st.builds(lambda positive, s, t: Literal(positive, PredAtom("p", (s, t))),
+              st.booleans(), _shallow, _shallow),
+    min_size=2, max_size=4)
+# Inputs: one or two bindings, so that most are satisfiable.
+_inputs = st.one_of(st.lists(st.tuples(st.sampled_from(_METAS + (_Z,)), _shallow),
+                             min_size=1, max_size=2),
+                    _z_bindings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_domains, _inputs, st.booleans(), _leaf_lits)
+# The input binds X0 -> f(X1); the leaf adds X1 = b.
+@example(dom(_X0, _EIGENS[0], _X1), [(_X0, f(_X1))], False,
+         [lit("p", _X1, a), neg_lit("p", b, a)])
+# The input is not closed: X0 -> f(Z) after Z's projection.  The leaf
+# does not touch X0, but solving the input again asks for Z's
+# authorised set.
+@example(dom(_EIGENS[0], _X0, _X1), [(_X0, f(_Z))], True,
+         [lit("p", _X1, a), neg_lit("p", b, a)])
+def test_pull_agrees_with_the_eager_reference(d, bindings, project, lits):
+    current = _input(d, bindings, project)
+    assert _outcome(_pulls, current, lits) == _outcome(_eager_pulls, current, lits)
 
 
 # ---------------------------------------------------------------------------

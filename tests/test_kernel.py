@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqmod import ground
 from seqmod.fol import SubstTheory, mgu
 from seqmod.frontend import make_theory, parse_problem, render_formula, run, tree_to_json
 from seqmod.ground import GroundEnumTheory
@@ -417,9 +418,15 @@ def test_equal_conjuncts_are_solved_separately(theory, calculus):
 
 
 RUNAWAY = "(goal (forall (x) (exists (y) (and (> y x) (< y 0)))))"
-FN_CHAIN_N4 = ("(declare-pred p 1) (declare-fun f 1) (declare-const a)"
-               " (goal (=> (and (p a) (forall (x) (=> (p x) (p (f x)))))"
-               " (p (f (f (f (f a)))))))")
+
+
+def _fn_chain(n):
+    return ("(declare-pred p 1) (declare-fun f 1) (declare-const a)"
+            " (goal (=> (and (p a) (forall (x) (=> (p x) (p (f x)))))"
+            " (p %s)))" % ("(f " * n + "a" + ")" * n))
+
+
+FN_CHAIN_N4 = _fn_chain(4)
 
 
 def _prove_capped(text, theory, calculus, nodes):
@@ -431,11 +438,33 @@ def _prove_capped(text, theory, calculus, nodes):
 
 @pytest.mark.parametrize("text, theory, calculus, nodes, expected", [
     (FN_CHAIN_N4, "enum", "di", 10000, ("exhausted", 66, 554, 35436, 1883)),
+    (FN_CHAIN_N4, "enum", "sdi", 10000, ("proved", 99, 88, 82, 8)),
+    (_fn_chain(7), "fol", "sdi", 10000, ("proved", 479, 819, 1596, 211)),
     (RUNAWAY, "lra", "di", 30, ("resource", 30, 31, 144, 26)),
     (RUNAWAY, "lra", "sdi", 120, ("resource", 120, 286, 14462, 20)),
-], ids=["fn_chain_n4-enum-di", "runaway-lra-di", "runaway-lra-sdi"])
+], ids=["fn_chain_n4-enum-di", "fn_chain_n4-enum-sdi", "fn_chain_n7-fol-sdi",
+        "runaway-lra-di", "runaway-lra-sdi"])
 def test_search_counts_are_pinned(text, theory, calculus, nodes, expected):
     assert counts(_prove_capped(text, theory, calculus, nodes)) == expected
+
+
+def test_enum_sdi_pulls_never_fail_a_merge(monkeypatch):
+    # A pull skips the groundings that disagree with its input before
+    # grounding them, so every merge it makes succeeds; merging every
+    # closing grounding would fail 3,739 of 3,794 merges here.  An sdi
+    # search never meets, so every merge is a pull's.
+    merged = Counter()
+    merge = ground._merge
+
+    def counting_merge(*args):
+        out = merge(*args)
+        merged[out is not None] += 1
+        return out
+
+    monkeypatch.setattr(ground, "_merge", counting_merge)
+    out = _prove_capped(FN_CHAIN_N4, "enum", "sdi", 10000)
+    assert counts(out) == ("proved", 99, 88, 82, 8)
+    assert merged == {True: 55}
 
 
 class _CountingLra(LraTheory):

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqmod.frontend import parse_problem, run
+from seqmod.kernel import SearchConfig
 from seqmod.lra import (
     LraTheory,
     atom_from_terms,
@@ -235,6 +237,25 @@ def test_witness_skips_infeasible_disjuncts():
                           (make_atom("=", {M("X"): Q(2)}, Q(-5)),)])  # 2X = 5
     rho = Instantiation(Domain(), ())
     assert TH.witness(sigma, rho) == R(Q(5, 2))
+
+
+@pytest.mark.parametrize("text, witnesses", [
+    ("(declare-pred p 1) (goal (exists (x) (or (p x) (not (p x)))))", [["X1", "c0"]]),
+    ("(declare-pred p 1) (goal (forall (y) (exists (x) (or (p x) (not (p x))))))",
+     [["X1", "y1"]]),
+    ("(declare-pred p 1) (declare-const k)"
+     " (goal (exists ((r rat)) (exists (x) (and (> r 0) (or (p x) (not (p x)))))))",
+     [["R1", "1"], ["X1", "k"]]),
+], ids=["constant", "eigenvariable", "next-to-a-rational"])
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_term_sorted_witness_is_an_authorised_eigenvariable_or_a_constant(
+        text, witnesses, calculus):
+    # The backend never constrains a meta-variable of the uninterpreted
+    # sort; its witness is the one fol would pick, never a rational.
+    report = run(parse_problem(text), "lra", SearchConfig(calculus=calculus), check=True)
+    assert report.outcome == "proved"
+    assert report.witnesses == witnesses
+    assert report.check["proof"] and report.check["reconstruction"]
 
 
 def test_witness_tie_between_bounds_is_strict_when_any_tied_bound_is():
