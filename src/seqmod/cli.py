@@ -111,6 +111,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         report = frontend.run(problem, args.theory, cfg, depth=args.depth,
                               check=args.check)
+        # Rendered here: the JSON encoder recurses per proof level, and a
+        # proof too deep to render must not escape as exit 1 ("exhausted").
+        text = report.to_json() if args.output == "json" else report.to_text()
     except IllFormed as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
@@ -121,7 +124,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         message = " ".join(str(exc).split())
         print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
         return EXIT_INTERNAL
-    print(report.to_json() if args.output == "json" else report.to_text())
+    print(text)
     if report.check is not None and not (
             report.check["proof"] and report.check["reconstruction"]):
         print("warning: proof audit failed", file=sys.stderr)

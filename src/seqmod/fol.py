@@ -177,7 +177,9 @@ def _unify(domain: Domain, subst: dict[MetaVar, Term], a: Term, b: Term) -> None
         # constant, so linear terms are compared fully resolved.
         a = _resolve(a, subst)
         b = _resolve(b, subst)
-    if a == b:
+    # Hashes are cached, so terms that differ are told apart without
+    # comparing the common part above the difference at every level.
+    if a is b or (hash(a) == hash(b) and a == b):
         return
     if isinstance(a, BoundVar) or isinstance(b, BoundVar):
         raise PreconditionError("bound variable escaped into unification")
@@ -246,19 +248,22 @@ def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain,
 
     With a satisfiable `seed` of domain's family, the result is the mgu
     of the seed's entries followed by the pairs; a closed seed is the
-    starting substitution and only the pairs are unified.
+    starting substitution and only the pairs are unified.  A closed seed
+    at `domain` itself that the pairs add no binding to is the result.
     """
     subst: dict[MetaVar, Term] = {}
-    if seed is not None:
-        if seed.closed:
-            subst.update(seed.entries)
-        else:
-            pairs = [*seed.entries, *pairs]
+    reuse = seed is not None and seed.closed
+    if reuse:
+        subst.update(seed.entries)
+    elif seed is not None:
+        pairs = [*seed.entries, *pairs]
     try:
         for a, b in pairs:
             _unify(domain, subst, a, b)
     except _Clash:
         return _bot(domain)
+    if reuse and seed.domain is domain and len(subst) == len(seed.entries):
+        return seed
     return SubstConstraint(domain, domain.in_declaration_order(
         (m, _resolve(t, subst)) for m, t in subst.items()))
 

@@ -591,7 +591,10 @@ def _node_json(tree: ProofTree, theory: Theory, rendered: dict[int, str]) -> dic
     if tree.rule == "and":
         node["order_bit"] = tree.order_bit
     if tree.children:
-        node["children"] = [_node_json(c, theory, rendered) for c in tree.children]
+        # A plain loop: a comprehension would add a frame per level.
+        children = node["children"] = []
+        for c in tree.children:
+            children.append(_node_json(c, theory, rendered))
     return node
 
 

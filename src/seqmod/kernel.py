@@ -27,6 +27,13 @@ each value once: an existential node keeps its child's projected
 output per child output, and each deepening round keeps the root
 gate's verdict per root output.  Nothing else is cached.  A search that
 spends its node budget ends with status "resource".
+
+Only outputs flow from a node to its parent, so each node runs in one
+generator frame and yields (record, output), a plain tuple (rule,
+entries, domain, input, output, child records, then the fields
+`_RECORD_FIELDS` names); `prove` builds ProofTrees only for the
+accepted record.  Backtracks: alternatives after a child's first, leaf
+pulls after the first, failed meets and root outputs the gate rejects.
 """
 
 from __future__ import annotations
@@ -218,14 +225,6 @@ class _Search:
         ).digest()
         return digest[0] & 1
 
-    def _alts(self, gen: Iterator) -> Iterator:
-        first = True
-        for item in gen:
-            if not first:
-                self.stats.backtracks += 1
-            first = False
-            yield item
-
     # -- the engine --------------------------------------------------------
 
     def solve(self, entries, domain, current, path, budget) -> Iterator:
@@ -234,16 +233,16 @@ class _Search:
             return
         self.stats.nodes += 1
         kind, idx, blocked = self._select(entries, budget)
-        context = tuple(f for f, _ in entries)
-        seq = Sequent(domain, context, current if self.sdi else None)
         log.debug("rule %s at %s (domain %d decls)", kind, idx, len(domain.decls))
         rest = entries[:idx] + entries[idx + 1:] if idx >= 0 else entries
 
         if kind == "or":
             f = entries[idx][0]
             child = ((f.left, 0), (f.right, 0)) + rest
-            for t, out in self._alts(self.solve(child, domain, current, path + ("o",), budget)):
-                yield ProofTree("or", seq, out, (t,), principal=idx), out
+            alts = self.solve(child, domain, current, path + ("o",), budget)
+            for i, (t, out) in enumerate(alts):
+                self.stats.backtracks += i > 0
+                yield ("or", entries, domain, current, out, (t,), idx), out
             return
 
         if kind == "forall":
@@ -254,8 +253,10 @@ class _Search:
             # The threaded input must see the new eigenvariable, or later
             # lifts would compute authorised sets that are too small.
             child_in = rehouse(current, d2) if self.sdi else None
-            for t, out in self._alts(self.solve(child, d2, child_in, path + ("f",), budget)):
-                yield ProofTree("forall", seq, out, (t,), principal=idx, eigen=eigen), out
+            alts = self.solve(child, d2, child_in, path + ("f",), budget)
+            for i, (t, out) in enumerate(alts):
+                self.stats.backtracks += i > 0
+                yield ("forall", entries, domain, current, out, (t,), idx, eigen), out
             return
 
         if kind == "exists":
@@ -268,11 +269,13 @@ class _Search:
             # the same output up once for each alternative of its first
             # conjunct.
             projected: dict = {}
-            for t, child_out in self._alts(self.solve(child, d2, child_in, path + ("e",), budget)):
+            alts = self.solve(child, d2, child_in, path + ("e",), budget)
+            for i, (t, child_out) in enumerate(alts):
+                self.stats.backtracks += i > 0
                 out = projected.get(child_out)
                 if out is None:
                     out = projected[child_out] = self.theory.project(child_out, meta)
-                yield ProofTree("exists", seq, out, (t,), principal=idx, meta=meta), out
+                yield ("exists", entries, domain, current, out, (t,), idx, meta), out
             return
 
         if kind == "and":
@@ -286,7 +289,9 @@ class _Search:
             # Second-conjunct alternatives, per input (None in di): each pass
             # iterates a copy of a never-advanced tee, sharing its buffer.
             replays: dict = {}
-            for t1, o1 in self._alts(self.solve(first_ctx, domain, current, first_path, budget)):
+            alts = self.solve(first_ctx, domain, current, first_path, budget)
+            for i, (t1, o1) in enumerate(alts):
+                self.stats.backtracks += i > 0
                 second_in = o1 if self.sdi else None
                 replay = replays.get(second_in)
                 if replay is None:
@@ -294,30 +299,50 @@ class _Search:
                     replay = replays[second_in] = itertools.tee(second, 1)[0]
                 else:
                     self.stats.memo_hits += 1
-                for t2, o2 in self._alts(copy.copy(replay)):
+                for j, (t2, o2) in enumerate(copy.copy(replay)):
+                    self.stats.backtracks += j > 0
                     out = o2 if self.sdi else self.theory.meet(o1, o2)
                     if out is None:
                         self.stats.backtracks += 1
                         continue
                     children = (t1, t2) if bit == 0 else (t2, t1)
-                    yield ProofTree("and", seq, out, children, principal=idx, order_bit=bit), out
+                    yield ("and", entries, domain, current, out, children, idx, bit), out
             return
 
         # Leaf attempt.
         if blocked:
             self.exists_blocked = True
-        lits = literals_of(context)
+        lits = literals_of(tuple(f for f, _ in entries))
         stream = self.theory.consistency(lits, domain)
         inp = current if self.sdi else self.theory.top(domain)
         for k in range(self.cfg.pulls):
-            if k > 0:
-                self.stats.backtracks += 1
+            self.stats.backtracks += k > 0
             res = stream.pull(inp)
             self.stats.pulls += 1
             if res is None:
                 return
             used, out = res
-            yield ProofTree("leaf", seq, out, (), used=used, stream_index=k), out
+            yield ("leaf", entries, domain, current, out, (), used, k), out
+
+
+# The ProofTree fields after `children` that each rule's record ends with.
+_RECORD_FIELDS = {"or": ("principal",), "forall": ("principal", "eigen"),
+                  "exists": ("principal", "meta"), "and": ("principal", "order_bit"),
+                  "leaf": ("used", "stream_index")}
+
+
+def _materialise(record) -> ProofTree:
+    """The ProofTree of a record, built bottom-up without recursion."""
+    order = [record]
+    for rec in order:  # breadth first: every record after its parent
+        order.extend(rec[5])
+    built: dict = {}
+    for rec in reversed(order):
+        rule, entries, domain, current, out, kids, *fields = rec
+        seq = Sequent(domain, tuple(f for f, _ in entries), current)
+        kids = tuple([built[id(c)] for c in kids])
+        built[id(rec)] = ProofTree(rule, seq, out, kids, **dict(zip(_RECORD_FIELDS[rule], fields)))
+    return built[id(record)]
 
 
 def _deepening_budgets(cap: int) -> list[int]:
@@ -348,7 +373,7 @@ def prove(context: Context, domain: Domain, theory: Theory,
             search.stats.rounds += 1
             search.exists_blocked = False
             verdicts: dict = {}  # the gate's verdict, per root output
-            for tree, out in search.solve(entries, domain, root_input, (), b):
+            for record, out in search.solve(entries, domain, root_input, (), b):
                 if gate:
                     ok = verdicts.get(out)
                     if ok is None:
@@ -357,7 +382,7 @@ def prove(context: Context, domain: Domain, theory: Theory,
                         search.stats.backtracks += 1
                         continue
                 log.info("proved in round %d (%d nodes)", search.stats.rounds, search.stats.nodes)
-                return SearchOutcome("proved", tree, out, search.stats)
+                return SearchOutcome("proved", _materialise(record), out, search.stats)
             if not search.exists_blocked and not search.nodes_exhausted:
                 # Deeper expansion budgets cannot change anything.
                 break

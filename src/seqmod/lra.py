@@ -7,13 +7,14 @@ projection is Fourier-Motzkin elimination per disjunct (equalities are
 expanded into a pair of bounds only while eliminating; they are stored
 as equalities), and satisfiability eliminates every variable.
 
-The leaf stream proposes, in context order, equality systems from
-opposite-polarity predicate pairs, then single arithmetic literals, and
-conjoins each with the input.  Compatibility and leaf validity evaluate
-every eigenvariable at the module constant EIGEN_VALUE (0), since witness
-terms are rational constants, not symbolic expressions.  A meta-variable
-of the uninterpreted sort is never constrained here; its witness is the
-first authorised eigenvariable of that sort, else the first constant.
+The leaf stream proposes lazily, in context order, equality systems
+from opposite-polarity predicate pairs, then single arithmetic
+literals, and conjoins each with the input.  Compatibility and leaf
+validity evaluate every eigenvariable at the module constant
+EIGEN_VALUE (0), since witness terms are rational constants, not
+symbolic expressions.  A meta-variable of the uninterpreted sort is
+never constrained here; its witness is the first authorised
+eigenvariable of that sort, else the first constant.
 """
 
 from __future__ import annotations
@@ -328,30 +329,33 @@ class LraTheory(Theory):
         return out if lra_sat(out) else None
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
+        """Stream of leaf closures, each candidate built when a pull
+        reaches it: equality systems of dual predicate pairs first, then
+        single arithmetic literals.  A negated equality raises
+        PreconditionError by the pull that reaches it at the latest."""
         lits = tuple(lits)
-        candidates: list[tuple[frozenset[Literal], System]] = []
-        for l, l2 in dual_pred_pairs(lits):
-            eqs: list[LinAtom] = []
-            ok = True
-            for t, u in zip(l.atom.args, l2.atom.args):
-                if term_sort(t) == SORT_RAT and term_sort(u) == SORT_RAT:
-                    eqs.append(atom_from_terms("=", t, u))
-                elif t != u:
-                    # Uninterpreted positions must already agree; this
-                    # backend only solves rational constraints.
-                    ok = False
-                    break
-            if ok:
-                candidates.append((frozenset((l, l2)), frozenset(eqs)))
-        for l in lits:
-            if isinstance(l.atom, ArithAtom):
-                candidates.append((frozenset((l,)), frozenset((lin_atom_of_literal(l),))))
+
+        def candidates() -> Iterator[tuple[frozenset[Literal], System]]:
+            for l, l2 in dual_pred_pairs(lits):
+                eqs: list[LinAtom] = []
+                for t, u in zip(l.atom.args, l2.atom.args):
+                    if term_sort(t) == SORT_RAT and term_sort(u) == SORT_RAT:
+                        eqs.append(atom_from_terms("=", t, u))
+                    elif t != u:
+                        # Uninterpreted positions must already agree; this
+                        # backend only solves rational constraints.
+                        break
+                else:
+                    yield frozenset((l, l2)), frozenset(eqs)
+            for l in lits:
+                if isinstance(l.atom, ArithAtom):
+                    yield frozenset((l,)), frozenset((lin_atom_of_literal(l),))
 
         def combine(system: System, current: PolyConstraint):
             out = _conjoin(current, PolyConstraint(current.domain, (system,)))
             return out if lra_sat(out) else None
 
-        return CandidateStream(candidates, combine)
+        return CandidateStream(candidates(), combine)
 
     # -- semantics ----------------------------------------------------------
 

@@ -119,6 +119,8 @@ def meet_domain(a, b) -> Domain:
     Operands may differ in trailing eigenvariables; the meet lives at
     the longer domain.
     """
+    if a.domain is b.domain:
+        return a.domain
     check_metas_compatible(a.domain, b.domain)
     return a.domain if len(a.domain.decls) >= len(b.domain.decls) else b.domain
 

@@ -116,6 +116,19 @@ def test_mgu_result_is_idempotent():
         assert subst_term(image, m) == image
 
 
+def test_seeded_mgu_returns_a_seed_the_pairs_add_nothing_to():
+    # A 0-ary leaf, or a meet with a weaker operand, adds no binding:
+    # the seed itself is the result, not an equal copy rebuilt from it.
+    d = dom(M("X"), M("Y"))
+    seed = mgu([(M("X"), f(M("Y")))], d)
+    assert mgu([], d, seed=seed) is seed
+    assert mgu([(f(M("X")), f(f(M("Y"))))], d, seed=seed) is seed
+    assert mgu([(M("Y"), a)], d, seed=seed) == mgu([(M("X"), f(a)), (M("Y"), a)], d)
+    longer = d.add_eigen(E("e"))
+    out = mgu([], longer, seed=seed)
+    assert out is not seed and (out.domain, out.entries) == (longer, seed.entries)
+
+
 @given(st.integers(0, 2), st.integers(0, 2))
 def test_mgu_solves_equal_depth_chains(i, j):
     # f^i(X) = f^j(a) has a solution iff i <= j

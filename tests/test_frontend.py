@@ -340,6 +340,27 @@ def test_cli_rejects_bad_input(tmp_path):
             assert err == "error: input nested too deeply\n"
 
 
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_cli_deep_proof_is_never_reported_exhausted(tmp_path, calculus):
+    # The search proves this at the default recursion limit (see
+    # test_kernel); the JSON encoder may not render it, and that must
+    # read as bad input, never as exit 1 ("exhausted") or a traceback.
+    names = ["p%d" % i for i in range(901)]
+    path = tmp_path / "deep_or.prob"
+    path.write_text("".join("(declare-pred %s 0)\n" % p for p in names)
+                    + "(goal (or %s (not p0)))\n" % " ".join(names))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqmod.cli", "prove", str(path),
+         "--calculus", calculus, "--output", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 0:
+        assert json.loads(proc.stdout)["outcome"] == "proved"
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: input nested too deeply\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("conformance", "fol", "--cases", "-3"),
     ("prove", str(PROBLEMS / "prop_peirce.prob"), "--nodes", "-1"),

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from seqmod import ground
+from seqmod import ground, kernel
 from seqmod.fol import SubstTheory, mgu
 from seqmod.frontend import make_theory, parse_problem, render_formula, run, tree_to_json
 from seqmod.ground import GroundEnumTheory
@@ -493,6 +494,65 @@ def test_projection_and_gate_run_once_per_distinct_input():
     assert set(theory.projected.values()) == {1}
     assert set(theory.gated.values()) == {1}
     assert (sum(theory.projected.values()), sum(theory.gated.values())) == (168, 3)
+
+
+# ---------------------------------------------------------------------------
+# one proof tree, for the returned derivation
+
+
+def _count_trees(monkeypatch):
+    built = Counter()
+    make = kernel.ProofTree
+
+    def counting_tree(*args, **kwargs):
+        built["trees"] += 1
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "ProofTree", counting_tree)
+    return built
+
+
+def test_a_search_without_a_proof_builds_no_tree(monkeypatch):
+    # Building a tree for every alternative at every level made 11,395
+    # here, none of them returned.
+    built = _count_trees(monkeypatch)
+    out = _prove_capped(RUNAWAY, "lra", "sdi", 120)
+    assert counts(out) == ("resource", 120, 286, 14462, 20)
+    assert built["trees"] == 0
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_the_returned_derivation_is_built_once(monkeypatch, calculus):
+    built = _count_trees(monkeypatch)
+    out = _prove_capped(STRICT_CHAIN_3, "lra", calculus, 10000)
+    assert out.status == "proved"
+    assert built["trees"] == len(list(out.tree.walk()))
+
+
+def _deep_disjunction(n):
+    # (or p0 ... pn (not p0)): n + 1 or-rules above one leaf.
+    return ("".join("(declare-pred p%d 0) " % i for i in range(n + 1))
+            + "(goal (or %s (not p0)))" % " ".join("p%d" % i for i in range(n + 1)))
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_search_takes_one_frame_per_rule_application(default_recursion_limit, calculus):
+    # Two frames per node (the node's generator and a backtrack counter
+    # around its child's) overflowed from n = 500.
+    prob = parse_problem(_deep_disjunction(900), name="deep")
+    cfg = SearchConfig(calculus=calculus)
+    out = prove(prob.goals, Domain(), make_theory("fol", prob.signature), cfg)
+    assert (out.status, out.stats.nodes) == ("proved", 902)
+    text = run(prob, "fol", cfg, check=False).to_text()
+    assert text.startswith("deep: PROVED")
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,20 @@ def test_consistency_gates_on_input_satisfiability():
     assert stream.pull(band(d, M("X"), 0, 1)) is None
 
 
+def test_consistency_builds_each_candidate_when_a_pull_reaches_it():
+    # The first pull closes on the dual pair, so the negated equality
+    # after it is never turned into an atom; the pull that reaches it
+    # raises.
+    p = PredAtom("p", ())
+    d = dom(M("X"))
+    ne = Literal(False, ArithAtom("=", M("X"), R(1)))
+    stream = TH.consistency((pos(p), Literal(False, p), ne), d)
+    used, _ = stream.pull(TH.top(d))
+    assert used == frozenset((pos(p), Literal(False, p)))
+    with pytest.raises(PreconditionError):
+        stream.pull(TH.top(d))
+
+
 def test_ground_valid_under_the_valuation():
     e = E("e")
     assert TH.ground_valid((lit_le(e, R(0)),))          # 0 <= 0
