@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .terms import (
     BoundVar,
@@ -46,7 +46,6 @@ from .terms import (
     LinTerm,
     Literal,
     MetaVar,
-    PredAtom,
     RatConst,
     SORT_RAT,
     Term,
@@ -61,7 +60,6 @@ from .terms import (
     term_vars,
 )
 from .theory import (
-    CandidateStream,
     ConstraintStream,
     PreconditionError,
     Theory,
@@ -242,7 +240,7 @@ def _bind(domain: Domain, subst: dict[MetaVar, Term], meta: MetaVar, image: Term
     subst[meta] = image
 
 
-def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain,
+def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain,
         seed: Optional[SubstConstraint] = None) -> SubstConstraint:
     """Most general unifier of the pairs as a constraint; absurd on failure.
 
@@ -266,10 +264,6 @@ def mgu(pairs: Sequence[tuple[Term, Term]], domain: Domain,
         return seed
     return SubstConstraint(domain, domain.in_declaration_order(
         (m, _resolve(t, subst)) for m, t in subst.items()))
-
-
-def _atom_pairs(a: PredAtom, b: PredAtom) -> list[tuple[Term, Term]]:
-    return list(zip(a.args, b.args))
 
 
 def subst_meet(a: SubstConstraint, b: SubstConstraint) -> SubstConstraint:
@@ -343,16 +337,14 @@ class SubstTheory(Theory):
         return None if out.is_bot else out
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
-        candidates = ((frozenset((l, l2)), (l.atom, l2.atom))
-                      for l, l2 in dual_pred_pairs(lits))
-
-        def combine(cand, current: SubstConstraint):
+        def combine(pair: tuple[Literal, Literal], current: SubstConstraint):
             if current.is_bot:
                 return None
-            out = mgu(_atom_pairs(*cand), current.domain, seed=current)
-            return None if out.is_bot else out
+            l, l2 = pair
+            out = mgu(zip(l.atom.args, l2.atom.args), current.domain, seed=current)
+            return None if out.is_bot else (frozenset(pair), out)
 
-        return CandidateStream(candidates, combine)
+        return ConstraintStream(dual_pred_pairs(lits), combine)
 
     # -- semantics ----------------------------------------------------------
 

@@ -25,7 +25,6 @@ becomes a disjunction of strict inequalities.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -62,8 +61,6 @@ from .terms import (
     lin_combine,
 )
 from .theory import Theory
-
-log = logging.getLogger("seqmod.frontend")
 
 RESERVED = {
     "and", "or", "not", "=>", "forall", "exists",
@@ -365,8 +362,6 @@ class _GoalBuilder:
                 if expected != SORT_TERM:
                     raise node.err("constant %s is term-sorted" % (name,))
                 return FunApp(name, ())
-            if self.sig.fun_arity(name) == 0:
-                return FunApp(name, ())
             raise node.err("unknown symbol %r" % (name,))
         head = self._head(node)
         if head in ("+", "-", "*") and expected != SORT_RAT:
@@ -559,10 +554,12 @@ def _render_domain(domain: Domain) -> list[list[str]]:
 
 
 def tree_to_json(tree: ProofTree, theory: Theory) -> dict:
-    return _node_json(tree, theory, {})
+    """The proof as nested dicts.  `theory` is not read: every backend's
+    constraints print with `str`."""
+    return _node_json(tree, {})
 
 
-def _node_json(tree: ProofTree, theory: Theory, rendered: dict[int, str]) -> dict:
+def _node_json(tree: ProofTree, rendered: dict[int, str]) -> dict:
     # Sibling sequents share almost every formula object, so each one is
     # rendered once per proof, keyed by id(): the tree keeps them alive.
     context = []
@@ -575,10 +572,10 @@ def _node_json(tree: ProofTree, theory: Theory, rendered: dict[int, str]) -> dic
         "rule": tree.rule,
         "domain": _render_domain(tree.sequent.domain),
         "context": context,
-        "output": theory.render(tree.output),
+        "output": str(tree.output),
     }
     if tree.sequent.input is not None:
-        node["input"] = theory.render(tree.sequent.input)
+        node["input"] = str(tree.sequent.input)
     if tree.rule == "leaf":
         node["used"] = sorted(str(l) for l in tree.used)
         node["stream_index"] = tree.stream_index
@@ -594,7 +591,7 @@ def _node_json(tree: ProofTree, theory: Theory, rendered: dict[int, str]) -> dic
         # A plain loop: a comprehension would add a frame per level.
         children = node["children"] = []
         for c in tree.children:
-            children.append(_node_json(c, theory, rendered))
+            children.append(_node_json(c, rendered))
     return node
 
 
@@ -680,7 +677,7 @@ def run(problem: Problem, theory_name: str = "fol",
     report = RunReport(problem=problem.name, config=config, outcome=outcome.status,
                        detail=outcome.detail, stats=asdict(outcome.stats))
     if outcome.status == "proved":
-        report.constraint = theory.render(outcome.constraint)
+        report.constraint = str(outcome.constraint)
         report.proof = tree_to_json(outcome.tree, theory)
         if check:
             ok_proof, diags = kernel.check_proof(outcome.tree, theory)

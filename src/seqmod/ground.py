@@ -9,19 +9,26 @@ survivor with the input constraint.  A depth ceiling bounds the
 candidate terms; beyond it the stream is exhausted, never wrong.
 
 Groundings are produced lazily, one total depth at a time, so a leaf
-that closes early never builds the whole product.  Each pull first
-compares a grounding with the images its input already fixes for the
-stream's meta-variables and skips it, before grounding any literal, when
-they disagree.  The merge would reject exactly those groundings, and a
-skipped grounding is consumed either way, so the stream's outputs are
-the same for any sequence of inputs.  Only literals whose predicate
-occurs with both polarities can close a leaf; each of them is
-instantiated once per grounding of its own meta-variables, for the life
-of the stream.  This backend doubles as a cross-check oracle for the
-unification backend on problems both can express, so it stays a plain
-enumeration: no unification, and the fair order and its cap are those of
-the whole product; the input filter only skips groundings the merge
-would drop.
+that closes early never builds the whole product.  They are the
+candidates of the shared `ConstraintStream`, and its combine step is the
+input filter: it compares a grounding with the images the pull's input
+already fixes for the stream's meta-variables and skips it, before
+grounding any literal, when they disagree.  The merge would reject
+exactly those groundings, and a skipped grounding is consumed either
+way, so the stream's outputs are the same for any sequence of inputs.
+Only literals whose predicate occurs with both polarities can close a
+leaf; each of them is instantiated once per grounding of its own
+meta-variables, for the life of the stream.  This backend doubles as a
+cross-check oracle for the unification backend on problems both can
+express, so it stays a plain enumeration: no unification, and the fair
+order and its cap are those of the whole product; the input filter only
+skips groundings the merge would drop.
+
+The witness of a meta-variable the constraint leaves unassigned is
+`theory.first_ground` over the signature's constants: the first default
+rational sample, or the first authorised term-sorted eigenvariable, else
+the first constant.  That is the first candidate the leaf stream tries
+for it.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from typing import Iterator, Optional, Sequence
 from .terms import (
     BoundVar,
     Domain,
+    FunApp,
     Instantiation,
     Literal,
     MetaVar,
@@ -53,9 +61,9 @@ from .theory import (
     PreconditionError,
     ResourceLimit,
     Theory,
-    WitnessUnsupported,
     check_metas_compatible,
     complementary_pair,
+    first_ground,
     meet_domain,
 )
 
@@ -167,32 +175,6 @@ def _pred_key(atom) -> object:
     return atom.op
 
 
-class _GroundingStream(ConstraintStream):
-    """Closing groundings of a leaf, each merged with the pull's input.
-
-    `close(images)` is the closing literal subset of a grounding, or
-    None.  A grounding that disagrees with an image the input fixes is
-    skipped before `close` sees it; it is consumed all the same, as a
-    grounding the merge rejects would be.  So every merge succeeds.
-    """
-
-    def __init__(self, metas: Sequence[MetaVar], assignments, close) -> None:
-        self._metas = tuple(metas)
-        self._assignments = assignments
-        self._close = close
-
-    def pull(self, current: GroundConstraint):
-        fixed = current.mapping()
-        checks = [(i, fixed[m]) for i, m in enumerate(self._metas) if m in fixed]
-        for images in self._assignments:
-            if any(images[i] != t for i, t in checks):
-                continue
-            used = self._close(images)
-            if used is not None:
-                return used, _merge(current.domain, current, zip(self._metas, images))
-        return None
-
-
 class GroundEnumTheory(Theory):
     """Enumeration backend; see the module docstring."""
 
@@ -239,15 +221,24 @@ class GroundEnumTheory(Theory):
                 gl = instances[(k, own)] = subst_literal(live[k], mapping)
             return gl
 
-        def close(images: tuple[Term, ...]) -> Optional[frozenset[Literal]]:
+        def combine(images: tuple[Term, ...], current: GroundConstraint):
+            # A grounding that disagrees with an image the input fixes is
+            # skipped before any literal is grounded; the merge would
+            # reject it, so every merge below succeeds.
+            fixed = current.mapping()
+            for m, t in zip(metas, images):
+                f = fixed.get(m)
+                if f is not None and f != t:
+                    return None
             ground_lits = tuple(ground(k, images) for k in range(len(live)))
             pair = complementary_pair(ground_lits)
             if pair is None:
                 return None
             # Map the closing ground literals back to their sources.
-            return frozenset(l for l, gl in zip(live, ground_lits) if gl in pair)
+            used = frozenset(l for l, gl in zip(live, ground_lits) if gl in pair)
+            return used, _merge(current.domain, current, zip(metas, images))
 
-        return _GroundingStream(metas, assignments if live else iter(()), close)
+        return ConstraintStream(assignments if live else (), combine)
 
     # -- semantics ----------------------------------------------------------
 
@@ -264,10 +255,8 @@ class GroundEnumTheory(Theory):
         assigned = sigma.get(meta)
         if assigned is not None:
             return assigned
-        terms = enumerate_ground_terms(self.sig, sigma.domain, meta, self.ceiling)
-        if not terms:
-            raise WitnessUnsupported("no ground candidate for %s" % (meta,))
-        return terms[0]
+        return first_ground(meta.sort, sigma.domain.authorised(meta), sigma.domain,
+                            tuple(FunApp(c, ()) for c in self.sig.consts))
 
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
         return complementary_pair(lits) is not None

@@ -433,7 +433,7 @@ class _Probe:
 
     def _render(self, sigma) -> str:
         try:
-            return self.theory.render(sigma)
+            return str(sigma)
         except Exception:
             return repr(sigma)
 

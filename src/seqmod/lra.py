@@ -42,7 +42,6 @@ from .terms import (
     var_key,
 )
 from .theory import (
-    CandidateStream,
     ConstraintStream,
     PreconditionError,
     ResourceLimit,
@@ -351,11 +350,12 @@ class LraTheory(Theory):
                 if isinstance(l.atom, ArithAtom):
                     yield frozenset((l,)), frozenset((lin_atom_of_literal(l),))
 
-        def combine(system: System, current: PolyConstraint):
+        def combine(cand: tuple[frozenset[Literal], System], current: PolyConstraint):
+            used, system = cand
             out = _conjoin(current, PolyConstraint(current.domain, (system,)))
-            return out if lra_sat(out) else None
+            return (used, out) if lra_sat(out) else None
 
-        return CandidateStream(candidates(), combine)
+        return ConstraintStream(candidates(), combine)
 
     # -- semantics ----------------------------------------------------------
 

@@ -20,8 +20,13 @@ domain bookkeeping lives here, once: `lift` re-tags the domain,
 backend's `project_payload` and `witness_payload`, and `meet_domain`
 checks the family of two meet operands and picks the result's domain.
 A backend implements `top`, `meet`, `consistency`, `satisfiable`,
-`compatible`, `ground_valid` and the two payload hooks; `render`
-(default `str`) and `shrink` are optional.
+`compatible`, `ground_valid` and the two payload hooks; `shrink` is
+optional.  Constraints are shown with `str`.
+
+Every backend's leaf stream is one `ConstraintStream`: a cursor over a
+lazy iterable of candidate closures, with a backend-supplied
+`combine(candidate, current)` that gives the pair (used literals,
+output) or None to skip the candidate.
 """
 
 from __future__ import annotations
@@ -66,26 +71,16 @@ class ResourceLimit(TheoryError):
     """A size cap was exceeded; the result is unknown, not refuted."""
 
 
-class ConstraintStream(ABC):
-    """Resumable enumeration of leaf closures.
+class ConstraintStream:
+    """Resumable enumeration of leaf closures: a cursor over a lazily
+    consumed candidate iterable.
 
-    Each pull takes the current input constraint and either returns a
-    pair (used literal subset, output constraint) or None when the
-    alternatives are exhausted.  Pulling is the only effectful
-    operation; a stream has a single consumer.
-    """
-
-    @abstractmethod
-    def pull(self, current: object) -> Optional[tuple[frozenset[Literal], object]]:
-        raise NotImplementedError
-
-
-class CandidateStream(ConstraintStream):
-    """Stream over a lazily consumed candidate iterable with a per-pull
-    combine step.
-
-    combine(candidate, current) returns the output constraint or None to
-    skip the candidate.  The cursor never revisits skipped candidates.
+    Each pull takes the current input constraint and returns the first
+    `combine(candidate, current)` of the remaining candidates that is
+    not None, a pair (used literal subset, output constraint), or None
+    when the alternatives are exhausted.  The cursor never revisits a
+    candidate, skipped or not.  Pulling is the only effectful operation;
+    a stream has a single consumer.
     """
 
     def __init__(self, candidates, combine) -> None:
@@ -93,10 +88,10 @@ class CandidateStream(ConstraintStream):
         self._combine = combine
 
     def pull(self, current: object) -> Optional[tuple[frozenset[Literal], object]]:
-        for used, cand in self._candidates:
+        for cand in self._candidates:
             out = self._combine(cand, current)
             if out is not None:
-                return used, out
+                return out
         return None
 
 
@@ -248,9 +243,6 @@ class Theory(ABC):
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
         """Ground-leaf validity used by proof reconstruction."""
         raise NotImplementedError
-
-    def render(self, sigma) -> str:
-        return str(sigma)
 
     def shrink(self, sigma) -> Iterator[object]:
         """Strictly smaller constraints for counterexample shrinking."""

@@ -14,7 +14,7 @@ from seqmod.terms import (
     pos,
 )
 from seqmod.theory import (
-    CandidateStream,
+    ConstraintStream,
     DomainMismatch,
     PreconditionError,
     ResourceLimit,
@@ -131,9 +131,9 @@ def test_candidate_stream_advances_a_persistent_cursor():
 
     def combine(x, current):
         log.append((x, current))
-        return x + current
+        return frozenset(), x + current
 
-    s = CandidateStream([(frozenset(), 1), (frozenset(), 2), (frozenset(), 3)], combine)
+    s = ConstraintStream([1, 2, 3], combine)
     assert s.pull(10) == (frozenset(), 11)
     assert s.pull(20) == (frozenset(), 22)
     assert s.pull(30) == (frozenset(), 33)
@@ -143,10 +143,9 @@ def test_candidate_stream_advances_a_persistent_cursor():
 
 def test_candidate_stream_skips_rejected_candidates():
     def combine(x, current):
-        return None if x % 2 else x
+        return None if x % 2 else (frozenset(), x)
 
-    s = CandidateStream([(frozenset(), 1), (frozenset(), 2), (frozenset(), 3),
-                         (frozenset(), 4)], combine)
+    s = ConstraintStream([1, 2, 3, 4], combine)
     assert s.pull(0) == (frozenset(), 2)
     assert s.pull(0) == (frozenset(), 4)
     assert s.pull(0) is None
@@ -154,6 +153,6 @@ def test_candidate_stream_skips_rejected_candidates():
 
 def test_candidate_stream_reports_used_literals():
     used = frozenset({lit("p", a)})
-    s = CandidateStream([(used, 7)], lambda x, cur: x)
+    s = ConstraintStream([(used, 7)], lambda cand, cur: cand)
     got_used, got = s.pull(0)
     assert got_used == used and got == 7

@@ -32,9 +32,10 @@ from seqmod.terms import (
     term_depth,
 )
 from seqmod.theory import (
-    CandidateStream,
+    ConstraintStream,
     PreconditionError,
     ResourceLimit,
+    WitnessUnsupported,
     complementary_pair,
     meet_domain,
 )
@@ -277,10 +278,12 @@ def _eager_consistency(theory, lits, domain):
             if pair is not None:
                 yield frozenset(l for l, gl in zip(lits, ground_lits) if gl in pair), g
 
-    def combine(g, current):
-        return _eager_merge(current.domain, current, g)
+    def combine(cand, current):
+        used, g = cand
+        out = _eager_merge(current.domain, current, g)
+        return None if out is None else (used, out)
 
-    return CandidateStream(candidates(), combine)
+    return ConstraintStream(candidates(), combine)
 
 
 g2 = lambda s, t: FunApp("g", (s, t))
@@ -421,6 +424,43 @@ def test_witness_defaults_to_first_enumerated_term():
     d = dom(E("e"), M("X"))
     rho = Instantiation(Domain.initial((E("e"),)), ())
     assert TH.witness(TH.top(d), rho) == E("e")
+
+
+_WITNESS_SIGS = (
+    Signature(funs=(("f", 1), ("g", 2)), consts=("a", "b")),
+    Signature(funs=(("f", 1),), consts=("b",)),
+    Signature(funs=(("f", 1), ("g", 2))),
+    Signature(),
+)
+_RE = EigenVar("r", SORT_RAT)
+
+
+@pytest.mark.parametrize("decls", [
+    (M("X"),),
+    (E("e0"), M("X")),
+    (E("e0"), E("e1"), M("X")),
+    (M("X"), E("e0")),
+    (_RE, M("X")),
+    (_RE, E("e0"), M("X"), E("e1")),
+    (_R,),
+    (_RE, E("e0"), _R),
+    (_R, _RE),
+])
+def test_witness_default_agrees_with_the_first_enumerated_term(decls):
+    # Reference: the first term enumerate_ground_terms gives the meta at
+    # the theory's ceiling; no term at all means no witness.
+    d = dom(*decls)
+    meta = d.last_meta()
+    rho = Instantiation.empty(d.drop_meta(meta))
+    for sig in _WITNESS_SIGS:
+        for ceiling in range(4):
+            theory = GroundEnumTheory(sig, ceiling=ceiling)
+            terms = enumerate_ground_terms(sig, d, meta, ceiling)
+            if terms:
+                assert theory.witness(theory.top(d), rho) == terms[0], (sig, ceiling)
+            else:
+                with pytest.raises(WitnessUnsupported):
+                    theory.witness(theory.top(d), rho)
 
 
 def test_ground_valid_needs_a_complementary_pair():

@@ -1,6 +1,19 @@
-"""Conformance harness: green backends, red mutants."""
+"""Conformance harness: green backends, red mutants.
 
+`conformance_golden.json` holds one sha256 of `report_json` per run at
+`cases=200, seed=0`: the `fol`, `enum` and `lra` backends and the six
+mutants.  A refactor that changes any conformance report changes a hash.
+
+Regenerate (only when a change is meant to alter a report, and say why
+in CHANGES.md):
+
+    PYTHONPATH=src python3 tests/test_harness.py --write
+"""
+
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +24,8 @@ from seqmod.harness import (
     report_text,
     run_conformance,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "conformance_golden.json"
 
 
 @pytest.mark.parametrize("kind", ["fol", "enum", "lra"])
@@ -71,3 +86,28 @@ def test_failure_count_survives_recording_cap():
     law = next(l for l in res.laws if l.law == "AX_meet")
     assert law.failure_count >= len(law.failures)
     assert len(law.failures) <= 5
+
+
+def conformance_hashes() -> dict:
+    runs = {kind: (kind, None) for kind in ("fol", "enum", "lra")}
+    runs.update((name, (kind, factory())) for name, (kind, factory, _) in mutants().items())
+    out = {}
+    for label, (kind, theory) in runs.items():
+        res = run_conformance(kind, cases=200, seed=0, theory=theory, label=label)
+        out[label] = hashlib.sha256(report_json(res).encode("utf-8")).hexdigest()
+    return out
+
+
+def test_conformance_reports_are_byte_identical():
+    golden = json.loads(GOLDEN.read_text())
+    got = conformance_hashes()
+    assert len(golden) == 9
+    assert sorted(got) == sorted(golden)
+    changed = sorted(k for k in golden if got[k] != golden[k])
+    assert not changed, "conformance report changed for %s" % changed
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_harness.py --write")
+    GOLDEN.write_text(json.dumps(conformance_hashes(), indent=1, sort_keys=True) + "\n")
