@@ -13,6 +13,7 @@ from seqmod import frontend
 from seqmod.cli import main
 from seqmod.frontend import (
     ParseError,
+    Problem,
     parse_problem,
     print_problem,
     render_formula,
@@ -23,15 +24,20 @@ from seqmod.kernel import IllFormed, SearchConfig
 from seqmod.terms import (
     And,
     ArithAtom,
+    BoundVar,
     DomainError,
     Exists,
     Forall,
     FunApp,
     Lit,
+    Literal,
     Or,
+    PredAtom,
     RatConst,
     SORT_RAT,
     SORT_TERM,
+    Signature,
+    lin_combine,
 )
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "src" / "seqmod" / "problems"
@@ -168,6 +174,138 @@ def test_parse_error_carries_location():
 
 
 # ---------------------------------------------------------------------------
+# the reader against a character-by-character reference
+
+
+def _reference_tokens(text):
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch, line, col
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            yield text[start:i], line, start_col
+    yield None, line, col
+
+
+def _reference_read(text):
+    stack = []
+    top = []
+    for tok, line, col in _reference_tokens(text):
+        if tok is None:
+            if stack:
+                _, l0, c0 = stack[-1]
+                raise ParseError("unclosed parenthesis", l0, c0)
+            return tuple(top)
+        if tok == "(":
+            stack.append(([], line, col))
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unmatched closing parenthesis", line, col)
+            items, l0, c0 = stack.pop()
+            (stack[-1][0] if stack else top).append(frontend.SNode(tuple(items), l0, c0))
+        else:
+            (stack[-1][0] if stack else top).append(frontend.SNode(tok, line, col))
+    return tuple(top)
+
+
+def _read_outcome(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return (exc.msg, exc.line, exc.col)
+
+
+READER_PIECES = ["(", ")", ";", "\n", "\r", "\t", " ", "a", "bc", "x!1", "2/3", "-1.5", "é"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(READER_PIECES), max_size=40).map("".join))
+def test_reader_matches_reference(text):
+    # SNode equality compares values, lines and columns of every node.
+    assert _read_outcome(frontend.read_sexprs, text) == _read_outcome(_reference_read, text)
+
+
+# ---------------------------------------------------------------------------
+# binder sort inference
+
+
+def _p(*args):
+    return Lit(Literal(True, PredAtom("p", args)))
+
+
+def _lt(a, b):
+    return Lit(Literal(True, ArithAtom("<", a, b)))
+
+
+X0_TERM = BoundVar("x!0", SORT_TERM)
+X0_RAT = BoundVar("x!0", SORT_RAT)
+P1 = ("p", (SORT_TERM,))
+
+
+@pytest.mark.parametrize("text,expected", [
+    # an unannotated variable at a term position
+    ("(declare-pred p 1)\n(goal (forall (x) (p x)))",
+     (Signature((P1,), (), ("c0",)), Forall("x!0", SORT_TERM, _p(X0_TERM)))),
+    # an unannotated variable at a rational position
+    ("(goal (exists (x) (< x 1)))",
+     (Signature(), Exists("x!0", SORT_RAT, _lt(X0_RAT, RatConst(Fraction(1)))))),
+    # rat from the operand of *
+    ("(goal (forall (x) (<= (* 2 x) 1)))",
+     (Signature(), Forall("x!0", SORT_RAT, Lit(Literal(True, ArithAtom(
+         "<=", lin_combine((Fraction(2), X0_RAT)), RatConst(Fraction(1)))))))),
+    # rat from a declared argument sort
+    ("(declare-pred r (rat))\n(goal (exists (x) (r x)))",
+     (Signature((("r", (SORT_RAT,)),)),
+      Exists("x!0", SORT_RAT, Lit(Literal(True, PredAtom("r", (X0_RAT,))))))),
+    # an inner binder of the same name at the other sort
+    ("(declare-pred p 1)\n(goal (forall (x) (and (p x) (exists (x) (< x 0)))))",
+     (Signature((P1,), (), ("c0",)), Forall("x!0", SORT_TERM, And(
+         _p(X0_TERM),
+         Exists("x!1", SORT_RAT, _lt(BoundVar("x!1", SORT_RAT), RatConst(Fraction(0)))))))),
+    # an unused binder is term-sorted
+    ("(declare-pred q 0)\n(goal (forall (x) q))",
+     (Signature((("q", ()),)), Forall("x!0", SORT_TERM, Lit(Literal(True, PredAtom("q", ())))))),
+    # an annotated binder used at the other sort: the error is at the use
+    ("(declare-pred p 1)\n(goal (forall ((x rat)) (p x)))",
+     ("variable x has sort rat, expected term", 2, 28)),
+    # an unannotated binder used at both sorts: the error is at the binder
+    ("(declare-pred p 1)\n(goal (exists (x) (and (p x) (< x 1))))",
+     ("variable x is used at both sorts", 2, 16)),
+    # uses inside an inner scope count for the outer binder
+    ("(declare-pred p 1)\n(goal (forall (x) (and (p x) (exists (y) (< x y)))))",
+     ("variable x is used at both sorts", 2, 16)),
+])
+def test_binder_sort_inference(text, expected):
+    if isinstance(expected[0], str):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert (exc.value.msg, exc.value.line, exc.value.col) == expected
+    else:
+        sig, goal = expected
+        assert parse_problem(text) == Problem("<input>", sig, (goal,))
+
+
+# ---------------------------------------------------------------------------
 # printing round trip
 
 
@@ -188,8 +326,6 @@ def test_print_parse_round_trip_over_the_corpus():
 
 
 def test_render_formula_only_accepts_nnf():
-    from seqmod.terms import Literal
-
     prob = parse_problem("(declare-pred p 0)\n(goal (p))")
     assert render_formula(prob.goals[0]) == "p"
     # the printer has no spelling for a negated comparison
