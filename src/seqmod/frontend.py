@@ -13,9 +13,9 @@ take a symbol, a list of symbols, or a list of (name sort) pairs; an
 unannotated binder gets its sort from use (arithmetic positions force
 rat, uninterpreted positions force term, conflicts are errors, the
 default is term).  Terms are variables, constants, (f t ...), rational
-literals (integers or p/q), and linear arithmetic built from (+ ...),
-(- ...) and (* q t).  (>= a b) and (> a b) are accepted and stored
-swapped.
+literals (anything Python's `Fraction` reads: 3, -2/3, 1.5, 1e1), and
+linear arithmetic built from (+ ...), (- ...) and (* q t).  (>= a b) and
+(> a b) are accepted and stored swapped.
 
 Goals are normalised on construction: negation is pushed to the atoms,
 a negated inequality flips into its complement, and a negated equality
@@ -25,6 +25,7 @@ becomes a disjunction of strict inequalities.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -94,57 +95,34 @@ class SNode:
         return ParseError(msg, self.line, self.col)
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
-    yield None, line, col
+_TOKEN = re.compile(r"\n|[ \t\r]+|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
 def read_sexprs(text: str) -> tuple[SNode, ...]:
-    tokens = _tokenize(text)
     stack: list[tuple[list[SNode], int, int]] = []
     top: list[SNode] = []
-    for tok, line, col in tokens:
-        if tok is None:
-            if stack:
-                _, l0, c0 = stack[-1]
-                raise ParseError("unclosed parenthesis", l0, c0)
-            return tuple(top)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line += 1
+            line_start = m.end()
+            continue
+        if tok[0] in " \t\r;":
+            continue
+        col = m.start() - line_start + 1
         if tok == "(":
             stack.append(([], line, col))
         elif tok == ")":
             if not stack:
                 raise ParseError("unmatched closing parenthesis", line, col)
             items, l0, c0 = stack.pop()
-            node = SNode(tuple(items), l0, c0)
-            (stack[-1][0] if stack else top).append(node)
+            (stack[-1][0] if stack else top).append(SNode(tuple(items), l0, c0))
         else:
-            node = SNode(tok, line, col)
-            (stack[-1][0] if stack else top).append(node)
+            (stack[-1][0] if stack else top).append(SNode(tok, line, col))
+    if stack:
+        _, l0, c0 = stack[-1]
+        raise ParseError("unclosed parenthesis", l0, c0)
     return tuple(top)
 
 
@@ -166,20 +144,23 @@ class Problem:
     goals: Context
 
 
-class _GoalBuilder:
-    """Two passes over one goal s-expression.
+# A binder's entry: (internal name, explicit sort or None, sorts its uses need).
+_Env = dict[str, tuple[str, Optional[str], set[str]]]
 
-    The first pass records, per binder occurrence, which sorts its
-    variable is used at.  The second pass builds the normal form with
-    the resolved sorts.
+
+class _GoalBuilder:
+    """Builds the normal form of one goal s-expression in one pass.
+
+    A use of an unannotated variable records the sort of its position.
+    Once its binder's body is built, the variable is rat if some use
+    needs rat and term otherwise; uses at both sorts are an error at the
+    binder.  An annotated variable used at the other sort is an error at
+    the use.
     """
 
     def __init__(self, sig: Signature) -> None:
         self.sig = sig
-        self.evidence: dict[int, set[str]] = {}
         self.counter = 0
-
-    # -- shared shape helpers ----------------------------------------------
 
     def binder_specs(self, node: SNode) -> list[tuple[SNode, Optional[str]]]:
         if node.is_symbol:
@@ -212,51 +193,7 @@ class _GoalBuilder:
             return None
         return node.value[0].value
 
-    # -- pass one: sort evidence ---------------------------------------------
-
-    def collect(self, node: SNode, env: dict[str, set[str]]) -> None:
-        head = self._head(node)
-        if head in ("and", "or", "=>"):
-            for sub in node.value[1:]:
-                self.collect(sub, env)
-        elif head == "not":
-            if len(node.value) == 2:
-                self.collect(node.value[1], env)
-        elif head in ("forall", "exists"):
-            if len(node.value) != 3:
-                return
-            specs = self.binder_specs(node.value[1])
-            inner = dict(env)
-            for name_node, explicit in specs:
-                sorts = self.evidence.setdefault(id(name_node), set())
-                if explicit:
-                    sorts.add(explicit)
-                inner[name_node.value] = sorts
-            self.collect(node.value[2], inner)
-        elif head in ("<=", "<", "=", ">=", ">"):
-            for sub in node.value[1:]:
-                self.collect_term(sub, SORT_RAT, env)
-        elif head is not None and self.sig.pred_sorts(head) is not None:
-            for sub, sort in zip(node.value[1:], self.sig.pred_sorts(head)):
-                self.collect_term(sub, sort, env)
-        # Bare symbols and malformed shapes produce errors in pass two.
-
-    def collect_term(self, node: SNode, expected: str, env: dict[str, set[str]]) -> None:
-        if node.is_symbol:
-            if node.value in env:
-                env[node.value].add(expected)
-            return
-        head = self._head(node)
-        if head in ("+", "-", "*"):
-            for sub in node.value[1:]:
-                self.collect_term(sub, SORT_RAT, env)
-        elif head is not None and self.sig.fun_arity(head) is not None:
-            for sub in node.value[1:]:
-                self.collect_term(sub, SORT_TERM, env)
-
-    # -- pass two: construction ----------------------------------------------
-
-    def build(self, node: SNode, positive: bool, env: dict[str, BoundVar]) -> Formula:
+    def build(self, node: SNode, positive: bool, env: _Env) -> Formula:
         head = self._head(node)
         if head in ("and", "or"):
             subs = node.value[1:]
@@ -281,16 +218,21 @@ class _GoalBuilder:
         if head in ("forall", "exists"):
             if len(node.value) != 3:
                 raise node.err("%s takes a binder list and a body" % head)
-            specs = self.binder_specs(node.value[1])
             inner = dict(env)
-            resolved: list[tuple[str, str]] = []
-            for name_node, explicit in specs:
-                sort = explicit or self._resolve_sort(name_node)
-                internal = "%s!%d" % (name_node.value, self.counter)
+            bound = []
+            for name_node, explicit in self.binder_specs(node.value[1]):
+                entry = ("%s!%d" % (name_node.value, self.counter), explicit, set())
                 self.counter += 1
-                inner[name_node.value] = BoundVar(internal, sort)
-                resolved.append((internal, sort))
+                inner[name_node.value] = entry
+                bound.append((name_node, entry))
             body = self.build(node.value[2], positive, inner)
+            resolved: list[tuple[str, str]] = []
+            for name_node, (internal, explicit, uses) in bound:
+                if len(uses) == 2:
+                    raise name_node.err(
+                        "variable %s is used at both sorts" % (name_node.value,))
+                resolved.append((internal, explicit or (
+                    SORT_RAT if SORT_RAT in uses else SORT_TERM)))
             universal = (head == "forall") == positive
             cls = Forall if universal else Exists
             for internal, sort in reversed(resolved):
@@ -298,16 +240,7 @@ class _GoalBuilder:
             return body
         return self.atom(node, positive, env)
 
-    def _resolve_sort(self, name_node: SNode) -> str:
-        sorts = self.evidence.get(id(name_node), set())
-        if sorts == {SORT_TERM, SORT_RAT}:
-            raise name_node.err(
-                "variable %s is used at both sorts" % (name_node.value,))
-        if SORT_RAT in sorts:
-            return SORT_RAT
-        return SORT_TERM
-
-    def atom(self, node: SNode, positive: bool, env: dict[str, BoundVar]) -> Formula:
+    def atom(self, node: SNode, positive: bool, env: _Env) -> Formula:
         if node.is_symbol:
             sorts = self.sig.pred_sorts(node.value)
             if sorts == ():
@@ -344,15 +277,17 @@ class _GoalBuilder:
         terms = tuple(self.term(a, s, env) for a, s in zip(args, sorts))
         return Lit(Literal(positive, PredAtom(head, terms)))
 
-    def term(self, node: SNode, expected: str, env: dict[str, BoundVar]) -> Term:
+    def term(self, node: SNode, expected: str, env: _Env) -> Term:
         if node.is_symbol:
             name = node.value
             if name in env:
-                v = env[name]
-                if v.sort != expected:
+                internal, explicit, uses = env[name]
+                if explicit is None:
+                    uses.add(expected)
+                elif explicit != expected:
                     raise node.err("variable %s has sort %s, expected %s"
-                                   % (name, v.sort, expected))
-                return v
+                                   % (name, explicit, expected))
+                return BoundVar(internal, expected)
             q = _rational(name)
             if q is not None:
                 if expected != SORT_RAT:
@@ -463,9 +398,7 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
     sig = _ensure_term_base(sig, declared)
     goals = []
     for node in goal_nodes:
-        builder = _GoalBuilder(sig)
-        builder.collect(node, {})
-        goals.append(builder.build(node, True, {}))
+        goals.append(_GoalBuilder(sig).build(node, True, {}))
     return Problem(name, sig, tuple(goals))
 
 
@@ -488,7 +421,7 @@ def render_term(t: Term) -> str:
     if isinstance(t, RatConst):
         return str(t.value)
     if isinstance(t, BoundVar):
-        return t.name.split("!")[0]
+        return t.name.rsplit("!", 1)[0]
     if isinstance(t, (EigenVar, MetaVar)):
         return t.name
     if isinstance(t, FunApp):
@@ -524,7 +457,7 @@ def render_formula(f: Formula) -> str:
         return "(or %s %s)" % (render_formula(f.left), render_formula(f.right))
     if isinstance(f, (Forall, Exists)):
         head = "forall" if isinstance(f, Forall) else "exists"
-        return "(%s ((%s %s)) %s)" % (head, f.var.split("!")[0], f.sort,
+        return "(%s ((%s %s)) %s)" % (head, f.var.rsplit("!", 1)[0], f.sort,
                                       render_formula(f.body))
     raise TypeError(f)
 
@@ -553,9 +486,8 @@ def _render_domain(domain: Domain) -> list[list[str]]:
     ]
 
 
-def tree_to_json(tree: ProofTree, theory: Theory) -> dict:
-    """The proof as nested dicts.  `theory` is not read: every backend's
-    constraints print with `str`."""
+def tree_to_json(tree: ProofTree) -> dict:
+    """The proof as nested dicts; every backend's constraints print with `str`."""
     return _node_json(tree, {})
 
 
@@ -678,7 +610,7 @@ def run(problem: Problem, theory_name: str = "fol",
                        detail=outcome.detail, stats=asdict(outcome.stats))
     if outcome.status == "proved":
         report.constraint = str(outcome.constraint)
-        report.proof = tree_to_json(outcome.tree, theory)
+        report.proof = tree_to_json(outcome.tree)
         if check:
             ok_proof, diags = kernel.check_proof(outcome.tree, theory)
             rho = Instantiation.empty(Domain.initial(()))

@@ -776,7 +776,8 @@ class _LraWitnessAlwaysZero(LraTheory):
 
 def mutants() -> dict:
     """name -> (bench kind, factory, laws expected to flag it)."""
-    fol_base = (FunApp("a", ()), FunApp("b", ()))
+    sig = make_bench("fol").sig
+    fol_base = tuple(FunApp(c, ()) for c in sig.consts)
     return {
         "fol-proj-drops-wrong-entry": (
             "fol", lambda: _FolProjDropsWrongEntry(ground_base=fol_base),
@@ -791,9 +792,7 @@ def mutants() -> dict:
             "lra", lambda: _LraProjDropsVarAtoms(),
             frozenset(("AX_proj", "P1"))),
         "enum-meet-prefers-first": (
-            "enum", lambda: _EnumMeetPrefersFirst(Signature(
-                preds=(("p", (SORT_TERM,)), ("q", (SORT_TERM, SORT_TERM))),
-                funs=(("f", 1),), consts=("a", "b")), ceiling=2),
+            "enum", lambda: _EnumMeetPrefersFirst(sig, ceiling=2),
             frozenset(("AX_meet",))),
         "lra-witness-always-zero": (
             "lra", lambda: _LraWitnessAlwaysZero(),

@@ -132,12 +132,10 @@ def test_root_constraint_accepts_the_empty_instantiation():
 
 
 def test_search_is_deterministic():
-    from seqmod.frontend import tree_to_json
-
     runs = [prove((drinker(),), Domain(), TH, SearchConfig(seed=3, order="random"))
             for _ in range(2)]
     assert runs[0].status == runs[1].status == "proved"
-    assert tree_to_json(runs[0].tree, TH) == tree_to_json(runs[1].tree, TH)
+    assert tree_to_json(runs[0].tree) == tree_to_json(runs[1].tree)
 
 
 def test_sdi_threads_inputs_and_di_does_not():
@@ -628,7 +626,7 @@ def test_implication_chain_is_pinned(calculus, expected, digest):
     s = out.stats
     assert (out.status, s.nodes, s.pulls, s.backtracks, s.rounds) == expected
     nodes = list(out.tree.walk())
-    rendered = list(_json_walk(tree_to_json(out.tree, theory)))
+    rendered = list(_json_walk(tree_to_json(out.tree)))
     assert len(nodes) == len(rendered)
     for node, js in zip(nodes, rendered):
         assert js["context"] == [render_formula(f) for f in node.sequent.context]
