@@ -5,6 +5,7 @@ import hashlib
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,7 @@ x = BoundVar("x", SORT_TERM)
 y = BoundVar("y", SORT_TERM)
 
 TH = SubstTheory(ground_base=(a,))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def plit(name, *args):
@@ -276,6 +278,61 @@ def test_context_multiset_check_tells_formulas_apart(calc):
         ok, diags = with_left_context(context)
         assert not ok
         assert "left conjunct context mismatch" in diags
+
+
+FORALL_CONJ = (ROOT / "src" / "seqmod" / "problems" / "fol_forall_conj.prob").read_text()
+
+
+def _tampered_check(text, theory, calculus, rule, edit):
+    """check_proof on a proof of `text` whose first `rule` node (in
+    preorder) is replaced by edit(node)."""
+    prob = parse_problem(text, name="tampered")
+    theory = make_theory(theory, prob.signature)
+    out = prove(prob.goals, Domain(), theory, SearchConfig(calculus=calculus))
+    assert out.status == "proved"
+    assert check_proof(out.tree, theory) == (True, [])
+    target = next(t for t in out.tree.walk() if t.rule == rule)
+
+    def swap(t):
+        if t is target:
+            return edit(t)
+        return dataclasses.replace(t, children=tuple(swap(c) for c in t.children))
+
+    return check_proof(swap(out.tree), theory)
+
+
+def _with_child_input(node, index, current):
+    kids = list(node.children)
+    kids[index] = dataclasses.replace(
+        kids[index], sequent=dataclasses.replace(kids[index].sequent, input=current))
+    return dataclasses.replace(node, children=tuple(kids))
+
+
+TAMPERINGS = {
+    "forall-input-not-rehoused": (FORALL_CONJ, "fol", "sdi", "forall",
+                                  lambda n: _with_child_input(n, 0, n.sequent.input)),
+    "exists-input-not-lifted": (FORALL_CONJ, "fol", "sdi", "exists",
+                                lambda n: _with_child_input(n, 0, n.sequent.input)),
+    "second-conjunct-not-fed": (STRICT_CHAIN_3, "lra", "sdi", "and",
+                                lambda n: _with_child_input(n, 1 - n.order_bit,
+                                                            n.sequent.input)),
+    "order-bit-flipped": (STRICT_CHAIN_3, "lra", "sdi", "and",
+                          lambda n: dataclasses.replace(n, order_bit=1 - n.order_bit)),
+    "di-and-output-not-the-meet": (STRICT_CHAIN_3, "lra", "di", "and",
+                                   lambda n: dataclasses.replace(n, output=n.children[0].output)),
+    "exists-output-not-projected": (FORALL_CONJ, "fol", "di", "exists",
+                                    lambda n: dataclasses.replace(n, output=n.children[0].output)),
+    "ill-sorted-eigenvariable": (FORALL_CONJ, "fol", "sdi", "forall",
+                                 lambda n: dataclasses.replace(
+                                     n, eigen=EigenVar(n.eigen.name, SORT_RAT))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_check_proof_rejects_each_tampering(case):
+    ok, diags = _tampered_check(*TAMPERINGS[case])
+    assert ok is False
+    assert diags
 
 
 # ---------------------------------------------------------------------------
