@@ -51,6 +51,7 @@ from .terms import (
     BoundVar,
     Context,
     Domain,
+    DomainError,
     EigenVar,
     Exists,
     Forall,
@@ -97,9 +98,12 @@ class ProofTree:
     stream_index: int = -1
 
     def walk(self) -> Iterator["ProofTree"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """Every node in preorder, from an explicit stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -403,122 +407,99 @@ def _expect(cond: bool, diags: list[str], msg: str) -> bool:
     return cond
 
 
-def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
-    """Recompute every rule application of a derivation.
+# Per rule: its principal's connective, the connective's name, the number of premises.
+_RULES = {"leaf": (None, "", 0), "or": (Or, "disjunction", 1), "and": (And, "conjunction", 2),
+          "forall": (Forall, "universal", 1), "exists": (Exists, "existential", 1)}
 
-    Checks context bookkeeping (as multisets), domain growth, constraint
-    threading, and replays each leaf's stream to its recorded index.
-    Returns (ok, diagnostics).
+
+def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
+    """Recompute every rule application of a derivation: context
+    bookkeeping (as multisets), domain growth with the freshness of each
+    new eigenvariable or meta-variable, constraint threading and outputs,
+    and each leaf's stream replayed to its recorded index.  Returns (ok,
+    diagnostics); a malformed tree gets diagnostics, never an exception.
+
+    One loop checks the nodes children first, in reverse preorder, so a
+    subtree's diagnostics precede its root's.  The order lets the audit
+    take proofs of any depth: a formula's first hash recurses, then is
+    cached (`terms.hash_once`), and a child's context holds the parts of
+    its parent's principal, so no node's context recurses deeply to count.
     """
     diags: list[str] = []
-    _check_node(tree, theory, diags)
+    for node in reversed(list(tree.walk())):
+        seq, rule = node.sequent, node.rule
+        if not _expect(rule in _RULES, diags, "unknown rule %r" % (rule,)):
+            continue
+        connective, kind, arity = _RULES[rule]
+        if not _expect(len(node.children) == arity, diags, "%s node has %d children, not %d"
+                       % (rule, len(node.children), arity)):
+            continue
+        if rule == "leaf":
+            lits = literals_of(seq.context)
+            stream = theory.consistency(lits, seq.domain)
+            inp = seq.input if seq.input is not None else theory.top(seq.domain)
+            got = None
+            for _ in range(node.stream_index + 1):
+                got = stream.pull(inp)
+                if got is None:
+                    diags.append("leaf stream exhausted before index %d" % node.stream_index)
+                    break
+            else:
+                _expect(got == (node.used, node.output), diags,
+                        "leaf replay mismatch at index %d" % node.stream_index)
+                _expect(node.used <= set(lits), diags, "leaf used literals outside the context")
+            continue
+        ctx = seq.context
+        if not _expect(0 <= node.principal < len(ctx), diags, "principal index out of range"):
+            continue
+        principal = ctx[node.principal]
+        if not _expect(isinstance(principal, connective), diags,
+                       "%s rule on non-%s" % (rule, kind)):
+            continue
+        try:
+            premises, out = _premises(node, principal, theory)
+        except DomainError as exc:
+            diags.append("%s rule: %s" % (rule, exc))
+            continue
+        removed = Counter(ctx) - Counter([principal])
+        for (name, domain, added, current), child in zip(premises, node.children):
+            _expect(child.sequent.domain == domain, diags, name + " domain mismatch")
+            _expect(Counter(child.sequent.context) == removed + Counter(added), diags,
+                    name + " context mismatch")
+            _expect(child.sequent.input == current, diags, name + " input mismatch")
+        _expect(out is not None and node.output == out, diags, rule + " output mismatch")
     return not diags, diags
 
 
-def _check_node(node: ProofTree, theory: Theory, diags: list[str]) -> None:
-    seq = node.sequent
-    ctx = Counter(seq.context)
+def _premises(node: ProofTree, principal: Formula, theory: Theory) -> tuple[list, object]:
+    """Each premise a rule application must have, as (name, domain, added
+    formulas, input; None in di), and the output it must have.  Raises
+    DomainError when the new variable is missing, ill-sorted or not fresh.
+    """
+    seq, kids = node.sequent, node.children
     sdi = seq.input is not None
-
-    if node.rule == "leaf":
-        _expect(not node.children, diags, "leaf with children")
-        lits = literals_of(seq.context)
-        stream = theory.consistency(lits, seq.domain)
-        inp = seq.input if sdi else theory.top(seq.domain)
-        got = None
-        for k in range(node.stream_index + 1):
-            got = stream.pull(inp)
-            if got is None:
-                _expect(False, diags, "leaf stream exhausted before index %d" % node.stream_index)
-                return
-        _expect(got == (node.used, node.output), diags,
-                "leaf replay mismatch at index %d" % node.stream_index)
-        _expect(node.used <= set(lits), diags, "leaf used literals outside the context")
-        return
-
-    if not _expect(0 <= node.principal < len(seq.context), diags, "principal index out of range"):
-        return
-    principal = seq.context[node.principal]
-    removed = ctx - Counter([principal])
-
-    def child_ctx_ok(child: ProofTree, added: list[Formula]) -> bool:
-        return Counter(child.sequent.context) == removed + Counter(added)
-
+    out = kids[0].output  # or and forall pass their child's output through
     if node.rule == "or":
-        if not _expect(isinstance(principal, Or), diags, "or rule on non-disjunction"):
-            return
-        (child,) = node.children
-        _expect(child.sequent.domain == seq.domain, diags, "or child changed the domain")
-        _expect(child_ctx_ok(child, [principal.left, principal.right]), diags,
-                "or child context mismatch")
-        if sdi:
-            _expect(child.sequent.input == seq.input, diags, "or input not passed through")
-        _expect(node.output == child.output, diags, "or output not passed through")
-
-    elif node.rule == "forall":
-        if not _expect(isinstance(principal, Forall), diags, "forall rule on non-universal"):
-            return
-        (child,) = node.children
-        eigen = node.eigen
-        if not _expect(eigen is not None and eigen.sort == principal.sort, diags,
-                       "forall eigenvariable missing or ill-sorted"):
-            return
-        _expect(child.sequent.domain == seq.domain.add_eigen(eigen), diags,
-                "forall child domain mismatch")
-        _expect(child_ctx_ok(child, [substitute(principal.body, principal.var, eigen)]),
-                diags, "forall child context mismatch")
-        if sdi:
-            _expect(child.sequent.input == rehouse(seq.input, child.sequent.domain),
-                    diags, "forall input not passed through")
-        _expect(node.output == child.output, diags, "forall output not passed through")
-
-    elif node.rule == "exists":
-        if not _expect(isinstance(principal, Exists), diags, "exists rule on non-existential"):
-            return
-        (child,) = node.children
-        meta = node.meta
-        if not _expect(meta is not None and meta.sort == principal.sort, diags,
-                       "exists meta-variable missing or ill-sorted"):
-            return
-        _expect(child.sequent.domain == seq.domain.add_meta(meta), diags,
-                "exists child domain mismatch")
-        _expect(child_ctx_ok(child, [substitute(principal.body, principal.var, meta), principal]),
-                diags, "exists child must keep the existential in context")
-        if sdi:
-            _expect(child.sequent.input == theory.lift(seq.input, meta), diags,
-                    "exists input not lifted")
-        _expect(node.output == theory.project(child.output, meta), diags,
-                "exists output is not the projected child output")
-
-    elif node.rule == "and":
-        if not _expect(isinstance(principal, And), diags, "and rule on non-conjunction"):
-            return
-        if not _expect(len(node.children) == 2, diags, "and node needs two children"):
-            return
-        left, right = node.children
-        _expect(child_ctx_ok(left, [principal.left]), diags, "left conjunct context mismatch")
-        _expect(child_ctx_ok(right, [principal.right]), diags, "right conjunct context mismatch")
-        for c in node.children:
-            _expect(c.sequent.domain == seq.domain, diags, "and child changed the domain")
-        first = node.children[node.order_bit]
-        second = node.children[1 - node.order_bit]
-        if sdi:
-            _expect(first.sequent.input == seq.input, diags,
-                    "first conjunct input mismatch")
-            _expect(second.sequent.input == first.output, diags,
-                    "second conjunct must consume the first conjunct's output")
-            _expect(node.output == second.output, diags, "and output mismatch")
-        else:
-            met = theory.meet(left.output, right.output)
-            _expect(met is not None and met == node.output, diags,
-                    "and output is not the meet of its children")
-
-    else:
-        _expect(False, diags, "unknown rule %r" % (node.rule,))
-        return
-
-    for c in node.children:
-        _check_node(c, theory, diags)
+        return [("or child", seq.domain, (principal.left, principal.right), seq.input)], out
+    if node.rule == "and":
+        bit = node.order_bit
+        inputs = [None, None]
+        if sdi:  # the first conjunct explored feeds its output to the second
+            inputs[bit], inputs[1 - bit] = seq.input, kids[bit].output
+        out = kids[1 - bit].output if sdi else theory.meet(kids[0].output, kids[1].output)
+        return [("left conjunct", seq.domain, (principal.left,), inputs[0]),
+                ("right conjunct", seq.domain, (principal.right,), inputs[1])], out
+    v = node.eigen if node.rule == "forall" else node.meta
+    if v is None or v.sort != principal.sort:
+        raise DomainError("variable missing or ill-sorted")
+    body = substitute(principal.body, principal.var, v)
+    if node.rule == "forall":
+        domain = seq.domain.add_eigen(v)
+        current = rehouse(seq.input, domain) if sdi else None
+        return [("forall child", domain, (body,), current)], out
+    domain = seq.domain.add_meta(v)
+    current = theory.lift(seq.input, v) if sdi else None
+    return [("exists child", domain, (body, principal), current)], theory.project(out, v)
 
 
 # ---------------------------------------------------------------------------
@@ -560,43 +541,39 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
                        witnesses: Optional[list] = None) -> tuple[bool, list[str]]:
     """Instantiate a derivation and audit it as a ground proof.
 
-    Walks the tree extending rho with a witness at every existential
-    node; each leaf's used literals, once instantiated, must pass the
-    backend's ground validity predicate.  When a list is passed as
-    `witnesses` the chosen (meta, term) pairs are appended to it.
+    Walks the tree in preorder, from an explicit stack, extending rho
+    with a witness at every existential node; each leaf's used literals,
+    once instantiated, must pass the backend's ground validity
+    predicate.  When a list is passed as `witnesses` the chosen (meta,
+    term) pairs are appended to it.
     pre: rho is compatible with the root output.
     """
     diags: list[str] = []
     if not theory.compatible(rho, tree.output):
         return False, ["instantiation incompatible with the final constraint"]
-    _reconstruct(tree, rho, theory, diags, witnesses)
+    stack = [(tree, rho, None)]  # (node, its rho, the rule of a parent sharing rho)
+    while stack:
+        node, rho, parent = stack.pop()
+        if parent is not None and not theory.compatible(rho, node.output):
+            diags.append("instantiation incompatible with a %s child" % (parent,))
+        elif node.rule == "leaf":
+            ground = tuple(rho.apply_literal(l) for l in sorted(node.used, key=str))
+            if not check_lk1_leaf(ground, theory.ground_valid):
+                diags.append("leaf %s not valid under %s" % ([str(g) for g in ground], rho))
+        elif node.rule == "exists":
+            (child,) = node.children
+            try:
+                t = theory.witness(child.output, rho)
+            except Exception as exc:  # surfaced as an audit failure, not a crash
+                diags.append("witness failed at %s: %s" % (node.meta, exc))
+                continue
+            if witnesses is not None:
+                witnesses.append((node.meta, t))
+            rho2 = rho.extend(child.output.domain, node.meta, t)
+            if not theory.compatible(rho2, child.output):
+                diags.append("extended instantiation incompatible below %s" % (node.meta,))
+                continue
+            stack.append((child, rho2, None))
+        else:
+            stack.extend((c, rho, node.rule) for c in reversed(node.children))
     return not diags, diags
-
-
-def _reconstruct(node: ProofTree, rho: Instantiation, theory: Theory,
-                 diags: list[str], witnesses: Optional[list]) -> None:
-    if node.rule == "leaf":
-        ground = tuple(rho.apply_literal(l) for l in sorted(node.used, key=str))
-        if not check_lk1_leaf(ground, theory.ground_valid):
-            diags.append("leaf %s not valid under %s" % ([str(g) for g in ground], rho))
-        return
-    if node.rule == "exists":
-        (child,) = node.children
-        try:
-            t = theory.witness(child.output, rho)
-        except Exception as exc:  # surfaced as an audit failure, not a crash
-            diags.append("witness failed at %s: %s" % (node.meta, exc))
-            return
-        if witnesses is not None:
-            witnesses.append((node.meta, t))
-        rho2 = rho.extend(child.output.domain, node.meta, t)
-        if not theory.compatible(rho2, child.output):
-            diags.append("extended instantiation incompatible below %s" % (node.meta,))
-            return
-        _reconstruct(child, rho2, theory, diags, witnesses)
-        return
-    for child in node.children:
-        if not theory.compatible(rho, child.output):
-            diags.append("instantiation incompatible with a %s child" % (node.rule,))
-            continue
-        _reconstruct(child, rho, theory, diags, witnesses)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -308,31 +309,86 @@ def _with_child_input(node, index, current):
     return dataclasses.replace(node, children=tuple(kids))
 
 
+SHIFT = "(declare-pred p 1) (goal (forall (x) (exists (y) (=> (p x) (p y)))))"
+
+
+def _reuse_domain_name(node, field):
+    # the new variable takes the name of the first variable already declared
+    var = getattr(node, field)
+    return dataclasses.replace(node, **{field: type(var)(node.sequent.domain.decls[0].name,
+                                                         var.sort)})
+
+
+# name: (problem, theory, calculus, rule of the node tampered with, edit,
+# a diagnostic the audit must give)
 TAMPERINGS = {
     "forall-input-not-rehoused": (FORALL_CONJ, "fol", "sdi", "forall",
-                                  lambda n: _with_child_input(n, 0, n.sequent.input)),
+                                  lambda n: _with_child_input(n, 0, n.sequent.input),
+                                  "forall child input mismatch"),
     "exists-input-not-lifted": (FORALL_CONJ, "fol", "sdi", "exists",
-                                lambda n: _with_child_input(n, 0, n.sequent.input)),
+                                lambda n: _with_child_input(n, 0, n.sequent.input),
+                                "exists child input mismatch"),
     "second-conjunct-not-fed": (STRICT_CHAIN_3, "lra", "sdi", "and",
                                 lambda n: _with_child_input(n, 1 - n.order_bit,
-                                                            n.sequent.input)),
+                                                            n.sequent.input),
+                                "right conjunct input mismatch"),
     "order-bit-flipped": (STRICT_CHAIN_3, "lra", "sdi", "and",
-                          lambda n: dataclasses.replace(n, order_bit=1 - n.order_bit)),
+                          lambda n: dataclasses.replace(n, order_bit=1 - n.order_bit),
+                          "and output mismatch"),
     "di-and-output-not-the-meet": (STRICT_CHAIN_3, "lra", "di", "and",
-                                   lambda n: dataclasses.replace(n, output=n.children[0].output)),
+                                   lambda n: dataclasses.replace(n, output=n.children[0].output),
+                                   "and output mismatch"),
     "exists-output-not-projected": (FORALL_CONJ, "fol", "di", "exists",
-                                    lambda n: dataclasses.replace(n, output=n.children[0].output)),
+                                    lambda n: dataclasses.replace(n, output=n.children[0].output),
+                                    "exists output mismatch"),
     "ill-sorted-eigenvariable": (FORALL_CONJ, "fol", "sdi", "forall",
                                  lambda n: dataclasses.replace(
-                                     n, eigen=EigenVar(n.eigen.name, SORT_RAT))),
+                                     n, eigen=EigenVar(n.eigen.name, SORT_RAT)),
+                                 "forall rule: variable missing or ill-sorted"),
+    # malformed trees: each of these raised out of the audit before it
+    # became one loop over a premise table
+    "or-with-two-children": (FORALL_CONJ, "fol", "sdi", "or",
+                             lambda n: dataclasses.replace(n, children=n.children * 2),
+                             "or node has 2 children, not 1"),
+    "exists-with-no-child": (FORALL_CONJ, "fol", "di", "exists",
+                             lambda n: dataclasses.replace(n, children=()),
+                             "exists node has 0 children, not 1"),
+    "forall-eigenvariable-not-fresh": (FORALL_CONJ, "fol", "di", "forall",
+                                       lambda n: _reuse_domain_name(n, "eigen"),
+                                       "forall rule: name 'X2' already declared"),
+    "exists-meta-variable-not-fresh": (SHIFT, "fol", "sdi", "exists",
+                                       lambda n: _reuse_domain_name(n, "meta"),
+                                       "exists rule: name 'x1' already declared"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERINGS))
 def test_check_proof_rejects_each_tampering(case):
-    ok, diags = _tampered_check(*TAMPERINGS[case])
+    *tampering, expected = TAMPERINGS[case]
+    ok, diags = _tampered_check(*tampering)
     assert ok is False
-    assert diags
+    assert expected in diags
+
+
+def _preorder(node):
+    yield node
+    for c in node.children:
+        yield from _preorder(c)
+
+
+def test_walk_is_the_recursive_preorder_on_every_corpus_proof():
+    problems = ROOT / "src" / "seqmod" / "problems"
+    proofs = 0
+    for entry in json.loads((problems / "corpus.json").read_text()):
+        prob = parse_problem((problems / entry["file"]).read_text(), entry["name"])
+        for theory in [entry["theory"]] + (["enum"] if entry["pure_fol"] else []):
+            for calculus in ("di", "sdi"):
+                out = prove(prob.goals, Domain(), make_theory(theory, prob.signature),
+                            SearchConfig(calculus=calculus))
+                if out.status == "proved":
+                    proofs += 1
+                    assert [id(t) for t in out.tree.walk()] == [id(t) for t in _preorder(out.tree)]
+    assert proofs == 90
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +664,16 @@ def test_search_takes_one_frame_per_rule_application(default_recursion_limit, ca
     assert (out.status, out.stats.nodes) == ("proved", 902)
     text = run(prob, "fol", cfg, check=False).to_text()
     assert text.startswith("deep: PROVED")
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_the_audit_takes_a_proof_as_deep_as_the_search(default_recursion_limit, calculus):
+    # A recursive audit overflowed from n = 500; checking parents before
+    # children still overflowed at n = 600, hashing each deep context.
+    prob = parse_problem(_deep_disjunction(900), name="deep")
+    report = run(prob, "fol", SearchConfig(calculus=calculus), check=True)
+    assert report.outcome == "proved"
+    assert report.check == {"proof": True, "reconstruction": True, "diagnostics": []}
 
 
 # ---------------------------------------------------------------------------
