@@ -8,8 +8,12 @@ Exit codes for prove: 0 proved, 1 exhausted, 2 bad input (a bad
 option, an unreadable or non-UTF-8 file, a parse error, input nested
 too deeply, or an ill-formed goal), 3 resource limit hit (the --nodes
 budget or a backend's size cap), 4 internal error (any other exception
-during search or audit).  Conformance exits 0 when every law holds,
-1 otherwise, and 2 on a bad option.
+during search or audit).  The --check audit no longer causes "input
+nested too deeply": it takes a proof of any depth the search reaches.
+A proof too deep for the JSON encoder still exits 2 with --output json.
+Conformance exits 0 when every law holds, 1 otherwise, and 2 on a bad
+option.  A reader that closes stdout early leaves either exit code
+unchanged.
 Set SEQMOD_LOG=debug (or info, warning) for progress logging on stderr.
 """
 
@@ -84,6 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(text: str) -> None:
+    """Print a report; a reader that closes stdout early does not change
+    the exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; with stdout on devnull that
+        # flush cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -124,7 +140,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         message = " ".join(str(exc).split())
         print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
         return EXIT_INTERNAL
-    print(text)
+    _print(text)
     if report.check is not None and not (
             report.check["proof"] and report.check["reconstruction"]):
         print("warning: proof audit failed", file=sys.stderr)
@@ -137,10 +153,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
     result = harness.run_conformance(args.theory, cases=args.cases, seed=args.seed)
-    if args.output == "json":
-        print(harness.report_json(result))
-    else:
-        print(harness.report_text(result))
+    _print(harness.report_json(result) if args.output == "json" else harness.report_text(result))
     return 0 if result.ok else 1
 
 

@@ -1,6 +1,7 @@
 """Problem format, normal form construction, CLI behaviour."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -548,6 +549,23 @@ def test_cli_conformance_smoke():
     code, out, _ = cli("conformance", "fol", "--cases", "40")
     assert code == 0
     assert "AX_proj" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", str(PROBLEMS / "fol_drinker.prob"), "--output", "json"),
+    ("conformance", "fol", "--cases", "5", "--output", "json"),
+], ids=["prove", "conformance"])
+def test_cli_closed_stdout_keeps_the_exit_code(argv):
+    # stdout is a pipe whose read end is already closed, as when the
+    # output goes to `head -c 10`: the first write fails with EPIPE.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "seqmod.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_subprocess_entry_point():
