@@ -51,7 +51,6 @@ from .terms import (
     BoundVar,
     Context,
     Domain,
-    DomainError,
     EigenVar,
     Exists,
     Forall,
@@ -413,11 +412,10 @@ _RULES = {"leaf": (None, "", 0), "or": (Or, "disjunction", 1), "and": (And, "con
 
 
 def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
-    """Recompute every rule application of a derivation: context
-    bookkeeping (as multisets), domain growth with the freshness of each
-    new eigenvariable or meta-variable, constraint threading and outputs,
-    and each leaf's stream replayed to its recorded index.  Returns (ok,
-    diagnostics); a malformed tree gets diagnostics, never an exception.
+    """Recompute every rule application of a derivation: context bookkeeping
+    (as multisets), domain growth with the freshness of each new variable,
+    constraint threading and outputs, and each leaf's stream replayed to its
+    recorded index.  Returns (ok, diagnostics), never raising on a bad tree.
 
     One loop checks the nodes children first, in reverse preorder, so a
     subtree's diagnostics precede its root's.  The order lets the audit
@@ -458,7 +456,7 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
             continue
         try:
             premises, out = _premises(node, principal, theory)
-        except DomainError as exc:
+        except ValueError as exc:  # DomainError among them
             diags.append("%s rule: %s" % (rule, exc))
             continue
         removed = Counter(ctx) - Counter([principal])
@@ -472,17 +470,19 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
 
 
 def _premises(node: ProofTree, principal: Formula, theory: Theory) -> tuple[list, object]:
-    """Each premise a rule application must have, as (name, domain, added
-    formulas, input; None in di), and the output it must have.  Raises
-    DomainError when the new variable is missing, ill-sorted or not fresh.
+    """Each premise of a rule application, as (name, domain, added formulas,
+    input; None in di), and the rule's output.  Raises ValueError for a bad
+    order bit, or a new variable missing, ill-sorted or not fresh.
     """
     seq, kids = node.sequent, node.children
     sdi = seq.input is not None
-    out = kids[0].output  # or and forall pass their child's output through
+    out = kids[0].output  # the or and forall rules pass their child's output up
     if node.rule == "or":
         return [("or child", seq.domain, (principal.left, principal.right), seq.input)], out
     if node.rule == "and":
         bit = node.order_bit
+        if bit not in (0, 1):
+            raise ValueError("order bit %r is not 0 or 1" % (bit,))
         inputs = [None, None]
         if sdi:  # the first conjunct explored feeds its output to the second
             inputs[bit], inputs[1 - bit] = seq.input, kids[bit].output
@@ -491,7 +491,7 @@ def _premises(node: ProofTree, principal: Formula, theory: Theory) -> tuple[list
                 ("right conjunct", seq.domain, (principal.right,), inputs[1])], out
     v = node.eigen if node.rule == "forall" else node.meta
     if v is None or v.sort != principal.sort:
-        raise DomainError("variable missing or ill-sorted")
+        raise ValueError("variable missing or ill-sorted")
     body = substitute(principal.body, principal.var, v)
     if node.rule == "forall":
         domain = seq.domain.add_eigen(v)

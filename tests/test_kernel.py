@@ -345,11 +345,13 @@ TAMPERINGS = {
                                  lambda n: dataclasses.replace(
                                      n, eigen=EigenVar(n.eigen.name, SORT_RAT)),
                                  "forall rule: variable missing or ill-sorted"),
-    # malformed trees: each of these raised out of the audit before it
-    # became one loop over a premise table
+    # malformed trees get diagnostics, not exceptions
     "or-with-two-children": (FORALL_CONJ, "fol", "sdi", "or",
                              lambda n: dataclasses.replace(n, children=n.children * 2),
                              "or node has 2 children, not 1"),
+    "order-bit-out-of-range": (STRICT_CHAIN_3, "lra", "sdi", "and",
+                               lambda n: dataclasses.replace(n, order_bit=2),
+                               "and rule: order bit 2 is not 0 or 1"),
     "exists-with-no-child": (FORALL_CONJ, "fol", "di", "exists",
                              lambda n: dataclasses.replace(n, children=()),
                              "exists node has 0 children, not 1"),
