@@ -8,9 +8,9 @@ Exit codes for prove: 0 proved, 1 exhausted, 2 bad input (a bad
 option, an unreadable or non-UTF-8 file, a parse error, input nested
 too deeply, or an ill-formed goal), 3 resource limit hit (the --nodes
 budget or a backend's size cap), 4 internal error (any other exception
-during search or audit).  The --check audit no longer causes "input
-nested too deeply": it takes a proof of any depth the search reaches.
-A proof too deep for the JSON encoder still exits 2 with --output json.
+during search or audit).  Neither the --check audit nor --output json
+causes "input nested too deeply": both take a proof of any depth the
+search reaches.
 Conformance exits 0 when every law holds, 1 otherwise, and 2 on a bad
 option.  A reader that closes stdout early leaves either exit code
 unchanged.
@@ -127,8 +127,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         report = frontend.run(problem, args.theory, cfg, depth=args.depth,
                               check=args.check)
-        # Rendered here: the JSON encoder recurses per proof level, and a
-        # proof too deep to render must not escape as exit 1 ("exhausted").
+        # Rendered here, so an error while rendering is not exit 1 ("exhausted").
         text = report.to_json() if args.output == "json" else report.to_text()
     except IllFormed as exc:
         print("error: %s" % exc, file=sys.stderr)

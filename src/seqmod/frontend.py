@@ -24,11 +24,12 @@ becomes a disjunction of strict inequalities.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from . import kernel
@@ -527,6 +528,87 @@ def _node_json(tree: ProofTree, rendered: dict[int, str]) -> dict:
     return node
 
 
+_INFINITY = float("inf")
+
+
+def _json_leaf(o) -> str:
+    """A scalar or an empty container as `json.dumps` writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INFINITY:
+            return "Infinity"
+        if o == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, dict):
+        return "{}"
+    if isinstance(o, (list, tuple)):
+        return "[]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError("keys must be str, not %s" % type(key).__name__)
+    return encode_basestring_ascii(key)
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, from an explicit stack.
+
+    The standard encoder recurses once per level when it indents; this
+    writer takes a proof of any depth.  Keys must be strings, which is
+    all a report holds.
+    """
+    out: list[str] = []
+    # Open containers: (their remaining (prefix, value) pairs, closing text, id).
+    stack: list[tuple] = []
+    open_ids: set[int] = set()
+    value, opened = obj, False
+    while True:
+        if isinstance(value, (list, tuple, dict)) and value:
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            inner = ",\n" + "  " * (len(stack) + 1)
+            if isinstance(value, dict):
+                out.append("{")
+                pairs = iter([(inner + _json_key(k) + ": ", v) for k, v in sorted(value.items())])
+                close = "}"
+            else:
+                out.append("[")
+                pairs = zip(repeat(inner), value)
+                close = "]"
+            stack.append((pairs, "\n" + "  " * len(stack) + close, id(value)))
+            opened = True
+        else:
+            out.append(_json_leaf(value))
+        while stack:  # on to the next value, closing each finished container
+            pairs, close, key = stack[-1]
+            pair = next(pairs, None)
+            if pair is not None:
+                prefix, value = pair
+                out.append(prefix[1:] if opened else prefix)  # no comma before a first item
+                opened = False
+                break
+            stack.pop()
+            open_ids.discard(key)
+            out.append(close)
+        else:
+            return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Orchestration
 
@@ -574,7 +656,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.canonical(), indent=2, sort_keys=True)
+        return json_text(self.canonical())
 
     def to_text(self) -> str:
         lines = ["%s: %s" % (self.problem, self.outcome.upper())]

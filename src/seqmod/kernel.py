@@ -561,6 +561,9 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
             if not check_lk1_leaf(ground, theory.ground_valid):
                 diags.append("leaf %s not valid under %s" % ([str(g) for g in ground], rho))
         elif node.rule == "exists":
+            if len(node.children) != 1:  # the diagnostic check_proof gives
+                diags.append("exists node has %d children, not 1" % len(node.children))
+                continue
             (child,) = node.children
             try:
                 t = theory.witness(child.output, rho)

@@ -15,6 +15,20 @@ EIGEN_VALUE (0), since witness terms are rational constants, not
 symbolic expressions.  A meta-variable of the uninterpreted sort is
 never constrained here; its witness is the first authorised
 eigenvariable of that sort, else the first constant.
+
+An `LraTheory` computes each of these values once, in dicts it creates
+in `__init__`: the leaf candidate of each literal and dual predicate
+pair, the elimination of each variable from each system, and the
+satisfiability of each system.  They are keyed by value (systems are
+frozensets of atoms that hash once), hold only returned values (a
+negated equality or a size cap raises again on every call that reaches
+it) and live as long as the instance, which is one run: nothing is
+carried from one run to the next.  `fm_eliminate` and `lra_sat` run the
+same code with tables of their own call.  The `--check` audit shares
+the search's instance, and so its tables, without taking on any of the
+search's assumptions: each entry is the output of a pure function of its
+key, so the audit gets exactly what computing the value again would
+give.  Each atom also renders its text once.
 """
 
 from __future__ import annotations
@@ -30,10 +44,13 @@ from .terms import (
     Instantiation,
     Literal,
     MetaVar,
+    ONE,
     PredAtom,
     RatConst,
     SORT_RAT,
     Term,
+    ZERO,
+    as_fraction,
     hash_once,
     lin_combine,
     lin_of,
@@ -71,14 +88,22 @@ class LinAtom:
     coeffs: tuple[tuple[Term, Fraction], ...]
     const: Fraction
 
+    # The text, rendered on first use and stored like `hash_once`'s `_hash`:
+    # not a field, so equality, hashing and `repr` ignore it.
+    _text = None
+
     def __str__(self) -> str:
-        return "%s %s 0" % (mk_lin(dict(self.coeffs), self.const), self.op)
+        text = self._text
+        if text is None:
+            text = "%s %s 0" % (mk_lin(dict(self.coeffs), self.const), self.op)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def make_atom(op: str, coeffs: Mapping[Term, Fraction], const: Fraction) -> LinAtom:
-    items = sorted(((v, Fraction(c)) for v, c in coeffs.items() if c != 0),
+    items = sorted(((v, as_fraction(c)) for v, c in coeffs.items() if c != 0),
                    key=lambda vc: var_key(vc[0]))
-    const = Fraction(const)
+    const = as_fraction(const)
     if op == "=" and items and items[0][1] < 0:
         items = [(v, -c) for v, c in items]
         const = -const
@@ -87,7 +112,7 @@ def make_atom(op: str, coeffs: Mapping[Term, Fraction], const: Fraction) -> LinA
 
 def atom_from_terms(op: str, lhs: Term, rhs: Term) -> LinAtom:
     """lhs OP rhs as a canonical atom (difference moved to one side)."""
-    diff = lin_combine((Fraction(1), lhs), (Fraction(-1), rhs))
+    diff = lin_combine((ONE, lhs), (-ONE, rhs))
     coeffs, const = lin_of(diff)
     return make_atom(op, coeffs, const)
 
@@ -230,7 +255,7 @@ def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
         for hi_c, hi_k, hi_s in uppers:
             coeffs = dict(lo_c)
             for v, c in hi_c:
-                coeffs[v] = coeffs.get(v, Fraction(0)) - c
+                coeffs[v] = coeffs.get(v, ZERO) - c
             atom = make_atom("<" if (lo_s or hi_s) else "<=", coeffs, lo_k - hi_k)
             t = _const_truth(atom)
             if t is False:
@@ -242,10 +267,31 @@ def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
     return normalize_system(out)
 
 
+# Memo tables: a (system, variable) pair to its elimination, and a system
+# to its satisfiability.  They only ever hold values the functions they
+# stand for return; an exception is never stored.
+Eliminated = dict[tuple[System, Term], Optional[System]]
+Satisfiable = dict[System, bool]
+
+_MISSING = object()
+
+
+def _eliminate(s: System, var: Term, eliminated: Eliminated) -> Optional[System]:
+    """eliminate_var_system(s, var), computed once per `eliminated` table."""
+    key = (s, var)
+    out = eliminated.get(key, _MISSING)
+    if out is _MISSING:
+        out = eliminated[key] = eliminate_var_system(s, var)
+    return out
+
+
+def _fm(sigma: PolyConstraint, var: Term, eliminated: Eliminated) -> PolyConstraint:
+    return make_poly(sigma.domain, (_eliminate(s, var, eliminated) for s in sigma.disjuncts))
+
+
 def fm_eliminate(sigma: PolyConstraint, var: Term) -> PolyConstraint:
     """Fourier-Motzkin elimination of one variable across all disjuncts."""
-    return make_poly(sigma.domain,
-                     (eliminate_var_system(s, var) for s in sigma.disjuncts))
+    return _fm(sigma, var, {})
 
 
 def _system_vars(s: System) -> set[Term]:
@@ -255,9 +301,9 @@ def _system_vars(s: System) -> set[Term]:
     return out
 
 
-def _system_sat(s: System) -> bool:
+def _system_sat(s: System, eliminated: Eliminated) -> bool:
     for v in sorted(_system_vars(s), key=var_key, reverse=True):
-        ns = eliminate_var_system(s, v)
+        ns = _eliminate(s, v, eliminated)
         if ns is None:
             return False
         if not ns:
@@ -266,10 +312,41 @@ def _system_sat(s: System) -> bool:
     return normalize_system(s) is not None
 
 
+def _sat(sigma: PolyConstraint, eliminated: Eliminated, sat: Satisfiable) -> bool:
+    """lra_sat, deciding each system once per `sat` table."""
+    for s in sigma.disjuncts:
+        out = sat.get(s)
+        if out is None:
+            out = sat[s] = _system_sat(s, eliminated)
+        if out:
+            return True
+    return False
+
+
 def lra_sat(sigma: PolyConstraint) -> bool:
     """Native satisfiability: some rational assignment to every variable
     (meta and eigen alike) satisfies some disjunct."""
-    return any(_system_sat(s) for s in sigma.disjuncts)
+    return _sat(sigma, {}, {})
+
+
+# A leaf closure: the literals it uses and the system that closes on them.
+Candidate = tuple[frozenset[Literal], System]
+
+
+def _leaf_candidate(used: tuple[Literal, ...]) -> Optional[Candidate]:
+    """The closure on one arithmetic literal, or on a dual predicate pair
+    by equating its rational arguments; None when the pair's uninterpreted
+    arguments differ, which this backend does not solve."""
+    if len(used) == 1:
+        return frozenset(used), frozenset((lin_atom_of_literal(used[0]),))
+    l, l2 = used
+    eqs: list[LinAtom] = []
+    for t, u in zip(l.atom.args, l2.atom.args):
+        if term_sort(t) == SORT_RAT and term_sort(u) == SORT_RAT:
+            eqs.append(atom_from_terms("=", t, u))
+        elif t != u:
+            return None
+    return frozenset(used), frozenset(eqs)
 
 
 def _conjoin(a: PolyConstraint, b: PolyConstraint) -> PolyConstraint:
@@ -313,6 +390,11 @@ class LraTheory(Theory):
         # Closed terms of the uninterpreted sort, for the witness of a
         # meta-variable this backend never constrains.
         self.ground_base = tuple(ground_base)
+        # Values computed once for the life of this instance; see the
+        # module docstring.
+        self._candidates: dict[tuple[Literal, ...], Optional[Candidate]] = {}
+        self._eliminated: Eliminated = {}
+        self._sat: Satisfiable = {}
 
     # -- constraint algebra ------------------------------------------------
 
@@ -321,11 +403,11 @@ class LraTheory(Theory):
 
     def project_payload(self, sigma: PolyConstraint, meta: MetaVar,
                         domain: Domain) -> PolyConstraint:
-        return PolyConstraint(domain, fm_eliminate(sigma, meta).disjuncts)
+        return PolyConstraint(domain, _fm(sigma, meta, self._eliminated).disjuncts)
 
     def meet(self, a: PolyConstraint, b: PolyConstraint) -> Optional[PolyConstraint]:
         out = _conjoin(a, b)
-        return out if lra_sat(out) else None
+        return out if _sat(out, self._eliminated, self._sat) else None
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
         """Stream of leaf closures, each candidate built when a pull
@@ -333,34 +415,34 @@ class LraTheory(Theory):
         single arithmetic literals.  A negated equality raises
         PreconditionError by the pull that reaches it at the latest."""
         lits = tuple(lits)
+        memo = self._candidates
 
-        def candidates() -> Iterator[tuple[frozenset[Literal], System]]:
-            for l, l2 in dual_pred_pairs(lits):
-                eqs: list[LinAtom] = []
-                for t, u in zip(l.atom.args, l2.atom.args):
-                    if term_sort(t) == SORT_RAT and term_sort(u) == SORT_RAT:
-                        eqs.append(atom_from_terms("=", t, u))
-                    elif t != u:
-                        # Uninterpreted positions must already agree; this
-                        # backend only solves rational constraints.
-                        break
-                else:
-                    yield frozenset((l, l2)), frozenset(eqs)
+        def candidate(used: tuple[Literal, ...]) -> Optional[Candidate]:
+            cand = memo.get(used, _MISSING)
+            if cand is _MISSING:
+                cand = memo[used] = _leaf_candidate(used)
+            return cand
+
+        def candidates() -> Iterator[Candidate]:
+            for pair in dual_pred_pairs(lits):
+                cand = candidate(pair)
+                if cand is not None:
+                    yield cand
             for l in lits:
                 if isinstance(l.atom, ArithAtom):
-                    yield frozenset((l,)), frozenset((lin_atom_of_literal(l),))
+                    yield candidate((l,))
 
-        def combine(cand: tuple[frozenset[Literal], System], current: PolyConstraint):
+        def combine(cand: Candidate, current: PolyConstraint):
             used, system = cand
             out = _conjoin(current, PolyConstraint(current.domain, (system,)))
-            return (used, out) if lra_sat(out) else None
+            return (used, out) if _sat(out, self._eliminated, self._sat) else None
 
         return ConstraintStream(candidates(), combine)
 
     # -- semantics ----------------------------------------------------------
 
     def satisfiable(self, sigma: PolyConstraint) -> bool:
-        return lra_sat(sigma)
+        return _sat(sigma, self._eliminated, self._sat)
 
     def _assignment(self, rho: Instantiation, vars_needed: Iterable[Term]) -> dict[Term, Fraction]:
         out: dict[Term, Fraction] = {}

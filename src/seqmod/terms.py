@@ -29,6 +29,9 @@ from typing import Mapping, Optional, Sequence, Union
 SORT_TERM = "term"
 SORT_RAT = "rat"
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 # Rational constants available to bounded ground-term enumeration.  The
 # order is significant: the first entry is the default witness value.
 DEFAULT_RATIONAL_SAMPLES: tuple[Fraction, ...] = (
@@ -169,7 +172,7 @@ class LinTerm:
     """
 
     coeffs: tuple[tuple["Term", Fraction], ...]
-    const: Fraction = Fraction(0)
+    const: Fraction = ZERO
 
     @property
     def sort(self) -> str:
@@ -205,6 +208,11 @@ def term_sort(t: Term) -> str:
     return t.sort
 
 
+def as_fraction(c) -> Fraction:
+    """c as a Fraction; a Fraction is returned as it is, not copied."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def mk_lin(coeffs: Mapping[Term, Fraction], const: Fraction) -> Term:
     """Build a canonical rational term from a coefficient map.
 
@@ -216,9 +224,9 @@ def mk_lin(coeffs: Mapping[Term, Fraction], const: Fraction) -> Term:
         if term_sort(v) != SORT_RAT:
             raise SortError("linear combination over non-rational term %s" % (v,))
         if c != 0:
-            items.append((v, Fraction(c)))
+            items.append((v, as_fraction(c)))
     items.sort(key=lambda vc: var_key(vc[0]))
-    const = Fraction(const)
+    const = as_fraction(const)
     if not items:
         return RatConst(const)
     if len(items) == 1 and items[0][1] == 1 and const == 0:
@@ -235,19 +243,19 @@ def lin_of(t: Term) -> tuple[dict[Term, Fraction], Fraction]:
     if is_var(t):
         if t.sort != SORT_RAT:
             raise SortError("expected rational term, got %s" % (t,))
-        return {t: Fraction(1)}, Fraction(0)
+        return {t: ONE}, ZERO
     raise SortError("expected rational term, got %s" % (t,))
 
 
 def lin_combine(*weighted: tuple[Fraction, Term]) -> Term:
     """Exact weighted sum of rational terms."""
     coeffs: dict[Term, Fraction] = {}
-    const = Fraction(0)
+    const = ZERO
     for w, t in weighted:
         cs, k = lin_of(t)
         const += w * k
         for v, c in cs.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + w * c
+            coeffs[v] = coeffs.get(v, ZERO) + w * c
     return mk_lin(coeffs, const)
 
 

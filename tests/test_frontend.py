@@ -485,23 +485,44 @@ def test_cli_rejects_bad_input(tmp_path):
 
 @pytest.mark.parametrize("calculus", ["di", "sdi"])
 def test_cli_deep_proof_is_never_reported_exhausted(tmp_path, calculus):
-    # The search proves this at the default recursion limit (see
-    # test_kernel); the JSON encoder may not render it, and that must
-    # read as bad input, never as exit 1 ("exhausted") or a traceback.
-    names = ["p%d" % i for i in range(901)]
-    path = tmp_path / "deep_or.prob"
+    # A proof 500 conjunctions deep: the JSON report nests about 1,000
+    # levels, which json.dumps(indent=2) cannot encode at the default
+    # recursion limit, and it must not read as exit 1 ("exhausted").  The report repeats each node's context, so this
+    # goal keeps it at about 23 MB; the disjunction (or p0 ... p900 (not
+    # p0)) proves too, but its report is about 1 GB.
+    names = ["p%d" % i for i in range(500)]
+    path = tmp_path / "deep_and.prob"
     path.write_text("".join("(declare-pred %s 0)\n" % p for p in names)
-                    + "(goal (or %s (not p0)))\n" % " ".join(names))
+                    + "(goal (and %s))\n" % " ".join("(or %s (not %s))" % (p, p) for p in names))
     proc = subprocess.run(
         [sys.executable, "-m", "seqmod.cli", "prove", str(path),
          "--calculus", calculus, "--output", "json"],
         capture_output=True, text=True)
-    assert proc.returncode in (0, 2), proc.stderr
-    if proc.returncode == 0:
-        assert json.loads(proc.stdout)["outcome"] == "proved"
-    else:
-        assert proc.stdout == ""
-        assert proc.stderr == "error: input nested too deeply\n"
+    assert proc.returncode == 0, proc.stderr
+    # json.loads would recurse per level too; the top-level keys are the
+    # lines indented by two spaces.
+    assert '\n  "outcome": "proved",\n' in proc.stdout
+
+
+def test_json_text_is_json_dumps_at_any_depth():
+    values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 10 ** 30, True, False,
+              None, "\u00e9\n\"", [], {}, (), (1, "a"), {"b": [], "a": {"c": ()}}]
+    deep = {"values": values}
+    for i in range(3000):
+        deep = {"z": i, "inner": deep} if i % 2 else [i, deep, []]
+    limit = sys.getrecursionlimit()
+    text = frontend.json_text(deep)
+    sys.setrecursionlimit(limit + 10000)  # the standard encoder recurses per level
+    try:
+        assert text == json.dumps(deep, indent=2, sort_keys=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    cycle = [1]
+    cycle.append({"back": cycle})
+    with pytest.raises(ValueError):
+        frontend.json_text(cycle)
+    with pytest.raises(TypeError):
+        frontend.json_text({"a": Fraction(1, 2)})
 
 
 @pytest.mark.parametrize("argv", [

@@ -287,6 +287,11 @@ FORALL_CONJ = (ROOT / "src" / "seqmod" / "problems" / "fol_forall_conj.prob").re
 def _tampered_check(text, theory, calculus, rule, edit):
     """check_proof on a proof of `text` whose first `rule` node (in
     preorder) is replaced by edit(node)."""
+    return check_proof(*_tampered(text, theory, calculus, rule, edit))
+
+
+def _tampered(text, theory, calculus, rule, edit):
+    """(tampered proof, theory) for _tampered_check."""
     prob = parse_problem(text, name="tampered")
     theory = make_theory(theory, prob.signature)
     out = prove(prob.goals, Domain(), theory, SearchConfig(calculus=calculus))
@@ -299,7 +304,7 @@ def _tampered_check(text, theory, calculus, rule, edit):
             return edit(t)
         return dataclasses.replace(t, children=tuple(swap(c) for c in t.children))
 
-    return check_proof(swap(out.tree), theory)
+    return swap(out.tree), theory
 
 
 def _with_child_input(node, index, current):
@@ -370,6 +375,16 @@ def test_check_proof_rejects_each_tampering(case):
     ok, diags = _tampered_check(*tampering)
     assert ok is False
     assert expected in diags
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_reconstruction_reports_an_exists_node_without_exactly_one_child(copies):
+    tree, theory = _tampered(FORALL_CONJ, "fol", "di", "exists",
+                             lambda n: dataclasses.replace(n, children=n.children * copies))
+    ok, diags = reconstruct_ground(tree, Instantiation(Domain(), ()), theory)
+    assert ok is False
+    assert "exists node has %d children, not 1" % copies in diags
+    assert "exists node has %d children, not 1" % copies in check_proof(tree, theory)[1]
 
 
 def _preorder(node):

@@ -1,5 +1,6 @@
 """Linear rational arithmetic backend: atoms, elimination, witnesses."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmod.frontend import parse_problem, run
+from seqmod import lra
 from seqmod.kernel import SearchConfig
 from seqmod.lra import (
+    LinAtom,
     LraTheory,
+    PolyConstraint,
     atom_from_terms,
     eliminate_var_system,
     fm_eliminate,
@@ -32,9 +36,10 @@ from seqmod.terms import (
     SORT_RAT,
     SORT_TERM,
     lin_combine,
+    mk_lin,
     pos,
 )
-from seqmod.theory import PreconditionError
+from seqmod.theory import PreconditionError, ResourceLimit
 
 Q = Fraction
 R = lambda v: RatConst(Q(v))
@@ -423,3 +428,120 @@ def test_sat_agrees_with_grid_when_grid_finds_a_point(atoms, probes):
               for v in itertools.chain(probes, (Q(1, 2), Q(-1, 2))))
     if hit:
         assert lra_sat(sigma)
+
+
+# ---------------------------------------------------------------------------
+# values computed once per instance
+
+
+XY = [M("X"), M("Y")]
+
+lit_strategy = st.one_of(
+    st.builds(lambda positive, op, v, c: Literal(positive, ArithAtom(op, v, R(c))),
+              st.booleans(), st.sampled_from(["<=", "<", "="]), st.sampled_from(XY), small),
+    st.builds(lambda positive, t: Literal(positive, PredAtom("p", (t,))),
+              st.booleans(), st.sampled_from(XY + [R(1)])),
+)
+
+
+def _outcome(call):
+    """What a call gives: its value, or the type of what it raised."""
+    try:
+        return "value", call()
+    except (PreconditionError, ResourceLimit) as exc:
+        return "raised", type(exc)
+
+
+def _apply(th, op, a, b, lits):
+    d = dom(*XY)
+    if op == "project":
+        return _outcome(lambda: th.project(make_poly(d, [a, b]), M("Y")))
+    if op == "meet":
+        return _outcome(lambda: th.meet(make_poly(d, [a]), make_poly(d, [b])))
+    if op == "satisfiable":
+        return _outcome(lambda: th.satisfiable(make_poly(d, [a, b])))
+    stream = th.consistency(lits, d)
+    return [_outcome(lambda: stream.pull(make_poly(d, [a]))) for _ in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["project", "meet", "satisfiable", "pull"]),
+                          sys_strategy(XY), sys_strategy(XY),
+                          st.lists(lit_strategy, max_size=4).map(tuple)),
+                min_size=1, max_size=8))
+def test_a_reused_theory_answers_like_a_fresh_one(ops):
+    shared = LraTheory()
+    for op, a, b, lits in ops:
+        assert _apply(shared, op, a, b, lits) == _apply(LraTheory(), op, a, b, lits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys_strategy(XY), sys_strategy(XY))
+def test_memoised_elimination_is_the_direct_chain(a, b):
+    d = dom(*XY)
+    sigma = make_poly(d, [a, b])
+    direct = make_poly(d, [eliminate_var_system(s, M("Y")) for s in sigma.disjuncts])
+    assert fm_eliminate(sigma, M("Y")) == direct
+    assert LraTheory().project(sigma, M("Y")).disjuncts == direct.disjuncts
+
+    def direct_sat(s):
+        for v in (M("Y"), M("X")):  # the order lra_sat eliminates in
+            s = eliminate_var_system(s, v)
+            if s is None:
+                return False
+        return True
+
+    expected = any(direct_sat(s) for s in sigma.disjuncts)
+    assert lra_sat(sigma) == expected
+    th = LraTheory()
+    assert th.satisfiable(sigma) == expected
+    assert th.satisfiable(sigma) == expected
+
+
+def test_a_negated_equality_raises_at_every_pull_that_reaches_it():
+    th = LraTheory()
+    p = PredAtom("p", ())
+    d = dom(M("X"))
+    ne = Literal(False, ArithAtom("=", M("X"), R(1)))
+    for _ in range(2):  # two streams of one instance
+        stream = th.consistency((pos(p), Literal(False, p), ne), d)
+        assert stream.pull(th.top(d))[0] == frozenset((pos(p), Literal(False, p)))
+        with pytest.raises(PreconditionError):
+            stream.pull(th.top(d))
+        with pytest.raises(PreconditionError):
+            th.consistency((ne,), d).pull(th.top(d))
+
+
+def test_a_size_cap_raises_on_every_call_that_exceeds_it(monkeypatch):
+    monkeypatch.setattr(lra, "MAX_ATOMS", 1)
+    d = dom(*XY)
+    X, Y = XY
+    # X <= Y, 0 <= Y, Y <= 1 and Y <= X + 2: eliminating Y leaves X <= 1
+    # and -2 <= X, one atom more than the cap.
+    sigma = PolyConstraint(d, (frozenset((
+        make_atom("<=", {X: Q(1), Y: Q(-1)}, Q(0)),
+        make_atom("<=", {Y: Q(-1)}, Q(0)),
+        make_atom("<=", {Y: Q(1)}, Q(-1)),
+        make_atom("<=", {Y: Q(1), X: Q(-1)}, Q(-2)),
+    )),))
+    th = LraTheory()
+    for _ in range(2):
+        with pytest.raises(ResourceLimit):
+            th.project(sigma, Y)
+        with pytest.raises(ResourceLimit):
+            th.satisfiable(sigma)
+        with pytest.raises(ResourceLimit):
+            fm_eliminate(sigma, Y)
+
+
+def test_an_atom_renders_its_text_once():
+    a = make_atom("<=", {M("X"): Q(2), E("e"): Q(-1)}, Q(3, 2))
+    b = make_atom("<=", {E("e"): Q(-1), M("X"): Q(2)}, Q(3, 2))
+    text = "%s %s 0" % (mk_lin(dict(a.coeffs), a.const), a.op)
+    assert "_text" not in vars(a)
+    assert str(a) == text
+    assert vars(a)["_text"] == text
+    assert str(a) == text
+    assert "_text" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert [f.name for f in dataclasses.fields(LinAtom)] == ["op", "coeffs", "const"]
