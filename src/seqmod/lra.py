@@ -267,16 +267,18 @@ def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
     return normalize_system(out)
 
 
-# Memo tables: a (system, variable) pair to its elimination, and a system
-# to its satisfiability.  They only ever hold values the functions they
-# stand for return; an exception is never stored.
-Eliminated = dict[tuple[System, Term], Optional[System]]
-Satisfiable = dict[System, bool]
+# The memo tables below map a (system, variable) pair to its elimination
+# and a system to its satisfiability.  They only ever hold values the
+# functions they stand for return; an exception is never stored.  Their
+# types are written out in annotations, not as module-level aliases: an
+# alias built with `Optional` stays in typing's cache, and keeps this
+# module alive after a re-import.
 
 _MISSING = object()
 
 
-def _eliminate(s: System, var: Term, eliminated: Eliminated) -> Optional[System]:
+def _eliminate(s: System, var: Term,
+               eliminated: dict[tuple[System, Term], Optional[System]]) -> Optional[System]:
     """eliminate_var_system(s, var), computed once per `eliminated` table."""
     key = (s, var)
     out = eliminated.get(key, _MISSING)
@@ -285,7 +287,7 @@ def _eliminate(s: System, var: Term, eliminated: Eliminated) -> Optional[System]
     return out
 
 
-def _fm(sigma: PolyConstraint, var: Term, eliminated: Eliminated) -> PolyConstraint:
+def _fm(sigma: PolyConstraint, var: Term, eliminated: dict) -> PolyConstraint:
     return make_poly(sigma.domain, (_eliminate(s, var, eliminated) for s in sigma.disjuncts))
 
 
@@ -301,7 +303,7 @@ def _system_vars(s: System) -> set[Term]:
     return out
 
 
-def _system_sat(s: System, eliminated: Eliminated) -> bool:
+def _system_sat(s: System, eliminated: dict) -> bool:
     for v in sorted(_system_vars(s), key=var_key, reverse=True):
         ns = _eliminate(s, v, eliminated)
         if ns is None:
@@ -312,7 +314,7 @@ def _system_sat(s: System, eliminated: Eliminated) -> bool:
     return normalize_system(s) is not None
 
 
-def _sat(sigma: PolyConstraint, eliminated: Eliminated, sat: Satisfiable) -> bool:
+def _sat(sigma: PolyConstraint, eliminated: dict, sat: dict[System, bool]) -> bool:
     """lra_sat, deciding each system once per `sat` table."""
     for s in sigma.disjuncts:
         out = sat.get(s)
@@ -393,8 +395,8 @@ class LraTheory(Theory):
         # Values computed once for the life of this instance; see the
         # module docstring.
         self._candidates: dict[tuple[Literal, ...], Optional[Candidate]] = {}
-        self._eliminated: Eliminated = {}
-        self._sat: Satisfiable = {}
+        self._eliminated: dict[tuple[System, Term], Optional[System]] = {}
+        self._sat: dict[System, bool] = {}
 
     # -- constraint algebra ------------------------------------------------
 
