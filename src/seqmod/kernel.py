@@ -17,16 +17,16 @@ most recently produced formulas are examined first.  Existential
 expansion keeps the quantified formula in context with a per-occurrence
 budget, raised by iterative deepening (1, 2, 4, ... up to the cap).
 Backtracking is chronological: the most recent choice point (a leaf
-stream or a sibling alternative) is retried first.  The only subproof
-whose alternatives are consumed more than once is a conjunction's second
-premise, re-entered for each alternative of the first; the conjunction
-node keeps those alternatives, per input, while it runs (counted as
-`memo_hits`).  So one output can reach the same ancestor many times;
-two more memos, each living only while its generator runs, compute
-each value once: an existential node keeps its child's projected
-output per child output, and each deepening round keeps the root
-gate's verdict per root output.  Nothing else is cached.  A search that
-spends its node budget ends with status "resource".
+stream or a sibling alternative) is retried first.  Each node yields
+each distinct output once.  A parent reads only its child's output (to
+meet, project, thread or gate it), never the derivation, so a repeated
+output could only make the ancestors redo work; the outputs reaching
+the root, and so the verdicts, do not change.  Leaves, existentials and
+conjunctions keep a seen-set; `or` and `forall` pass outputs through.
+A di conjunction's second premise does not read the first's output: it
+is solved once and replayed for each alternative of the first (counted
+as `memo_hits`).  Nothing else is cached.  A search that spends its
+node budget ends with status "resource".
 
 Only outputs flow from a node to its parent, so each node runs in one
 generator frame and yields (record, output), a plain tuple (rule,
@@ -121,7 +121,7 @@ class SearchStats:
     pulls: int = 0
     backtracks: int = 0
     rounds: int = 0
-    memo_hits: int = 0  # replays of a second conjunct's alternatives
+    memo_hits: int = 0  # di replays of a second conjunct's alternatives
 
 
 @dataclass(frozen=True)
@@ -268,17 +268,14 @@ class _Search:
             d2 = domain.add_meta(meta)
             child = ((substitute(f.body, f.var, meta), 0), (f, count + 1)) + rest
             child_in = self.theory.lift(current, meta) if self.sdi else None
-            # Projections, per child output: in sdi an `and` below passes
-            # the same output up once for each alternative of its first
-            # conjunct.
-            projected: dict = {}
+            seen = set()  # projection merges outputs
             alts = self.solve(child, d2, child_in, path + ("e",), budget)
             for i, (t, child_out) in enumerate(alts):
                 self.stats.backtracks += i > 0
-                out = projected.get(child_out)
-                if out is None:
-                    out = projected[child_out] = self.theory.project(child_out, meta)
-                yield ("exists", entries, domain, current, out, (t,), idx, meta), out
+                out = self.theory.project(child_out, meta)
+                if out not in seen:
+                    seen.add(out)
+                    yield ("exists", entries, domain, current, out, (t,), idx, meta), out
             return
 
         if kind == "and":
@@ -289,27 +286,26 @@ class _Search:
             second_ctx = ((parts[1 - bit], 0),) + rest
             first_path = path + ("a%d" % bit,)
             second_path = path + ("a%d" % (1 - bit),)
-            # Second-conjunct alternatives, per input (None in di): each pass
-            # iterates a copy of a never-advanced tee, sharing its buffer.
-            replays: dict = {}
+            replay = None if self.sdi else itertools.tee(
+                self.solve(second_ctx, domain, None, second_path, budget), 1)[0]
+            seen = set()  # meets, or second-conjunct outputs for two o1, collide
             alts = self.solve(first_ctx, domain, current, first_path, budget)
             for i, (t1, o1) in enumerate(alts):
                 self.stats.backtracks += i > 0
-                second_in = o1 if self.sdi else None
-                replay = replays.get(second_in)
-                if replay is None:
-                    second = self.solve(second_ctx, domain, second_in, second_path, budget)
-                    replay = replays[second_in] = itertools.tee(second, 1)[0]
-                else:
-                    self.stats.memo_hits += 1
-                for j, (t2, o2) in enumerate(copy.copy(replay)):
+                if self.sdi:
+                    second = self.solve(second_ctx, domain, o1, second_path, budget)
+                else:  # di: each o1 replays a copy of one never-advanced tee
+                    second = copy.copy(replay)
+                    self.stats.memo_hits += i > 0
+                for j, (t2, o2) in enumerate(second):
                     self.stats.backtracks += j > 0
                     out = o2 if self.sdi else self.theory.meet(o1, o2)
                     if out is None:
                         self.stats.backtracks += 1
-                        continue
-                    children = (t1, t2) if bit == 0 else (t2, t1)
-                    yield ("and", entries, domain, current, out, children, idx, bit), out
+                    elif out not in seen:
+                        seen.add(out)
+                        children = (t1, t2) if bit == 0 else (t2, t1)
+                        yield ("and", entries, domain, current, out, children, idx, bit), out
             return
 
         # Leaf attempt.
@@ -318,6 +314,7 @@ class _Search:
         lits = literals_of(tuple(f for f, _ in entries))
         stream = self.theory.consistency(lits, domain)
         inp = current if self.sdi else self.theory.top(domain)
+        seen = None  # made at the second output: distinct used sets give equal outputs
         for k in range(self.cfg.pulls):
             self.stats.backtracks += k > 0
             res = stream.pull(inp)
@@ -325,6 +322,13 @@ class _Search:
             if res is None:
                 return
             used, out = res
+            if k:
+                seen = seen or {first}
+                if out in seen:
+                    continue
+                seen.add(out)
+            else:
+                first = out
             yield ("leaf", entries, domain, current, out, (), used, k), out
 
 
@@ -375,15 +379,10 @@ def prove(context: Context, domain: Domain, theory: Theory,
         for b in _deepening_budgets(cfg.max_exists):
             search.stats.rounds += 1
             search.exists_blocked = False
-            verdicts: dict = {}  # the gate's verdict, per root output
             for record, out in search.solve(entries, domain, root_input, (), b):
-                if gate:
-                    ok = verdicts.get(out)
-                    if ok is None:
-                        ok = verdicts[out] = theory.compatible(rho_empty, out)
-                    if not ok:
-                        search.stats.backtracks += 1
-                        continue
+                if gate and not theory.compatible(rho_empty, out):
+                    search.stats.backtracks += 1
+                    continue
                 log.info("proved in round %d (%d nodes)", search.stats.rounds, search.stats.nodes)
                 return SearchOutcome("proved", _materialise(record), out, search.stats)
             if not search.exists_blocked and not search.nodes_exhausted:

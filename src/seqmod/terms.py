@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 SORT_TERM = "term"
 SORT_RAT = "rat"
@@ -190,7 +190,7 @@ class LinTerm:
         return " + ".join(parts)
 
 
-Term = Union[BoundVar, EigenVar, MetaVar, RatConst, FunApp, LinTerm]
+Term = BoundVar | EigenVar | MetaVar | RatConst | FunApp | LinTerm
 
 _VAR_KINDS = {BoundVar: 0, EigenVar: 1, MetaVar: 2}
 
@@ -354,7 +354,7 @@ class ArithAtom:
         return "%s %s %s" % (self.lhs, self.op, self.rhs)
 
 
-Atom = Union[PredAtom, ArithAtom]
+Atom = PredAtom | ArithAtom
 
 
 @hash_once
@@ -454,7 +454,7 @@ class Exists:
         return "exists %s. %s" % (self.var, self.body)
 
 
-Formula = Union[Lit, And, Or, Forall, Exists]
+Formula = Lit | And | Or | Forall | Exists
 
 # A context is an ordered multiset of formulas; order is the search
 # traversal order, multiset equality is the sequent-level identity.
@@ -555,7 +555,7 @@ class Domain:
     metas_key) are computed once per domain, on first use, and cached.
     """
 
-    decls: tuple[Union[EigenVar, MetaVar], ...] = ()
+    decls: tuple[EigenVar | MetaVar, ...] = ()
 
     @staticmethod
     def initial(eigens: Sequence[EigenVar]) -> "Domain":
@@ -605,7 +605,7 @@ class Domain:
         except KeyError:
             raise DomainError("meta-variable %s not declared" % (meta,)) from None
 
-    def position(self, v: Union[EigenVar, MetaVar]) -> Optional[int]:
+    def position(self, v: EigenVar | MetaVar) -> Optional[int]:
         """Index of v in decls, or None when v is not declared."""
         i = self._positions.get(v.name)
         return i if i is not None and self.decls[i] == v else None

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import signal
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +30,7 @@ from seqmod.terms import (
     And,
     BoundVar,
     Domain,
+    DomainError,
     EigenVar,
     Exists,
     Forall,
@@ -517,16 +519,19 @@ def counts(out):
 
 
 @pytest.mark.parametrize("theory, calculus, n, expected", [
-    ("enum", "di", 3, ("proved", 18, 35, 216, 12)),
-    ("fol", "di", 8, ("proved", 66, 37, 99, 6)),
-    ("fol", "sdi", 4, ("proved", 224, 292, 408, 46)),
-    ("fol", "sdi", 7, ("proved", 479, 819, 1596, 211)),
-    ("enum", "sdi", 4, ("proved", 99, 88, 82, 8)),
+    ("enum", "di", 3, ("proved", 18, 35, 200, 11)),
+    ("fol", "di", 8, ("proved", 66, 37, 67, 4)),
+    ("fol", "sdi", 4, ("proved", 224, 292, 359, 0)),
+    ("fol", "sdi", 7, ("proved", 479, 819, 1189, 0)),
+    ("enum", "sdi", 4, ("proved", 99, 88, 74, 0)),
 ])
 def test_second_conjunct_alternatives_are_replayed(theory, calculus, n, expected):
     # p(a), forall x. p(x) -> p(f x) |- p(f^n a): the hypotheses form a
     # conjunction whose second premise is re-entered for every
-    # alternative of the first; memo_hits counts the replays.
+    # alternative of the first.  In di it does not read the first's
+    # output, so it is solved once and replayed; memo_hits counts the
+    # replays.  In sdi every alternative of the first is a distinct
+    # input, so the second is solved afresh for each and nothing replays.
     text = ("(declare-pred p 1) (declare-fun f 1) (declare-const a)"
             " (goal (=> (and (p a) (forall (x) (=> (p x) (p (f x))))) (p %s)))"
             % ("(f " * n + "a" + ")" * n))
@@ -543,7 +548,7 @@ def test_equal_conjuncts_are_solved_separately(theory, calculus):
 
 
 # ---------------------------------------------------------------------------
-# projection and gate memos
+# one output per node
 
 
 RUNAWAY = "(goal (forall (x) (exists (y) (and (> y x) (< y 0)))))"
@@ -566,11 +571,11 @@ def _prove_capped(text, theory, calculus, nodes):
 
 
 @pytest.mark.parametrize("text, theory, calculus, nodes, expected", [
-    (FN_CHAIN_N4, "enum", "di", 10000, ("exhausted", 66, 554, 35436, 1883)),
-    (FN_CHAIN_N4, "enum", "sdi", 10000, ("proved", 99, 88, 82, 8)),
-    (_fn_chain(7), "fol", "sdi", 10000, ("proved", 479, 819, 1596, 211)),
-    (RUNAWAY, "lra", "di", 30, ("resource", 30, 31, 144, 26)),
-    (RUNAWAY, "lra", "sdi", 120, ("resource", 120, 286, 14462, 20)),
+    (FN_CHAIN_N4, "enum", "di", 10000, ("exhausted", 66, 554, 19081, 342)),
+    (FN_CHAIN_N4, "enum", "sdi", 10000, ("proved", 99, 88, 74, 0)),
+    (_fn_chain(7), "fol", "sdi", 10000, ("proved", 479, 819, 1189, 0)),
+    (RUNAWAY, "lra", "di", 30, ("resource", 30, 31, 78, 15)),
+    (RUNAWAY, "lra", "sdi", 120, ("resource", 120, 286, 581, 0)),
 ], ids=["fn_chain_n4-enum-di", "fn_chain_n4-enum-sdi", "fn_chain_n7-fol-sdi",
         "runaway-lra-di", "runaway-lra-sdi"])
 def test_search_counts_are_pinned(text, theory, calculus, nodes, expected):
@@ -592,7 +597,7 @@ def test_enum_sdi_pulls_never_fail_a_merge(monkeypatch):
 
     monkeypatch.setattr(ground, "_merge", counting_merge)
     out = _prove_capped(FN_CHAIN_N4, "enum", "sdi", 10000)
-    assert counts(out) == ("proved", 99, 88, 82, 8)
+    assert counts(out) == ("proved", 99, 88, 74, 0)
     assert merged == {True: 55}
 
 
@@ -612,16 +617,79 @@ class _CountingLra(LraTheory):
 
 
 def test_projection_and_gate_run_once_per_distinct_input():
-    # In sdi the runaway's conjunction passes its second conjunct's
+    # In sdi the runaway's conjunction once passed its second conjunct's
     # output up once per alternative of the first: 4,041 projections of
     # 168 distinct (child output, meta) pairs, and 3,089 root outputs of
-    # 3 distinct values.  Each meta belongs to one existential node.
+    # 3 distinct values.  Each node now yields each output once, so each
+    # is projected and gated once.  Each meta belongs to one existential.
     theory = _CountingLra()
     out = _prove_capped(RUNAWAY, theory, "sdi", 120)
-    assert counts(out) == ("resource", 120, 286, 14462, 20)
+    assert counts(out) == ("resource", 120, 286, 581, 0)
     assert set(theory.projected.values()) == {1}
     assert set(theory.gated.values()) == {1}
     assert (sum(theory.projected.values()), sum(theory.gated.values())) == (168, 3)
+
+
+@pytest.fixture
+def two_second_deadline():
+    """Raise TimeoutError in a test still running after 2 s."""
+    def expire(signum, frame):
+        raise TimeoutError("still searching after 2 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("calculus, expected", [
+    ("di", ("exhausted", 63, 96, 723, 65)),
+    ("sdi", ("exhausted", 1280, 4241, 8337, 0)),
+])
+def test_the_runaway_goal_ends_at_default_settings(two_second_deadline, calculus, expected):
+    # Repeated outputs, each redoing the work above it, kept both
+    # calculi searching past 20 s without spending the node budget.
+    # Yielding each output once, the search runs out of alternatives in
+    # all three deepening rounds.
+    out = prove_text(RUNAWAY, "lra", calculus)
+    assert counts(out) == expected
+    assert out.stats.rounds == 3
+
+
+def _corpus_and_fn_chains():
+    problems = ROOT / "src" / "seqmod" / "problems"
+    for entry in json.loads((problems / "corpus.json").read_text()):
+        text = (problems / entry["file"]).read_text()
+        for theory in [entry["theory"]] + (["enum"] if entry["pure_fol"] else []):
+            yield text, theory
+    for theory, sizes in (("fol", range(2, 9)), ("enum", range(2, 5))):
+        for n in sizes:
+            yield _fn_chain(n), theory
+
+
+@pytest.mark.parametrize("calculus, expected", [
+    ("di", {"proved": 50, "exhausted": 6, "DomainError": 4}),
+    ("sdi", {"proved": 55, "exhausted": 5}),
+])
+def test_no_node_yields_an_output_twice(monkeypatch, calculus, expected):
+    solve = _Search.solve
+
+    def checked_solve(self, *args):
+        seen = set()
+        for record, out in solve(self, *args):
+            assert out not in seen, "a %s node yielded %s twice" % (record[0], out)
+            seen.add(out)
+            yield record, out
+
+    monkeypatch.setattr(_Search, "solve", checked_solve)
+    statuses = Counter()
+    for text, theory in _corpus_and_fn_chains():
+        try:
+            statuses[prove_text(text, theory, calculus).status] += 1
+        except DomainError:  # fn_chain_n4..7 under fol in di: ROADMAP item 2
+            statuses["DomainError"] += 1
+    assert statuses == expected
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +713,7 @@ def test_a_search_without_a_proof_builds_no_tree(monkeypatch):
     # here, none of them returned.
     built = _count_trees(monkeypatch)
     out = _prove_capped(RUNAWAY, "lra", "sdi", 120)
-    assert counts(out) == ("resource", 120, 286, 14462, 20)
+    assert counts(out) == ("resource", 120, 286, 581, 0)
     assert built["trees"] == 0
 
 

@@ -1,7 +1,11 @@
 """Core syntax: terms, literals, formulas, domains, instantiations."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -544,3 +548,30 @@ def test_cached_hash_is_the_hash_of_the_fields(cls, data):
     assert "_hash" not in _field_names(cls)
     r = dataclasses.replace(y)
     assert r == y and "_hash" not in vars(r) and hash(r) == fields_hash
+
+
+# ---------------------------------------------------------------------------
+# module lifetime
+
+
+_REIMPORT = """
+import gc, importlib, sys
+for _ in range(15):
+    for name in [m for m in sys.modules if m == "seqmod" or m.startswith("seqmod.")]:
+        del sys.modules[name]
+    importlib.import_module("seqmod")
+gc.collect()
+print(sum(isinstance(o, dict) and o.get("__name__") == "seqmod.terms" for o in gc.get_objects()))
+"""
+
+
+def test_a_reimported_package_frees_the_old_terms_module():
+    # `typing` caches a `Union[...]` alias with strong references, so a
+    # module-level one kept every earlier copy of the module alive (15
+    # here).  Run in a subprocess: re-importing in this process would
+    # give the tests after it a second set of classes.
+    src = str(Path(terms.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _REIMPORT], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "1\n"
