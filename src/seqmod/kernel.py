@@ -10,7 +10,8 @@ the input they are given.  Constraints flow from the leaves back to the
 root, where, over a meta-free domain, the empty instantiation must be
 compatible with the final constraint for the run to count as proved.
 
-Rule application order is fixed: disjunctions first, then universals,
+Rule application order is fixed: early closure first (below), then
+disjunctions, then universals,
 then under-budget existential expansions, then conjunctions, and leaf
 closure last.  Premises are prepended to the remaining context, so the
 most recently produced formulas are examined first.  Existential
@@ -27,6 +28,23 @@ A di conjunction's second premise does not read the first's output: it
 is solved once and replayed for each alternative of the first (counted
 as `memo_hits`).  Nothing else is cached.  A search that spends its
 node budget ends with status "resource".
+
+Early closure (as in tableau provers; Hähnle, Handbook of Automated
+Reasoning, 2001).  Before a node whose literals hold a syntactically
+complementary pair applies any other rule, it pulls its own leaf stream,
+the one a leaf there would pull and `check_proof` replays.  If a pull
+returns the node's input (sdi) or `top` (di), the node yields that one
+leaf record and nothing else.  This loses no proof: every output a node
+can give refines its input (sdi) or `top` (di), so the committed output
+is the greatest any alternative gives, and meet, projection, threading
+and the root gate are monotone under the backend axioms, so whatever an
+ancestor does with a smaller output it does with this one.  Otherwise
+the rule applies as it would have.  A failed attempt costs at most
+`pulls` pulls, counted in `pulls` but not in `backtracks`.  Contexts
+only grow in literals along a branch, so a pair can only appear where a
+rule adds a literal: each node receives the sign of each atom among its
+branch's literals while no atom has both (None once one does), and only
+the added literals are checked against it.
 
 Only outputs flow from a node to its parent, so each node runs in one
 generator frame and yields (record, output), a plain tuple (rule,
@@ -136,6 +154,24 @@ class SearchOutcome:
 Entry = tuple[Formula, int]
 
 
+def _branch_signs(signs: Optional[dict], added) -> Optional[dict]:
+    """The sign of each atom among a branch's literals, `signs`, with the
+    literals among the formulas `added`; None once an atom has both
+    signs, and below that.  A dict passed on is never changed."""
+    if signs is None:
+        return None
+    grown = None
+    for f in added:
+        if isinstance(f, Lit):
+            atom, positive = f.lit.atom, f.lit.positive
+            if (grown or signs).get(atom, positive) != positive:
+                return None
+            if grown is None:
+                grown = dict(signs)
+            grown[atom] = positive
+    return signs if grown is None else grown
+
+
 def _well_formed(context: Context, domain: Domain) -> None:
     declared = set(domain.decls)
     for f in context:
@@ -230,19 +266,48 @@ class _Search:
 
     # -- the engine --------------------------------------------------------
 
-    def solve(self, entries, domain, current, path, budget) -> Iterator:
+    def _leaf_stream(self, entries, domain, current):
+        """The leaf stream of a node and the constraint its pulls take."""
+        lits = literals_of(tuple(f for f, _ in entries))
+        inp = current if self.sdi else self.theory.top(domain)
+        return self.theory.consistency(lits, domain), inp
+
+    def _close_early(self, entries, domain, current):
+        """The record of a leaf closure whose output is the node's input
+        (sdi) or top (di), or None when the first `pulls` pulls give none.
+        A backend's size cap raises here as it would in a leaf."""
+        stream, inp = self._leaf_stream(entries, domain, current)
+        for k in range(self.cfg.pulls):
+            res = stream.pull(inp)
+            self.stats.pulls += 1
+            if res is None:
+                return None
+            used, out = res
+            if out == inp:
+                return ("leaf", entries, domain, current, out, (), used, k)
+        return None
+
+    def solve(self, entries, domain, current, path, budget, signs) -> Iterator:
+        """Each distinct (record, output) of the node; `signs` maps each atom
+        among the branch's literals to its sign, None once one has both."""
         if self.stats.nodes >= self.cfg.nodes:
             self.nodes_exhausted = True
             return
         self.stats.nodes += 1
         kind, idx, blocked = self._select(entries, budget)
         log.debug("rule %s at %s (domain %d decls)", kind, idx, len(domain.decls))
+        if signs is None and kind != "leaf":
+            record = self._close_early(entries, domain, current)
+            if record is not None:
+                yield record, record[4]
+                return
         rest = entries[:idx] + entries[idx + 1:] if idx >= 0 else entries
 
         if kind == "or":
             f = entries[idx][0]
             child = ((f.left, 0), (f.right, 0)) + rest
-            alts = self.solve(child, domain, current, path + ("o",), budget)
+            alts = self.solve(child, domain, current, path + ("o",), budget,
+                              _branch_signs(signs, (f.left, f.right)))
             for i, (t, out) in enumerate(alts):
                 self.stats.backtracks += i > 0
                 yield ("or", entries, domain, current, out, (t,), idx), out
@@ -251,12 +316,14 @@ class _Search:
         if kind == "forall":
             f = entries[idx][0]
             eigen = self.fresh_eigen(f.var, f.sort)
-            child = ((substitute(f.body, f.var, eigen), 0),) + rest
+            body = substitute(f.body, f.var, eigen)
+            child = ((body, 0),) + rest
             d2 = domain.add_eigen(eigen)
             # The threaded input must see the new eigenvariable, or later
             # lifts would compute authorised sets that are too small.
             child_in = rehouse(current, d2) if self.sdi else None
-            alts = self.solve(child, d2, child_in, path + ("f",), budget)
+            alts = self.solve(child, d2, child_in, path + ("f",), budget,
+                              _branch_signs(signs, (body,)))
             for i, (t, out) in enumerate(alts):
                 self.stats.backtracks += i > 0
                 yield ("forall", entries, domain, current, out, (t,), idx, eigen), out
@@ -266,10 +333,12 @@ class _Search:
             f, count = entries[idx]
             meta = self.fresh_meta(f.var, f.sort)
             d2 = domain.add_meta(meta)
-            child = ((substitute(f.body, f.var, meta), 0), (f, count + 1)) + rest
+            body = substitute(f.body, f.var, meta)
+            child = ((body, 0), (f, count + 1)) + rest
             child_in = self.theory.lift(current, meta) if self.sdi else None
             seen = set()  # projection merges outputs
-            alts = self.solve(child, d2, child_in, path + ("e",), budget)
+            alts = self.solve(child, d2, child_in, path + ("e",), budget,
+                              _branch_signs(signs, (body,)))
             for i, (t, child_out) in enumerate(alts):
                 self.stats.backtracks += i > 0
                 out = self.theory.project(child_out, meta)
@@ -286,14 +355,16 @@ class _Search:
             second_ctx = ((parts[1 - bit], 0),) + rest
             first_path = path + ("a%d" % bit,)
             second_path = path + ("a%d" % (1 - bit),)
+            second_signs = _branch_signs(signs, (parts[1 - bit],))
             replay = None if self.sdi else itertools.tee(
-                self.solve(second_ctx, domain, None, second_path, budget), 1)[0]
+                self.solve(second_ctx, domain, None, second_path, budget, second_signs), 1)[0]
             seen = set()  # meets, or second-conjunct outputs for two o1, collide
-            alts = self.solve(first_ctx, domain, current, first_path, budget)
+            alts = self.solve(first_ctx, domain, current, first_path, budget,
+                              _branch_signs(signs, (parts[bit],)))
             for i, (t1, o1) in enumerate(alts):
                 self.stats.backtracks += i > 0
                 if self.sdi:
-                    second = self.solve(second_ctx, domain, o1, second_path, budget)
+                    second = self.solve(second_ctx, domain, o1, second_path, budget, second_signs)
                 else:  # di: each o1 replays a copy of one never-advanced tee
                     second = copy.copy(replay)
                     self.stats.memo_hits += i > 0
@@ -311,9 +382,7 @@ class _Search:
         # Leaf attempt.
         if blocked:
             self.exists_blocked = True
-        lits = literals_of(tuple(f for f, _ in entries))
-        stream = self.theory.consistency(lits, domain)
-        inp = current if self.sdi else self.theory.top(domain)
+        stream, inp = self._leaf_stream(entries, domain, current)
         seen = None  # made at the second output: distinct used sets give equal outputs
         for k in range(self.cfg.pulls):
             self.stats.backtracks += k > 0
@@ -372,6 +441,7 @@ def prove(context: Context, domain: Domain, theory: Theory,
     for v in domain.decls:
         search.used_names.add(v.name)
     entries = tuple((f, 0) for f in context)
+    signs = _branch_signs({}, context)
     root_input = theory.top(domain) if cfg.calculus == "sdi" else None
     gate = not domain.metas  # the empty-instantiation gate applies at a meta-free root
     rho_empty = Instantiation.empty(domain) if gate else None
@@ -379,7 +449,7 @@ def prove(context: Context, domain: Domain, theory: Theory,
         for b in _deepening_budgets(cfg.max_exists):
             search.stats.rounds += 1
             search.exists_blocked = False
-            for record, out in search.solve(entries, domain, root_input, (), b):
+            for record, out in search.solve(entries, domain, root_input, (), b, signs):
                 if gate and not theory.compatible(rho_empty, out):
                     search.stats.backtracks += 1
                     continue
@@ -458,10 +528,14 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
         except ValueError as exc:  # DomainError among them
             diags.append("%s rule: %s" % (rule, exc))
             continue
-        removed = Counter(ctx) - Counter([principal])
+        rest = ctx[:node.principal] + ctx[node.principal + 1:]
         for (name, domain, added, current), child in zip(premises, node.children):
             _expect(child.sequent.domain == domain, diags, name + " domain mismatch")
-            _expect(Counter(child.sequent.context) == removed + Counter(added), diags,
+            # The search builds each premise's context as added + rest, so
+            # comparing tuples settles almost every node; any other order
+            # is still compared as a multiset.
+            got, expected = child.sequent.context, added + rest
+            _expect(got == expected or Counter(got) == Counter(expected), diags,
                     name + " context mismatch")
             _expect(child.sequent.input == current, diags, name + " input mismatch")
         _expect(out is not None and node.output == out, diags, rule + " output mismatch")
