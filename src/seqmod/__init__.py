@@ -28,7 +28,6 @@ from .frontend import (
     tree_to_json,
 )
 from .ground import GroundConstraint, GroundEnumTheory
-from .harness import ConformanceResult, mutants, run_conformance
 from .kernel import (
     IllFormed,
     ProofTree,
@@ -77,6 +76,19 @@ from .theory import (
 )
 
 __version__ = "0.1.0"
+
+# The conformance harness checks backends against the axioms; proving does
+# not use it, so it loads on first access to one of these names (PEP 562).
+_HARNESS_NAMES = ("ConformanceResult", "mutants", "run_conformance")
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "And", "ArithAtom", "BoundVar", "ConformanceResult",

@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 
-from . import frontend, harness
+from . import frontend
 from .kernel import IllFormed, SearchConfig
 from .terms import DomainError, SortError
 
@@ -151,6 +151,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
+    from . import harness  # here, so that a prove run does not load it
+
     result = harness.run_conformance(args.theory, cases=args.cases, seed=args.seed)
     _print(harness.report_json(result) if args.output == "json" else harness.report_text(result))
     return 0 if result.ok else 1

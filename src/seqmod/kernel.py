@@ -48,20 +48,21 @@ the added literals are checked against it.
 
 Only outputs flow from a node to its parent, so each node runs in one
 generator frame and yields (record, output), a plain tuple (rule,
-entries, domain, input, output, child records, then the fields
-`_RECORD_FIELDS` names); `prove` builds ProofTrees only for the
-accepted record.  Backtracks: alternatives after a child's first, leaf
-pulls after the first, failed meets and root outputs the gate rejects.
+entries, domain, input, output, child records, then ProofTree's fields
+after `children` in order up to the last one the rule sets, each unset
+one at its default); `prove` builds ProofTrees only for the accepted
+record.  Backtracks: alternatives after a child's first, leaf pulls
+after the first, failed meets and root outputs the gate rejects.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .terms import (
@@ -259,6 +260,7 @@ class _Search:
             return 0
         if self.cfg.order == "right":
             return 1
+        import hashlib  # here: it loads OpenSSL (3.6 MB), which only this order needs
         digest = hashlib.blake2b(
             ("%d|%s" % (self.cfg.seed, "/".join(path))).encode(), digest_size=2
         ).digest()
@@ -268,7 +270,7 @@ class _Search:
 
     def _leaf_stream(self, entries, domain, current):
         """The leaf stream of a node and the constraint its pulls take."""
-        lits = literals_of(tuple(f for f, _ in entries))
+        lits = literals_of(tuple(map(itemgetter(0), entries)))
         inp = current if self.sdi else self.theory.top(domain)
         return self.theory.consistency(lits, domain), inp
 
@@ -284,7 +286,7 @@ class _Search:
                 return None
             used, out = res
             if out == inp:
-                return ("leaf", entries, domain, current, out, (), used, k)
+                return ("leaf", entries, domain, current, out, (), -1, None, None, 0, used, k)
         return None
 
     def solve(self, entries, domain, current, path, budget, signs) -> Iterator:
@@ -326,7 +328,7 @@ class _Search:
                               _branch_signs(signs, (body,)))
             for i, (t, out) in enumerate(alts):
                 self.stats.backtracks += i > 0
-                yield ("forall", entries, domain, current, out, (t,), idx, eigen), out
+                yield ("forall", entries, domain, current, out, (t,), idx, None, eigen), out
             return
 
         if kind == "exists":
@@ -376,7 +378,8 @@ class _Search:
                     elif out not in seen:
                         seen.add(out)
                         children = (t1, t2) if bit == 0 else (t2, t1)
-                        yield ("and", entries, domain, current, out, children, idx, bit), out
+                        yield ("and", entries, domain, current, out, children,
+                               idx, None, None, bit), out
             return
 
         # Leaf attempt.
@@ -398,13 +401,7 @@ class _Search:
                 seen.add(out)
             else:
                 first = out
-            yield ("leaf", entries, domain, current, out, (), used, k), out
-
-
-# The ProofTree fields after `children` that each rule's record ends with.
-_RECORD_FIELDS = {"or": ("principal",), "forall": ("principal", "eigen"),
-                  "exists": ("principal", "meta"), "and": ("principal", "order_bit"),
-                  "leaf": ("used", "stream_index")}
+            yield ("leaf", entries, domain, current, out, (), -1, None, None, 0, used, k), out
 
 
 def _materialise(record) -> ProofTree:
@@ -415,9 +412,9 @@ def _materialise(record) -> ProofTree:
     built: dict = {}
     for rec in reversed(order):
         rule, entries, domain, current, out, kids, *fields = rec
-        seq = Sequent(domain, tuple(f for f, _ in entries), current)
+        seq = Sequent(domain, tuple(map(itemgetter(0), entries)), current)
         kids = tuple([built[id(c)] for c in kids])
-        built[id(rec)] = ProofTree(rule, seq, out, kids, **dict(zip(_RECORD_FIELDS[rule], fields)))
+        built[id(rec)] = ProofTree(rule, seq, out, kids, *fields)
     return built[id(record)]
 
 

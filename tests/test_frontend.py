@@ -589,6 +589,49 @@ def test_cli_closed_stdout_keeps_the_exit_code(argv):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+_IMPORT_FOOTPRINT = r"""
+import json, sys
+before = set(sys.modules)
+unwanted = {"hashlib", "_hashlib", "seqmod.harness"}
+import seqmod
+after_import = sorted(unwanted & (set(sys.modules) - before))
+from seqmod import cli
+code = cli.main(["prove", sys.argv[1]])
+after_prove = sorted(unwanted & (set(sys.modules) - before))
+try:
+    seqmod.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+harness_names = [getattr(seqmod, n).__module__
+                 for n in ("run_conformance", "mutants", "ConformanceResult")]
+star = {}
+exec("from seqmod import *", star)
+print(json.dumps({"after_import": after_import, "after_prove": after_prove, "exit": code,
+                  "unknown": unknown, "harness_names": harness_names,
+                  "star_missing": sorted(set(seqmod.__all__) - set(star)),
+                  "harness_loaded": "seqmod.harness" in sys.modules}))
+"""
+
+
+def test_a_prove_run_loads_neither_hashlib_nor_the_harness():
+    # hashlib loads OpenSSL (3.6 MB) and only --order random uses it; the
+    # conformance harness is for checking backends.  Both load on first
+    # use, and the package still exposes the harness's names.
+    src = str(Path(frontend.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-c", _IMPORT_FOOTPRINT, str(PROBLEMS / "fol_drinker.prob")]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["after_import"] == [] and got["after_prove"] == []
+    assert got["exit"] == 0
+    assert got["unknown"] == "module 'seqmod' has no attribute 'no_such_name'"
+    assert got["harness_names"] == ["seqmod.harness"] * 3
+    assert got["star_missing"] == []
+    assert got["harness_loaded"]
+
+
 def test_cli_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "seqmod.cli", "prove",

@@ -57,6 +57,7 @@ y = BoundVar("y", SORT_TERM)
 
 TH = SubstTheory(ground_base=(a,))
 ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "src" / "seqmod" / "problems"
 
 
 def plit(name, *args):
@@ -143,6 +144,61 @@ def test_search_is_deterministic():
             for _ in range(2)]
     assert runs[0].status == runs[1].status == "proved"
     assert tree_to_json(runs[0].tree) == tree_to_json(runs[1].tree)
+
+
+# sha256 of `run(...).to_json()` with `SearchConfig(order="random", seed=s)`.
+# Under each seed these problems' proofs split their conjunctions in a
+# different order, so a changed order bit changes a digest.
+RANDOM_ORDER_DIGESTS = {
+    "prop_chain/di/0":
+        "47ca2110c1f8a458e4e77f106deeb52c4959b290e1b293ce1b6e5936daaf1db1",
+    "prop_chain/di/1":
+        "651eab483eddd49db285ec4c945eaf0d9d4e7e9d11098392799df5d724a9172d",
+    "prop_chain/di/2":
+        "2dca11ff7e1c49ae3e31783280e8532c3649a970903e2011fb85520cb7e6911d",
+    "prop_chain/sdi/0":
+        "1e667a405d84e6d13750e0b0dc65ce3fdf9307f7d1da618e1851f32d85d23556",
+    "prop_chain/sdi/1":
+        "32277d4207ced0dcbd67193a3326be8f0a3cb243a77cc80d7edd0a0ba59b955d",
+    "prop_chain/sdi/2":
+        "1d4640d915846a8dd92f3ece2407572cb4b4f1f9f408da8aa8382e611ac502c6",
+    "fol_exists_disj/di/0":
+        "68ee223f454ed56254472ab5c86d3a189a8ac5c082b1cef0d9860555bb9b0130",
+    "fol_exists_disj/di/1":
+        "391e90aea96a81ba802209ae9b63a61747a93e6f7855394a91fe581f7739ef7c",
+    "fol_exists_disj/di/2":
+        "05f57f8b3f65dce1775c7e330a68144c4828c548436233fb3b5187a1bda0adb8",
+    "fol_exists_disj/sdi/0":
+        "281f1e3ef109de570131d862afb466aa3217d26e69c3a20787ff159af7f74cf0",
+    "fol_exists_disj/sdi/1":
+        "f0693a2683393c14278ca2a412636e0db32f4cbc0399f5a799e93c54405c828a",
+    "fol_exists_disj/sdi/2":
+        "21d8b03986004c486d1719a00d6af4aa16201680555caa700eea792d697b6bba",
+    "lra_interval_pair/di/0":
+        "8c5e1c232694afbf7d49a74df2b4c7b9e0ebc90a4a4c95f634f3a1cd64d9fe5d",
+    "lra_interval_pair/di/1":
+        "63b2c0ae331228006eb0c64bbf599289e36f770f8ae23b55cdcd1d6979bc332f",
+    "lra_interval_pair/di/2":
+        "5caa1c3c144aa04b2b87a87ea20fcd5d6a4bf3b2210a13f3361b76dd705d4574",
+    "lra_interval_pair/sdi/0":
+        "9002ef015054e6c227a0152c71c30f5016962244940aa37b239337bf019cfd8b",
+    "lra_interval_pair/sdi/1":
+        "a349299ae29bcba0e2f804f905d11bb3b3bc7d11b5c77b82edf84244b0a4c123",
+    "lra_interval_pair/sdi/2":
+        "a3c4c829d44ed2c4de8c70eeecd662e3ac7af28081a90291f976b48b7f9a6a69",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RANDOM_ORDER_DIGESTS))
+def test_random_order_bits_are_pinned(key):
+    name, calculus, seed = key.split("/")
+    entry = next(e for e in json.loads((PROBLEMS / "corpus.json").read_text())
+                 if e["name"] == name)
+    prob = parse_problem((PROBLEMS / entry["file"]).read_text(), name)
+    report = run(prob, entry["theory"], SearchConfig(calculus=calculus, order="random",
+                                                     seed=int(seed)))
+    assert report.outcome == "proved"
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == RANDOM_ORDER_DIGESTS[key]
 
 
 def test_sdi_threads_inputs_and_di_does_not():
