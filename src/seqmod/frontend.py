@@ -13,9 +13,12 @@ take a symbol, a list of symbols, or a list of (name sort) pairs; an
 unannotated binder gets its sort from use (arithmetic positions force
 rat, uninterpreted positions force term, conflicts are errors, the
 default is term).  Terms are variables, constants, (f t ...), rational
-literals (anything Python's `Fraction` reads: 3, -2/3, 1.5, 1e1), and
-linear arithmetic built from (+ ...), (- ...) and (* q t).  (>= a b) and
-(> a b) are accepted and stored swapped.
+literals, and linear arithmetic built from (+ ...), (- ...) and (* q t).
+(>= a b) and (> a b) are accepted and stored swapped.  A rational literal
+is an optional sign, then ASCII digits with an optional "." fraction or
+"/" denominator, then, unless after a denominator, an optional exponent:
+3, -2/3, 1.5, 5., .5, 1e1.  A token with an underscore or a zero
+denominator is a symbol.
 
 Goals are normalised on construction: negation is pushed to the atoms,
 a negated inequality flips into its complement, and a negated equality
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
@@ -80,7 +83,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: the reader builds one per token
 class SNode:
     """One s-expression with its source position."""
 
@@ -88,50 +91,62 @@ class SNode:
     line: int
     col: int
 
-    @property
-    def is_symbol(self) -> bool:
-        return isinstance(self.value, str)
-
     def err(self, msg: str) -> ParseError:
         return ParseError(msg, self.line, self.col)
 
 
-_TOKEN = re.compile(r"\n|[ \t\r]+|;[^\n]*|[()]|[^ \t\r\n();]+")
+# Blanks, then a symbol, a parenthesis or a comment's ";": matches tile a line.
+_TOKEN = re.compile(r"([ \t\r]*)([^ \t\r();]+|[()]|;)")
 
 
 def read_sexprs(text: str) -> tuple[SNode, ...]:
-    stack: list[tuple[list[SNode], int, int]] = []
-    top: list[SNode] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "\n":
-            line += 1
-            line_start = m.end()
-            continue
-        if tok[0] in " \t\r;":
-            continue
-        col = m.start() - line_start + 1
-        if tok == "(":
-            stack.append(([], line, col))
-        elif tok == ")":
-            if not stack:
-                raise ParseError("unmatched closing parenthesis", line, col)
-            items, l0, c0 = stack.pop()
-            (stack[-1][0] if stack else top).append(SNode(tuple(items), l0, c0))
-        else:
-            (stack[-1][0] if stack else top).append(SNode(tok, line, col))
+    """The s-expressions of `text`; lines end at "\n" only, columns count from 1."""
+    stack: list[tuple[list[SNode], int, int]] = []  # enclosing lists, open positions
+    items: list[SNode] = []
+    for line, row in enumerate(text.split("\n"), 1):
+        col = 1
+        for blanks, tok in _TOKEN.findall(row):
+            col += len(blanks)
+            if tok == "(":
+                stack.append((items, line, col))
+                items = []
+                col += 1
+            elif tok == ")":
+                if not stack:
+                    raise ParseError("unmatched closing parenthesis", line, col)
+                outer, l0, c0 = stack.pop()
+                outer.append(SNode(tuple(items), l0, c0))
+                items = outer
+                col += 1
+            elif tok == ";":
+                break
+            else:
+                items.append(SNode(tok, line, col))
+                col += len(tok)
     if stack:
-        _, l0, c0 = stack[-1]
-        raise ParseError("unclosed parenthesis", l0, c0)
-    return tuple(top)
+        raise ParseError("unclosed parenthesis", *stack[-1][1:])
+    return tuple(items)
+
+
+# The numeral grammar of the module docstring, on every Python version.
+_NUMERAL = re.compile(
+    r"[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
 
 
 def _rational(text: str) -> Optional[Fraction]:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return None
+    return Fraction(text) if _NUMERAL.fullmatch(text) else None
+
+
+def _integer(text: str) -> Optional[int]:
+    """`_rational(text)` when it is an integer, else None; plain digits skip the Fraction."""
+    q = int(text) if text.isdigit() and text.isascii() else _rational(text)
+    return int(q) if q is not None and q.denominator == 1 else None
+
+
+def _head(node: SNode) -> Optional[str]:
+    """The leading symbol of a list node, else None."""
+    v = node.value
+    return v[0].value if type(v) is tuple and v and type(v[0].value) is str else None
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +175,20 @@ class _GoalBuilder:
     """
 
     def __init__(self, sig: Signature) -> None:
-        self.sig = sig
+        self.preds = dict(sig.preds)
+        self.funs = dict(sig.funs)
+        self.consts = frozenset(sig.consts)
         self.counter = 0
 
     def binder_specs(self, node: SNode) -> list[tuple[SNode, Optional[str]]]:
-        if node.is_symbol:
+        if type(node.value) is str:
             return [(node, None)]
         out: list[tuple[SNode, Optional[str]]] = []
         for item in node.value:
-            if item.is_symbol:
+            if type(item.value) is str:
                 out.append((item, None))
-            elif (len(item.value) == 2 and item.value[0].is_symbol
-                  and item.value[1].is_symbol):
+            elif (len(item.value) == 2 and type(item.value[0].value) is str
+                  and type(item.value[1].value) is str):
                 name_node, sort_node = item.value
                 if sort_node.value not in (SORT_TERM, SORT_RAT):
                     raise sort_node.err("unknown sort %r" % (sort_node.value,))
@@ -182,20 +199,21 @@ class _GoalBuilder:
             raise node.err("empty binder list")
         for name_node, _ in out:
             name = name_node.value
-            if not isinstance(name, str) or name in RESERVED:
+            if name in RESERVED:
                 raise name_node.err("invalid variable name %r" % (name,))
-            if _rational(name) is not None:
+            if _NUMERAL.fullmatch(name):
                 raise name_node.err("a number cannot be a variable name")
         return out
 
-    @staticmethod
-    def _head(node: SNode) -> Optional[str]:
-        if node.is_symbol or not node.value or not node.value[0].is_symbol:
-            return None
-        return node.value[0].value
-
     def build(self, node: SNode, positive: bool, env: _Env) -> Formula:
-        head = self._head(node)
+        name = node.value
+        if type(name) is str:  # a proposition
+            if self.preds.get(name) == ():
+                return Lit(Literal(positive, PredAtom(name, ())))
+            if name in env:
+                raise node.err("variable %s used as a formula" % (name,))
+            raise node.err("unknown proposition %r" % (name,))
+        head = _head(node)
         if head in ("and", "or"):
             subs = node.value[1:]
             if len(subs) < 2:
@@ -242,14 +260,7 @@ class _GoalBuilder:
         return self.atom(node, positive, env)
 
     def atom(self, node: SNode, positive: bool, env: _Env) -> Formula:
-        if node.is_symbol:
-            sorts = self.sig.pred_sorts(node.value)
-            if sorts == ():
-                return Lit(Literal(positive, PredAtom(node.value, ())))
-            if node.value in env:
-                raise node.err("variable %s used as a formula" % (node.value,))
-            raise node.err("unknown proposition %r" % (node.value,))
-        head = self._head(node)
+        head = _head(node)
         if head is None:
             raise node.err("expected a formula")
         if head in ("<=", "<", "=", ">=", ">"):
@@ -269,7 +280,7 @@ class _GoalBuilder:
                 return Lit(Literal(True, ArithAtom("<=", b, a)))
             return Or(Lit(Literal(True, ArithAtom("<", a, b))),
                       Lit(Literal(True, ArithAtom("<", b, a))))
-        sorts = self.sig.pred_sorts(head)
+        sorts = self.preds.get(head)
         if sorts is None:
             raise node.err("unknown predicate %r" % (head,))
         args = node.value[1:]
@@ -279,8 +290,8 @@ class _GoalBuilder:
         return Lit(Literal(positive, PredAtom(head, terms)))
 
     def term(self, node: SNode, expected: str, env: _Env) -> Term:
-        if node.is_symbol:
-            name = node.value
+        name = node.value
+        if type(name) is str:
             if name in env:
                 internal, explicit, uses = env[name]
                 if explicit is None:
@@ -294,12 +305,12 @@ class _GoalBuilder:
                 if expected != SORT_RAT:
                     raise node.err("number in a term-sorted position")
                 return RatConst(q)
-            if name in self.sig.consts:
+            if name in self.consts:
                 if expected != SORT_TERM:
                     raise node.err("constant %s is term-sorted" % (name,))
                 return FunApp(name, ())
             raise node.err("unknown symbol %r" % (name,))
-        head = self._head(node)
+        head = _head(node)
         if head in ("+", "-", "*") and expected != SORT_RAT:
             raise node.err("arithmetic in a term-sorted position")
         if head == "+":
@@ -318,15 +329,15 @@ class _GoalBuilder:
             if len(node.value) != 3:
                 raise node.err("* takes a rational literal and a term")
             first, second = node.value[1], node.value[2]
-            q = _rational(first.value) if first.is_symbol else None
+            q = _rational(first.value) if type(first.value) is str else None
             operand = second
             if q is None:
-                q = _rational(second.value) if second.is_symbol else None
+                q = _rational(second.value) if type(second.value) is str else None
                 operand = first
             if q is None:
                 raise node.err("* needs a rational literal operand")
             return lin_combine((q, self.term(operand, SORT_RAT, env)))
-        arity = self.sig.fun_arity(head) if head else None
+        arity = self.funs.get(head)
         if arity is not None:
             if expected != SORT_TERM:
                 raise node.err("function application in a rational position")
@@ -344,47 +355,45 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
     goal_nodes: list[SNode] = []
     declared: set[str] = set()
 
-    def declare(node: SNode, symbol: str) -> None:
-        if symbol in RESERVED or _rational(symbol) is not None:
+    def declare(node: SNode) -> None:
+        symbol = node.value
+        if symbol in RESERVED or _NUMERAL.fullmatch(symbol):
             raise node.err("invalid name %r" % (symbol,))
         if symbol in declared:
             raise node.err("%s is already declared" % (symbol,))
         declared.add(symbol)
 
     for form in read_sexprs(text):
-        if form.is_symbol or not form.value or not form.value[0].is_symbol:
+        head = _head(form)
+        if head is None:
             raise form.err("expected a declaration or a goal")
-        head = form.value[0].value
         rest = form.value[1:]
         if head == "declare-pred":
-            if len(rest) != 2 or not rest[0].is_symbol:
+            if len(rest) != 2 or type(rest[0].value) is not str:
                 raise form.err("usage: (declare-pred name arity-or-sorts)")
-            declare(rest[0], rest[0].value)
-            if rest[1].is_symbol:
-                arity = _rational(rest[1].value)
-                if arity is None or arity.denominator != 1 or arity < 0:
+            declare(rest[0])
+            if type(rest[1].value) is str:
+                arity = _integer(rest[1].value)
+                if arity is None or arity < 0:
                     raise rest[1].err("arity must be a natural number")
-                sorts = (SORT_TERM,) * int(arity)
+                sorts = (SORT_TERM,) * arity
             else:
-                sorts = tuple(
-                    s.value for s in rest[1].value
-                    if s.is_symbol and s.value in (SORT_TERM, SORT_RAT)
-                )
+                sorts = tuple(s.value for s in rest[1].value if s.value in (SORT_TERM, SORT_RAT))
                 if len(sorts) != len(rest[1].value):
                     raise rest[1].err("sorts are term and rat")
             preds.append((rest[0].value, sorts))
         elif head == "declare-fun":
-            if len(rest) != 2 or not rest[0].is_symbol or not rest[1].is_symbol:
+            if len(rest) != 2 or type(rest[0].value) is not str or type(rest[1].value) is not str:
                 raise form.err("usage: (declare-fun name arity)")
-            declare(rest[0], rest[0].value)
-            arity = _rational(rest[1].value)
-            if arity is None or arity.denominator != 1 or arity < 1:
+            declare(rest[0])
+            arity = _integer(rest[1].value)
+            if arity is None or arity < 1:
                 raise rest[1].err("arity must be a positive integer")
-            funs.append((rest[0].value, int(arity)))
+            funs.append((rest[0].value, arity))
         elif head == "declare-const":
-            if len(rest) != 1 or not rest[0].is_symbol:
+            if len(rest) != 1 or type(rest[0].value) is not str:
                 raise form.err("usage: (declare-const name)")
-            declare(rest[0], rest[0].value)
+            declare(rest[0])
             consts.append(rest[0].value)
         elif head == "goal":
             if len(rest) != 1:
@@ -395,23 +404,11 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
     if not goal_nodes:
         raise ParseError("no goal", 1, 1)
 
+    if not consts and (funs or any(SORT_TERM in sorts for _, sorts in preds)):
+        # A closed term of the uninterpreted sort: the first cN not declared.
+        consts.append(next(c for c in map("c%d".__mod__, count()) if c not in declared))
     sig = Signature(tuple(preds), tuple(funs), tuple(consts))
-    sig = _ensure_term_base(sig, declared)
-    goals = []
-    for node in goal_nodes:
-        goals.append(_GoalBuilder(sig).build(node, True, {}))
-    return Problem(name, sig, tuple(goals))
-
-
-def _ensure_term_base(sig: Signature, declared: set[str]) -> Signature:
-    """Guarantee a closed term of the uninterpreted sort when one is needed."""
-    needs = bool(sig.funs) or any(SORT_TERM in sorts for _, sorts in sig.preds)
-    if not needs or sig.consts:
-        return sig
-    n = 0
-    while "c%d" % n in declared:
-        n += 1
-    return replace(sig, consts=("c%d" % n,))
+    return Problem(name, sig, tuple(_GoalBuilder(sig).build(g, True, {}) for g in goal_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +682,12 @@ def run(problem: Problem, theory_name: str = "fol",
         cfg: SearchConfig = SearchConfig(), depth: int = 3,
         check: bool = False) -> RunReport:
     theory = make_theory(theory_name, problem.signature, depth)
-    config = {**asdict(cfg), "theory": theory_name, "depth": depth}
+    # Both dataclasses hold scalars only: `vars` gives what `asdict` deep-copies.
+    config = {**vars(cfg), "theory": theory_name, "depth": depth}
     start = time.perf_counter()
     outcome = kernel.prove(problem.goals, Domain.initial(()), theory, cfg)
     report = RunReport(problem=problem.name, config=config, outcome=outcome.status,
-                       detail=outcome.detail, stats=asdict(outcome.stats))
+                       detail=outcome.detail, stats=dict(vars(outcome.stats)))
     if outcome.status == "proved":
         report.constraint = str(outcome.constraint)
         report.proof = tree_to_json(outcome.tree)

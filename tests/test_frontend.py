@@ -149,23 +149,122 @@ def test_constant_injected_when_term_sort_is_needed():
     assert with_const.signature.consts == ("a",)
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("(goal (p))", "unknown"),
-    ("(declare-pred p 1)\n(goal (p))", "argument"),
-    ("(declare-pred and 1)\n(goal (and))", "invalid name"),
-    ("(declare-pred p 0)\n(declare-pred p 0)\n(goal (p))", "already"),
-    ("(declare-pred p 0)", "goal"),
-    ("(declare-pred p 0)\n(goal (p)", "unclosed"),
-    ("(declare-pred p 0)\n(goal (p)))", "unmatched"),
+def _kept(text, fragment, expected):
+    """A row from before the exact triples, under its old test id."""
+    return pytest.param(text, expected, id="%s-%s" % (text, fragment))
+
+
+# One input per error site, with the exact (message, line, column).
+@pytest.mark.parametrize("text,expected", [
+    _kept("(goal (p))", "unknown", ("unknown predicate 'p'", 1, 7)),
+    _kept("(declare-pred p 1)\n(goal (p))", "argument", ("p takes 1 arguments, got 0", 2, 7)),
+    _kept("(declare-pred and 1)\n(goal (and))", "invalid name", ("invalid name 'and'", 1, 15)),
+    _kept("(declare-pred p 0)\n(declare-pred p 0)\n(goal (p))", "already",
+          ("p is already declared", 2, 15)),
+    _kept("(declare-pred p 0)", "goal", ("no goal", 1, 1)),
+    _kept("(declare-pred p 0)\n(goal (p)", "unclosed", ("unclosed parenthesis", 2, 1)),
+    _kept("(declare-pred p 0)\n(goal (p)))", "unmatched",
+          ("unmatched closing parenthesis", 2, 11)),
     ("(goal (forall (x) (< x x)))", None),          # rat-sorted forall is fine
+    # declarations
+    ("p", ("expected a declaration or a goal", 1, 1)),
+    ("(assert p)", ("unknown form 'assert'", 1, 1)),
+    ("(goal)", ("usage: (goal formula)", 1, 1)),
+    ("(declare-pred p)", ("usage: (declare-pred name arity-or-sorts)", 1, 1)),
+    ("(declare-pred p 1/2)", ("arity must be a natural number", 1, 17)),
+    ("(declare-pred p -1)", ("arity must be a natural number", 1, 17)),
+    ("(declare-pred p (term int))", ("sorts are term and rat", 1, 17)),
+    ("(declare-fun f)", ("usage: (declare-fun name arity)", 1, 1)),
+    ("(declare-fun f 0)", ("arity must be a positive integer", 1, 16)),
+    ("(declare-fun f 2.5)", ("arity must be a positive integer", 1, 16)),
+    ("(declare-const)", ("usage: (declare-const name)", 1, 1)),
+    ("(declare-const a b)", ("usage: (declare-const name)", 1, 1)),
+    ("(declare-const 12)", ("invalid name '12'", 1, 16)),
+    # binders
+    ("(goal (forall (x y) (< x y) p))", ("forall takes a binder list and a body", 1, 7)),
+    ("(goal (forall ((x int)) (< x 0)))", ("unknown sort 'int'", 1, 19)),
+    ("(goal (forall ((x rat 1)) (< x 0)))", ("expected a variable or (variable sort)", 1, 16)),
+    ("(goal (forall () (< 0 1)))", ("empty binder list", 1, 15)),
+    ("(goal (exists (not) (< not 0)))", ("invalid variable name 'not'", 1, 16)),
+    ("(goal (exists ((1/2 rat)) (< 0 1)))", ("a number cannot be a variable name", 1, 17)),
+    ("(goal (forall (5) (< 0 1)))", ("a number cannot be a variable name", 1, 16)),
+    # connectives and atoms
+    ("(goal (and (< 0 1)))", ("and needs at least two operands", 1, 7)),
+    ("(goal (not (< 0 1) (< 1 0)))", ("not takes one operand", 1, 7)),
+    ("(goal (=> (< 0 1)))", ("=> takes two operands", 1, 7)),
+    ("(goal (forall (x) x))", ("variable x used as a formula", 1, 19)),
+    ("(goal q)", ("unknown proposition 'q'", 1, 7)),
+    ("(goal ((p) x))", ("expected a formula", 1, 7)),
+    ("(goal (<= 1))", ("<= takes two operands", 1, 7)),
+    # terms
+    ("(declare-pred p 1)\n(goal (p 1))", ("number in a term-sorted position", 2, 10)),
+    ("(declare-const a)\n(goal (< a 1))", ("constant a is term-sorted", 2, 10)),
+    ("(goal (< b 1))", ("unknown symbol 'b'", 1, 10)),
+    ("(declare-pred p 1)\n(goal (p (+ 1 2)))", ("arithmetic in a term-sorted position", 2, 10)),
+    ("(goal (< (+) 1))", ("+ needs operands", 1, 10)),
+    ("(goal (< (- 1 2 3) 0))", ("- takes one or two operands", 1, 10)),
+    ("(goal (< (* 2) 0))", ("* takes a rational literal and a term", 1, 10)),
+    ("(goal (exists (x y) (< (* x y) 0)))", ("* needs a rational literal operand", 1, 24)),
+    ("(declare-fun f 1)\n(goal (< (f 1) 0))",
+     ("function application in a rational position", 2, 10)),
+    ("(declare-fun f 1)\n(declare-pred p 1)\n(declare-const a)\n(goal (p (f a a)))",
+     ("f takes 1 arguments, got 2", 4, 10)),
+    ("(goal (< (g 1) 0))", ("cannot parse term", 1, 10)),
 ])
-def test_parse_errors(text, fragment):
-    if fragment is None:
+def test_parse_errors(text, expected):
+    if expected is None:
         parse_problem(text)
         return
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
-    assert fragment.lower() in str(exc.value).lower()
+    assert (exc.value.msg, exc.value.line, exc.value.col) == expected
+    assert str(exc.value) == "%d:%d: %s" % (expected[1], expected[2], expected[0])
+
+
+# The numeral grammar: an optional sign, then digits with an optional "."
+# fraction or "/" denominator, then (not after a denominator) an optional
+# exponent; ASCII only, no underscores.  A token that does not match is
+# a symbol.
+@pytest.mark.parametrize("text,value", [
+    ("0", Fraction(0)),
+    ("42", Fraction(42)),
+    ("-7", Fraction(-7)),
+    ("+3", Fraction(3)),
+    ("007", Fraction(7)),
+    ("2/3", Fraction(2, 3)),
+    ("-2/4", Fraction(-1, 2)),
+    ("1/01", Fraction(1)),
+    ("1.5", Fraction(3, 2)),
+    ("5.", Fraction(5)),
+    (".5", Fraction(1, 2)),
+    ("-.5", Fraction(-1, 2)),
+    ("1e3", Fraction(1000)),
+    ("1E3", Fraction(1000)),
+    ("1.5e-1", Fraction(3, 20)),
+    ("5.e2", Fraction(500)),
+    (".5E+1", Fraction(5)),
+    ("1/0", None),        # no rational: a symbol
+    ("0/00", None),
+    ("1/-2", None),
+    ("1/2e3", None),
+    ("1/2.5", None),
+    ("1_000", None),      # Fraction reads 1000 from Python 3.11 on
+    ("1e1_0", None),
+    ("\u0661\u0662", None),  # Arabic-Indic digits: Fraction reads 12
+    ("\x0c1", None),      # Fraction strips other whitespace
+    ("1.2.3", None),
+    ("1e", None),
+    ("e3", None),
+    (".", None),
+    ("-", None),
+    ("+", None),
+    ("0x10", None),
+    ("inf", None),
+    ("nan", None),
+    ("p0", None),
+])
+def test_numeral_grammar(text, value):
+    assert frontend._rational(text) == value
 
 
 def test_parse_error_carries_location():
