@@ -27,6 +27,7 @@ becomes a disjunction of strict inequalities.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass, field
@@ -133,14 +134,15 @@ _NUMERAL = re.compile(
     r"[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
 
 
+@functools.lru_cache(maxsize=1024)  # problems repeat numerals: each `0` arity parses once
 def _rational(text: str) -> Optional[Fraction]:
-    return Fraction(text) if _NUMERAL.fullmatch(text) else None
-
-
-def _integer(text: str) -> Optional[int]:
-    """`_rational(text)` when it is an integer, else None; plain digits skip the Fraction."""
-    q = int(text) if text.isdigit() and text.isascii() else _rational(text)
-    return int(q) if q is not None and q.denominator == 1 else None
+    """The number `text` names, else None; past Python's digit limit it is a symbol."""
+    if _NUMERAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ValueError:
+            pass
+    return None
 
 
 def _head(node: SNode) -> Optional[str]:
@@ -201,7 +203,7 @@ class _GoalBuilder:
             name = name_node.value
             if name in RESERVED:
                 raise name_node.err("invalid variable name %r" % (name,))
-            if _NUMERAL.fullmatch(name):
+            if _rational(name) is not None:
                 raise name_node.err("a number cannot be a variable name")
         return out
 
@@ -357,7 +359,7 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
 
     def declare(node: SNode) -> None:
         symbol = node.value
-        if symbol in RESERVED or _NUMERAL.fullmatch(symbol):
+        if symbol in RESERVED or _rational(symbol) is not None:
             raise node.err("invalid name %r" % (symbol,))
         if symbol in declared:
             raise node.err("%s is already declared" % (symbol,))
@@ -373,10 +375,10 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
                 raise form.err("usage: (declare-pred name arity-or-sorts)")
             declare(rest[0])
             if type(rest[1].value) is str:
-                arity = _integer(rest[1].value)
-                if arity is None or arity < 0:
+                arity = _rational(rest[1].value)
+                if arity is None or arity.denominator != 1 or arity < 0:
                     raise rest[1].err("arity must be a natural number")
-                sorts = (SORT_TERM,) * arity
+                sorts = (SORT_TERM,) * int(arity)
             else:
                 sorts = tuple(s.value for s in rest[1].value if s.value in (SORT_TERM, SORT_RAT))
                 if len(sorts) != len(rest[1].value):
@@ -386,10 +388,10 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
             if len(rest) != 2 or type(rest[0].value) is not str or type(rest[1].value) is not str:
                 raise form.err("usage: (declare-fun name arity)")
             declare(rest[0])
-            arity = _integer(rest[1].value)
-            if arity is None or arity < 1:
+            arity = _rational(rest[1].value)
+            if arity is None or arity.denominator != 1 or arity < 1:
                 raise rest[1].err("arity must be a positive integer")
-            funs.append((rest[0].value, arity))
+            funs.append((rest[0].value, int(arity)))
         elif head == "declare-const":
             if len(rest) != 1 or type(rest[0].value) is not str:
                 raise form.err("usage: (declare-const name)")

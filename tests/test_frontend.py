@@ -154,6 +154,17 @@ def _kept(text, fragment, expected):
     return pytest.param(text, expected, id="%s-%s" % (text, fragment))
 
 
+# A numeral past Python's int-string digit limit (4300 by default) is read
+# as a symbol, as Fraction's ValueError made it before the numeral pattern.
+_LONG = "9" * 5000
+_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                  reason="this Python has no int-string digit limit")
+
+
+def _long(text, expected, id):
+    return pytest.param(text % _LONG, expected, id=id, marks=_digit_limit)
+
+
 # One input per error site, with the exact (message, line, column).
 @pytest.mark.parametrize("text,expected", [
     _kept("(goal (p))", "unknown", ("unknown predicate 'p'", 1, 7)),
@@ -210,6 +221,11 @@ def _kept(text, fragment, expected):
     ("(declare-fun f 1)\n(declare-pred p 1)\n(declare-const a)\n(goal (p (f a a)))",
      ("f takes 1 arguments, got 2", 4, 10)),
     ("(goal (< (g 1) 0))", ("cannot parse term", 1, 10)),
+    # numerals too long for Fraction
+    _long("(goal (< 0 %s))", ("unknown symbol %r" % _LONG, 1, 12), "long-integer"),
+    _long("(goal (< 0 0.%s))", ("unknown symbol %r" % ("0." + _LONG), 1, 12), "long-decimal"),
+    _long("(declare-pred p %s)", ("arity must be a natural number", 1, 17), "long-pred-arity"),
+    _long("(declare-fun f %s)", ("arity must be a positive integer", 1, 16), "long-fun-arity"),
 ])
 def test_parse_errors(text, expected):
     if expected is None:
@@ -262,6 +278,7 @@ def test_parse_errors(text, expected):
     ("inf", None),
     ("nan", None),
     ("p0", None),
+    pytest.param(_LONG, None, id="long-numeral", marks=_digit_limit),
 ])
 def test_numeral_grammar(text, value):
     assert frontend._rational(text) == value
