@@ -14,6 +14,9 @@ image.  Unification looks only at the top of each side through the
 bindings; a new image is resolved once, so the checks above see it as
 an idempotent substitution would, and `mgu` resolves each image once
 more when it builds the constraint, which therefore stays idempotent.
+Two closed terms (no variables at all) unify iff they are equal, so two
+applications that are both closed are decided by their cached hashes
+and equality, not by descending into their arguments.
 
 A leaf closure or a meet extends a constraint that is already solved,
 so `mgu` takes it as a seed: its entries are the starting substitution
@@ -25,7 +28,11 @@ the one a from-scratch `mgu` of the seed's entries followed by the new
 pairs gives.  A seed is used only when it is closed: every meta-variable
 it mentions is declared.  Otherwise it is re-solved from scratch with
 the new pairs, so that an image mentioning a projected meta-variable
-raises the same DomainError as before.
+raises the same DomainError as before.  A constraint that unification
+builds is closed by construction (see `_extend`), and is marked so when
+it is built.  The leaf stream and the meet work on `_extend`, which
+gives None where `mgu` gives the absurd constraint, so no absurd
+constraint is built for a failed candidate.
 
 Projection erases the entry of the projected meta-variable; remaining
 images may still mention it, in which case compatibility solves for the
@@ -148,29 +155,34 @@ class _Clash(Exception):
 
 def _walk(t: Term, subst: dict[MetaVar, Term]) -> Term:
     """Follow bindings from the top of t until an unbound meta or a non-meta."""
-    while isinstance(t, MetaVar) and t in subst:
-        t = subst[t]
+    while type(t) is MetaVar:
+        image = subst.get(t)
+        if image is None:
+            return t
+        t = image
     return t
 
 
 def _resolve(t: Term, subst: dict[MetaVar, Term]) -> Term:
     """t with every bound meta-variable replaced, through chains of bindings."""
-    if isinstance(t, MetaVar):
+    kind = type(t)
+    if kind is MetaVar:
         image = subst.get(t)
         return t if image is None else _resolve(image, subst)
-    if isinstance(t, FunApp):
+    if kind is FunApp:
         if subst.keys().isdisjoint(term_vars(t)):
             return t
         return FunApp(t.symbol, tuple([_resolve(x, subst) for x in t.args]))
-    if isinstance(t, LinTerm):
+    if kind is LinTerm:
         return subst_term(t, {v: _resolve(v, subst) for v, _ in t.coeffs})
     return t
 
 
 def _unify(domain: Domain, subst: dict[MetaVar, Term], a: Term, b: Term) -> None:
+    # Every test is on `type(...) is`: no term class has a subclass.
     a = _walk(a, subst)
     b = _walk(b, subst)
-    if isinstance(a, LinTerm) or isinstance(b, LinTerm):
+    if type(a) is LinTerm or type(b) is LinTerm:
         # Renormalising can collapse a combination to a variable or a
         # constant, so linear terms are compared fully resolved.
         a = _resolve(a, subst)
@@ -179,28 +191,30 @@ def _unify(domain: Domain, subst: dict[MetaVar, Term], a: Term, b: Term) -> None
     # comparing the common part above the difference at every level.
     if a is b or (hash(a) == hash(b) and a == b):
         return
-    if isinstance(a, BoundVar) or isinstance(b, BoundVar):
-        raise PreconditionError("bound variable escaped into unification")
-    if isinstance(a, MetaVar) and isinstance(b, MetaVar):
-        # Bind toward the smaller authorised set; sets form a chain.
-        if domain.authorised(b) <= domain.authorised(a):
-            _bind(domain, subst, a, b)
-        else:
-            _bind(domain, subst, b, a)
-        return
-    if isinstance(a, MetaVar):
-        _bind(domain, subst, a, b)
-        return
-    if isinstance(b, MetaVar):
-        _bind(domain, subst, b, a)
-        return
-    if isinstance(a, FunApp) and isinstance(b, FunApp):
-        if a.symbol != b.symbol or len(a.args) != len(b.args):
+    kind_a, kind_b = type(a), type(b)
+    if kind_a is FunApp and kind_b is FunApp:
+        # Two closed applications unify iff they are equal, and these
+        # are not.
+        if (a.symbol != b.symbol or len(a.args) != len(b.args)
+                or not (term_vars(a) or term_vars(b))):
             raise _Clash
         for x, y in zip(a.args, b.args):
             _unify(domain, subst, x, y)
         return
-    if term_sort(a) == SORT_RAT and term_sort(b) == SORT_RAT:
+    if kind_a is BoundVar or kind_b is BoundVar:
+        raise PreconditionError("bound variable escaped into unification")
+    if kind_a is MetaVar:
+        # Between two metas, bind toward the smaller authorised set;
+        # sets form a chain.
+        if kind_b is MetaVar and not domain.authorised(b) <= domain.authorised(a):
+            _bind(domain, subst, b, a)
+        else:
+            _bind(domain, subst, a, b)
+        return
+    if kind_b is MetaVar:
+        _bind(domain, subst, b, a)
+        return
+    if a.sort == SORT_RAT and b.sort == SORT_RAT:
         _unify_rational(domain, subst, a, b)
         return
     raise _Clash
@@ -240,14 +254,19 @@ def _bind(domain: Domain, subst: dict[MetaVar, Term], meta: MetaVar, image: Term
     subst[meta] = image
 
 
-def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain,
-        seed: Optional[SubstConstraint] = None) -> SubstConstraint:
-    """Most general unifier of the pairs as a constraint; absurd on failure.
+def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
+            seed: Optional[SubstConstraint] = None) -> Optional[SubstConstraint]:
+    """`mgu`, with None in place of the absurd constraint.
 
-    With a satisfiable `seed` of domain's family, the result is the mgu
-    of the seed's entries followed by the pairs; a closed seed is the
-    starting substitution and only the pairs are unified.  A closed seed
-    at `domain` itself that the pairs add no binding to is the result.
+    A constraint this builds is closed, so its `closed` cache is set
+    here instead of being recomputed when it next seeds a pull.  Each
+    binding comes from a closed seed or from `_bind`.  A closed seed's
+    keys and image metas are declared in its domain, and a seed of
+    `domain`'s family declares the same meta-variables.  A binding made
+    by `_bind` passed `_admissible`, which looks up in `domain` the
+    authorised set of its key and of every meta-variable of its image,
+    and raises DomainError for one that is undeclared.  Resolving an
+    image only puts such images in place of meta-variables.
     """
     subst: dict[MetaVar, Term] = {}
     reuse = seed is not None and seed.closed
@@ -259,19 +278,37 @@ def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain,
         for a, b in pairs:
             _unify(domain, subst, a, b)
     except _Clash:
-        return _bot(domain)
+        return None
     if reuse and seed.domain is domain and len(subst) == len(seed.entries):
         return seed
-    return SubstConstraint(domain, domain.in_declaration_order(
+    out = SubstConstraint(domain, domain.in_declaration_order(
         (m, _resolve(t, subst)) for m, t in subst.items()))
+    object.__setattr__(out, "_closed", True)
+    return out
+
+
+def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain,
+        seed: Optional[SubstConstraint] = None) -> SubstConstraint:
+    """Most general unifier of the pairs as a constraint; absurd on failure.
+
+    With a satisfiable `seed` of domain's family, the result is the mgu
+    of the seed's entries followed by the pairs; a closed seed is the
+    starting substitution and only the pairs are unified.  A closed seed
+    at `domain` itself that the pairs add no binding to is the result.
+    """
+    out = _extend(pairs, domain, seed)
+    return _bot(domain) if out is None else out
+
+
+def _meet(a: SubstConstraint, b: SubstConstraint) -> Optional[SubstConstraint]:
+    domain = meet_domain(a, b)
+    return None if a.is_bot or b.is_bot else _extend(b.entries, domain, a)
 
 
 def subst_meet(a: SubstConstraint, b: SubstConstraint) -> SubstConstraint:
     """Most general common instance of two substitutions; absurd on clash."""
-    domain = meet_domain(a, b)
-    if a.is_bot or b.is_bot:
-        return _bot(domain)
-    return mgu(b.entries, domain, seed=a)
+    out = _meet(a, b)
+    return _bot(meet_domain(a, b)) if out is None else out
 
 
 class _Mismatch(Exception):
@@ -333,16 +370,15 @@ class SubstTheory(Theory):
         return SubstConstraint(domain, tuple((m, t) for m, t in sigma.entries if m != meta))
 
     def meet(self, a: SubstConstraint, b: SubstConstraint) -> Optional[SubstConstraint]:
-        out = subst_meet(a, b)
-        return None if out.is_bot else out
+        return _meet(a, b)
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
         def combine(pair: tuple[Literal, Literal], current: SubstConstraint):
             if current.is_bot:
                 return None
             l, l2 = pair
-            out = mgu(zip(l.atom.args, l2.atom.args), current.domain, seed=current)
-            return None if out.is_bot else (frozenset(pair), out)
+            out = _extend(zip(l.atom.args, l2.atom.args), current.domain, current)
+            return None if out is None else (frozenset(pair), out)
 
         return ConstraintStream(dual_pred_pairs(lits), combine)
 

@@ -18,7 +18,8 @@ literals, and linear arithmetic built from (+ ...), (- ...) and (* q t).
 is an optional sign, then ASCII digits with an optional "." fraction or
 "/" denominator, then, unless after a denominator, an optional exponent:
 3, -2/3, 1.5, 5., .5, 1e1.  A token with an underscore or a zero
-denominator is a symbol.
+denominator is a symbol, and so is a numeral whose length plus the
+absolute value of its exponent exceeds 4300.
 
 Goals are normalised on construction: negation is pushed to the atoms,
 a negated inequality flips into its complement, and a negated equality
@@ -131,18 +132,26 @@ def read_sexprs(text: str) -> tuple[SNode, ...]:
 
 # The numeral grammar of the module docstring, on every Python version.
 _NUMERAL = re.compile(
-    r"[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+    r"[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?)")
+# Python's default limit on the digits of an integer read from a string.
+_MAX_DIGITS = 4300
 
 
 @functools.lru_cache(maxsize=1024)  # problems repeat numerals: each `0` arity parses once
 def _rational(text: str) -> Optional[Fraction]:
-    """The number `text` names, else None; past Python's digit limit it is a symbol."""
-    if _NUMERAL.fullmatch(text):
-        try:
-            return Fraction(text)
-        except ValueError:
-            pass
-    return None
+    """The number `text` names, else None.
+
+    A numeral's length plus the size of its exponent bounds the digits
+    of its value; past _MAX_DIGITS it is a symbol, so no numeral costs
+    more than a 4300-digit integer to read.
+    """
+    match = _NUMERAL.fullmatch(text)
+    if match is None or len(text) > _MAX_DIGITS:
+        return None
+    exponent = match[1]
+    if exponent is not None and len(text) + abs(int(exponent)) > _MAX_DIGITS:
+        return None
+    return Fraction(text)
 
 
 def _head(node: SNode) -> Optional[str]:
@@ -183,10 +192,8 @@ class _GoalBuilder:
         self.counter = 0
 
     def binder_specs(self, node: SNode) -> list[tuple[SNode, Optional[str]]]:
-        if type(node.value) is str:
-            return [(node, None)]
         out: list[tuple[SNode, Optional[str]]] = []
-        for item in node.value:
+        for item in (node,) if type(node.value) is str else node.value:
             if type(item.value) is str:
                 out.append((item, None))
             elif (len(item.value) == 2 and type(item.value[0].value) is str

@@ -12,7 +12,8 @@ meta-variables; each meta-variable may only be instantiated with ground
 terms built from the eigenvariables declared before it.
 
 All of these values are immutable.  Each caches its hash on first use
-(`hash_once`), a FunApp also its variable set (`term_vars`), and a
+(`hash_once`), a FunApp also its variable set (`term_vars`) and its
+meta-variables and eigenvariables (`term_metas`, `term_eigens`), and a
 Domain its lookups.  The caches hold per-process values, such as string
 hashes; nothing in seqmod pickles these objects.
 """
@@ -139,7 +140,8 @@ class RatConst:
 class FunApp:
     """Application of an uninterpreted function symbol.
 
-    `term_vars` caches the variable set on the instance.
+    `term_vars`, `term_metas` and `term_eigens` cache their sets on the
+    instance.
     """
 
     symbol: str
@@ -281,12 +283,23 @@ def term_vars(t: Term) -> frozenset[Term]:
     raise TypeError(t)
 
 
+def _vars_of_kind(t: Term, kind: type, key: str) -> frozenset:
+    """The variables of t of one kind; cached on a FunApp beside `_vars`."""
+    if type(t) is not FunApp:
+        return frozenset([v for v in term_vars(t) if type(v) is kind])
+    out = t.__dict__.get(key)
+    if out is None:
+        out = frozenset([v for v in term_vars(t) if type(v) is kind])
+        object.__setattr__(t, key, out)
+    return out
+
+
 def term_metas(t: Term) -> frozenset[MetaVar]:
-    return frozenset(v for v in term_vars(t) if isinstance(v, MetaVar))
+    return _vars_of_kind(t, MetaVar, "_metas")
 
 
 def term_eigens(t: Term) -> frozenset[EigenVar]:
-    return frozenset(v for v in term_vars(t) if isinstance(v, EigenVar))
+    return _vars_of_kind(t, EigenVar, "_eigens")
 
 
 def term_depth(t: Term) -> int:
@@ -608,7 +621,7 @@ class Domain:
     def position(self, v: EigenVar | MetaVar) -> Optional[int]:
         """Index of v in decls, or None when v is not declared."""
         i = self._positions.get(v.name)
-        return i if i is not None and self.decls[i] == v else None
+        return i if i is not None and (self.decls[i] is v or self.decls[i] == v) else None
 
     def last_meta(self) -> Optional[MetaVar]:
         for v in reversed(self.decls):

@@ -157,7 +157,7 @@ def complementary_pair(lits) -> Optional[tuple[Literal, Literal]]:
     lits = tuple(lits)
     for i, l in enumerate(lits):
         for l2 in lits[i + 1:]:
-            if l.atom == l2.atom and l.positive != l2.positive:
+            if l.positive != l2.positive and l.atom == l2.atom:
                 return (l, l2) if l.positive else (l2, l)
     return None
 

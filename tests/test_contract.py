@@ -1,6 +1,9 @@
 """Shared theory contract: streams, domain compatibility, re-indexing."""
 
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from seqmod.fol import SubstTheory, mgu
 from seqmod.terms import (
@@ -106,6 +109,25 @@ def test_complementary_pair_is_syntactic():
     assert complementary_pair((lit("p", a), nlit("p", a))) is not None
     assert complementary_pair((lit("p", a), nlit("q", a))) is None
     assert complementary_pair((lit("p", a), lit("p", a))) is None
+
+
+_literal_lists = st.lists(
+    st.builds(lambda positive, name, args: Literal(positive, PredAtom(name, args)),
+              st.booleans(), st.sampled_from("pq"),
+              st.lists(st.sampled_from((a, M("X"), E("e"))), max_size=1).map(tuple)),
+    max_size=6)
+
+
+@given(_literal_lists)
+def test_complementary_pair_is_the_first_pair_of_a_scan(lits):
+    found = [(l, l2) for l, l2 in itertools.combinations(lits, 2)
+             if l.atom == l2.atom and l.positive != l2.positive]
+    expected = None
+    if found:
+        l, l2 = found[0]
+        expected = (l, l2) if l.positive else (l2, l)
+    assert complementary_pair(lits) == expected
+    assert complementary_pair(iter(lits)) == expected
 
 
 def test_dual_pred_pairs_matches_name_arity_and_sign():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqmod
-from seqmod.fol import SubstConstraint, SubstTheory, _solve_linear, mgu, subst_meet
+from seqmod.fol import SubstConstraint, SubstTheory, _extend, _solve_linear, mgu, subst_meet
 from seqmod.terms import (
     BoundVar,
     Domain,
@@ -127,6 +127,16 @@ def test_seeded_mgu_returns_a_seed_the_pairs_add_nothing_to():
     longer = d.add_eigen(E("e"))
     out = mgu([], longer, seed=seed)
     assert out is not seed and (out.domain, out.entries) == (longer, seed.entries)
+
+
+def test_bound_variable_nested_in_an_argument_is_a_precondition_error():
+    d = dom(M("X"))
+    x = BoundVar("x")
+    for pairs in ([(f(x), f(a))], [(g(a, f(x)), g(a, f(b)))], [(M("X"), a), (f(M("X")), f(x))]):
+        with pytest.raises(PreconditionError):
+            mgu(pairs, d)
+        with pytest.raises(PreconditionError):
+            _extend(pairs, d)
 
 
 @given(st.integers(0, 2), st.integers(0, 2))
@@ -514,7 +524,23 @@ def _chain_pairs(draw):
     return pairs + draw(_random_pairs)
 
 
-_pair_lists = st.one_of(_random_pairs, _chain_pairs())
+def _iterate(wrap, n, t):
+    for _ in range(n):
+        t = wrap(t)
+    return t
+
+
+# Closed terms of depth 6 to 9, and metas under up to 9 applications of f:
+# equal closed terms are separate objects, and a meta bound to a closed
+# term meets another closed term, as when a leaf closes on p(f^n(a)).
+_deep_closed = st.builds(_iterate, st.just(f), st.integers(6, 9),
+                         st.sampled_from((a, b, g(a, b))))
+_deep_open = st.builds(_iterate, st.just(f), st.integers(0, 9), st.sampled_from(_METAS))
+_deep = st.one_of(_deep_closed, _deep_closed, _deep_open,
+                  st.builds(g, _deep_closed, st.one_of(_deep_closed, _deep_open)))
+_deep_pairs = st.lists(st.tuples(_deep, _deep), min_size=1, max_size=4)
+
+_pair_lists = st.one_of(_random_pairs, _chain_pairs(), _deep_pairs)
 
 
 _X0, _X1, _X2, _X3 = _METAS
@@ -528,8 +554,31 @@ _X0, _X1, _X2, _X3 = _METAS
 @example(dom(*_METAS), [(_X0, f(_X1)), (_X1, _Z)])
 # 2R + 1 = 1 once R -> 1 is bound: the linear term is false only resolved.
 @example(dom(_R), [(_R, rat(1)), (mk_lin({_R: Fraction(2)}, Fraction(1)), rat(1))])
+# Closed terms of depth 7, equal, and unequal only at the bottom.
+@example(dom(*_METAS), [(_iterate(f, 7, a), _iterate(f, 7, a))])
+@example(dom(*_METAS), [(_iterate(f, 7, a), _iterate(f, 7, b))])
+# X0 -> f^11(a), then f(X0) against f^7(a): a clash between closed terms.
+@example(dom(*_METAS), [(_X0, _iterate(f, 11, a)), (f(_X0), _iterate(f, 7, a))])
 def test_mgu_agrees_with_the_eager_reference(d, pairs):
-    assert _outcome(mgu, pairs, d) == _outcome(_eager_mgu, pairs, d)
+    out = _outcome(mgu, pairs, d)
+    assert out == _outcome(_eager_mgu, pairs, d)
+    _assert_closed_is_exact(out[0])
+    extended = _outcome(_extend, pairs, d)
+    if isinstance(out[0], SubstConstraint) and out[0].is_bot:
+        assert extended == (None, "None")
+    else:
+        assert extended == out
+        _assert_closed_is_exact(extended[0])
+
+
+def _assert_closed_is_exact(sigma):
+    """A returned constraint's `closed`, cached when it was built or not,
+    equals the one recomputed from its entries."""
+    if not isinstance(sigma, SubstConstraint):
+        return
+    position = sigma.domain.position
+    assert sigma.closed == (not sigma.is_bot and all(
+        position(y) is not None for m, t in sigma.entries for y in (m, *term_metas(t))))
 
 
 # Meet operands: a few bindings each, so that both are often satisfiable,
@@ -560,7 +609,14 @@ def _input(d, bindings, project):
 @example(dom(_X0, _X1), [(_X0, _X1)], [(_X1, _X0)], False)
 def test_meet_agrees_with_the_eager_reference(d, left, right, project):
     sa, sb = _input(d, left, project), _input(d, right, project)
-    assert _outcome(subst_meet, sa, sb) == _outcome(_eager_meet, sa, sb)
+    out = _outcome(subst_meet, sa, sb)
+    assert out == _outcome(_eager_meet, sa, sb)
+    _assert_closed_is_exact(out[0])
+    met = _outcome(TH.meet, sa, sb)
+    if isinstance(out[0], SubstConstraint) and out[0].is_bot:
+        assert met == (None, "None")
+    else:
+        assert met == out
 
 
 def _eager_pulls(current, lits):
@@ -609,9 +665,18 @@ _inputs = st.one_of(st.lists(st.tuples(st.sampled_from(_METAS + (_Z,)), _shallow
 # authorised set.
 @example(dom(_EIGENS[0], _X0, _X1), [(_X0, f(_Z))], True,
          [lit("p", _X1, a), neg_lit("p", b, a)])
+# The input binds X0 to a closed term; one closing pair clashes on closed
+# terms, the next one holds.
+@example(dom(*_METAS), [(_X0, _iterate(f, 11, a))], False,
+         [lit("p", f(_X0), a), neg_lit("p", _iterate(f, 7, a), a),
+          neg_lit("p", _iterate(f, 12, a), a)])
 def test_pull_agrees_with_the_eager_reference(d, bindings, project, lits):
     current = _input(d, bindings, project)
-    assert _outcome(_pulls, current, lits) == _outcome(_eager_pulls, current, lits)
+    out = _outcome(_pulls, current, lits)
+    assert out == _outcome(_eager_pulls, current, lits)
+    if out[0] != "DomainError":
+        for _, sigma in out[0]:
+            _assert_closed_is_exact(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,14 @@ def _kept(text, fragment, expected):
     return pytest.param(text, expected, id="%s-%s" % (text, fragment))
 
 
-# A numeral past Python's int-string digit limit (4300 by default) is read
-# as a symbol, as Fraction's ValueError made it before the numeral pattern.
+# A numeral whose length plus the size of its exponent passes 4300 (the
+# default int-string digit limit of Python 3.10.7 and later) is read as a
+# symbol on every Python version.
 _LONG = "9" * 5000
-_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                                  reason="this Python has no int-string digit limit")
 
 
 def _long(text, expected, id):
-    return pytest.param(text % _LONG, expected, id=id, marks=_digit_limit)
+    return pytest.param(text % _LONG, expected, id=id)
 
 
 # One input per error site, with the exact (message, line, column).
@@ -226,6 +225,13 @@ def _long(text, expected, id):
     _long("(goal (< 0 0.%s))", ("unknown symbol %r" % ("0." + _LONG), 1, 12), "long-decimal"),
     _long("(declare-pred p %s)", ("arity must be a natural number", 1, 17), "long-pred-arity"),
     _long("(declare-fun f %s)", ("arity must be a positive integer", 1, 16), "long-fun-arity"),
+    # a numeral past the bound on length plus exponent size is a symbol
+    ("(goal (< 0 1e10000000))", ("unknown symbol '1e10000000'", 1, 12)),
+    # a bare-symbol binder gets the checks of the list form
+    ("(goal (forall 5 (< 5 1)))", ("a number cannot be a variable name", 1, 15)),
+    ("(declare-pred p 1)\n(goal (forall and (p and)))", ("invalid variable name 'and'", 2, 15)),
+    ("(declare-pred p 1)\n(goal (forall (and) (p and)))",
+     ("invalid variable name 'and'", 2, 16)),
 ])
 def test_parse_errors(text, expected):
     if expected is None:
@@ -278,7 +284,15 @@ def test_parse_errors(text, expected):
     ("inf", None),
     ("nan", None),
     ("p0", None),
-    pytest.param(_LONG, None, id="long-numeral", marks=_digit_limit),
+    pytest.param(_LONG, None, id="long-numeral"),
+    # the bound on length plus exponent size, from both sides
+    pytest.param("9" * 4300, Fraction(10 ** 4300 - 1), id="4300-digits"),
+    pytest.param("9" * 4301, None, id="4301-digits"),
+    ("1e4294", Fraction(10 ** 4294)),
+    ("1e4295", None),
+    ("-1e-4292", Fraction(-1, 10 ** 4292)),
+    ("-1e-4293", None),
+    ("1e10000000", None),
 ])
 def test_numeral_grammar(text, value):
     assert frontend._rational(text) == value

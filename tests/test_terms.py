@@ -47,6 +47,7 @@ from seqmod.terms import (
     substitute,
     term_depth,
     term_eigens,
+    term_metas,
     term_sort,
     term_vars,
 )
@@ -548,6 +549,30 @@ def test_cached_hash_is_the_hash_of_the_fields(cls, data):
     assert "_hash" not in _field_names(cls)
     r = dataclasses.replace(y)
     assert r == y and "_hash" not in vars(r) and hash(r) == fields_hash
+
+
+def _variables(t):
+    """The variable occurrences of t, by a walk that reads no cache."""
+    if isinstance(t, FunApp):
+        return [v for x in t.args for v in _variables(x)]
+    if isinstance(t, LinTerm):
+        return [v for v, _ in t.coeffs]
+    return [] if isinstance(t, RatConst) else [t]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tterms | _rterms | _lin_terms, st.booleans())
+def test_cached_metas_and_eigens_equal_a_scan_of_the_term(t, args_first):
+    if args_first and isinstance(t, FunApp):
+        for x in t.args:  # the arguments cache their sets before t does
+            term_metas(x), term_eigens(x)
+    metas = frozenset(v for v in _variables(t) if isinstance(v, MetaVar))
+    eigens = frozenset(v for v in _variables(t) if isinstance(v, EigenVar))
+    for _ in range(2):  # computed, then served from the cache
+        assert term_metas(t) == metas
+        assert term_eigens(t) == eigens
+    if isinstance(t, FunApp):
+        assert vars(t)["_metas"] == metas and vars(t)["_eigens"] == eigens
 
 
 # ---------------------------------------------------------------------------
