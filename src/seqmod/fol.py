@@ -261,8 +261,10 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     A constraint this builds is closed, so its `closed` cache is set
     here instead of being recomputed when it next seeds a pull.  Each
     binding comes from a closed seed or from `_bind`.  A closed seed's
-    keys and image metas are declared in its domain, and a seed of
-    `domain`'s family declares the same meta-variables.  A binding made
+    keys and image metas are declared in its domain, and the seed is of
+    `domain`'s family (`mgu` checks this, the leaf stream passes the
+    seed's own domain, and `meet_domain` checks it for `_meet`), which
+    declares the same meta-variables.  A binding made
     by `_bind` passed `_admissible`, which looks up in `domain` the
     authorised set of its key and of every meta-variable of its image,
     and raises DomainError for one that is undeclared.  Resolving an
@@ -295,7 +297,10 @@ def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     of the seed's entries followed by the pairs; a closed seed is the
     starting substitution and only the pairs are unified.  A closed seed
     at `domain` itself that the pairs add no binding to is the result.
+    A seed of another family raises DomainMismatch.
     """
+    if seed is not None:
+        check_metas_compatible(seed.domain, domain)
     out = _extend(pairs, domain, seed)
     return _bot(domain) if out is None else out
 

@@ -149,9 +149,12 @@ def _rational(text: str) -> Optional[Fraction]:
     if match is None or len(text) > _MAX_DIGITS:
         return None
     exponent = match[1]
-    if exponent is not None and len(text) + abs(int(exponent)) > _MAX_DIGITS:
+    try:  # a lowered int_max_str_digits limit makes a symbol too
+        if exponent is not None and len(text) + abs(int(exponent)) > _MAX_DIGITS:
+            return None
+        return Fraction(text)
+    except ValueError:
         return None
-    return Fraction(text)
 
 
 def _head(node: SNode) -> Optional[str]:

@@ -120,7 +120,7 @@ def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundCon
         old = amap.get(m)
         if old is None:
             added[m] = t
-        elif old is not t and old != t:
+        elif old != t:
             return None
     return GroundConstraint(domain, domain.in_declaration_order({**amap, **added}.items()))
 

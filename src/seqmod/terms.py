@@ -621,7 +621,7 @@ class Domain:
     def position(self, v: EigenVar | MetaVar) -> Optional[int]:
         """Index of v in decls, or None when v is not declared."""
         i = self._positions.get(v.name)
-        return i if i is not None and (self.decls[i] is v or self.decls[i] == v) else None
+        return i if i is not None and self.decls[i] == v else None
 
     def last_meta(self) -> Optional[MetaVar]:
         for v in reversed(self.decls):

@@ -129,6 +129,17 @@ def test_seeded_mgu_returns_a_seed_the_pairs_add_nothing_to():
     assert out is not seed and (out.domain, out.entries) == (longer, seed.entries)
 
 
+def test_seeded_mgu_rejects_a_seed_of_another_family():
+    # A closed seed whose metas the domain does not declare would give a
+    # constraint marked closed that is not; mgu refuses the seed instead.
+    seed = mgu([(M("Z"), f(M("W")))], dom(M("Z"), M("W")))
+    assert seed.closed
+    d = dom(M("X"))
+    with pytest.raises(DomainMismatch):
+        mgu([(M("X"), a)], d, seed=seed)
+    with pytest.raises(DomainMismatch):
+        mgu([], dom(M("W"), M("Z")), seed=seed)
+
 def test_bound_variable_nested_in_an_argument_is_a_precondition_error():
     d = dom(M("X"))
     x = BoundVar("x")

@@ -298,6 +298,19 @@ def test_numeral_grammar(text, value):
     assert frontend._rational(text) == value
 
 
+@pytest.mark.parametrize("text", [
+    "7" * 1000,               # Fraction raises past the lowered limit
+    "1e" + "0" * 999 + "1",   # so does int() on the exponent
+])
+def test_numeral_past_a_lowered_digit_limit_is_a_symbol(text):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert frontend._rational(text) is None
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_problem("(declare-pred p 0)\n(goal (q))")
