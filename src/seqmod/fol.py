@@ -119,9 +119,14 @@ class SubstConstraint:
         return out
 
     def mapping(self) -> dict[Term, Term]:
+        """The entries as a dict, built once per constraint; not to be mutated."""
         if self.entries is None:
             raise PreconditionError("the absurd constraint maps nothing")
-        return {m: t for m, t in self.entries}
+        out = self.__dict__.get("_mapping")
+        if out is None:
+            out = dict(self.entries)
+            object.__setattr__(self, "_mapping", out)
+        return out
 
     def __str__(self) -> str:
         if self.entries is None:
@@ -258,6 +263,12 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
             seed: Optional[SubstConstraint] = None) -> Optional[SubstConstraint]:
     """`mgu`, with None in place of the absurd constraint.
 
+    A closed seed's bindings start the substitution as a copy of its
+    cached `mapping`, so a candidate that clashes at once costs one
+    `dict.copy`, not a rehash of every entry.  A seed without entries
+    (every propositional leaf's) starts from an empty dict and caches
+    no mapping.
+
     A constraint this builds is closed, so its `closed` cache is set
     here instead of being recomputed when it next seeds a pull.  Each
     binding comes from a closed seed or from `_bind`.  A closed seed's
@@ -270,11 +281,9 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     and raises DomainError for one that is undeclared.  Resolving an
     image only puts such images in place of meta-variables.
     """
-    subst: dict[MetaVar, Term] = {}
     reuse = seed is not None and seed.closed
-    if reuse:
-        subst.update(seed.entries)
-    elif seed is not None:
+    subst: dict[MetaVar, Term] = seed.mapping().copy() if reuse and seed.entries else {}
+    if seed is not None and not reuse:
         pairs = [*seed.entries, *pairs]
     try:
         for a, b in pairs:
@@ -385,7 +394,8 @@ class SubstTheory(Theory):
             out = _extend(zip(l.atom.args, l2.atom.args), current.domain, current)
             return None if out is None else (frozenset(pair), out)
 
-        return ConstraintStream(dual_pred_pairs(lits), combine)
+        pairs = dual_pred_pairs(lits)
+        return ConstraintStream(lambda current: pairs, combine)
 
     # -- semantics ----------------------------------------------------------
 

@@ -439,7 +439,8 @@ class LraTheory(Theory):
             out = _conjoin(current, PolyConstraint(current.domain, (system,)))
             return (used, out) if _sat(out, self._eliminated, self._sat) else None
 
-        return ConstraintStream(candidates(), combine)
+        cands = candidates()
+        return ConstraintStream(lambda current: cands, combine)
 
     # -- semantics ----------------------------------------------------------
 

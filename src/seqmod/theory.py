@@ -23,10 +23,12 @@ A backend implements `top`, `meet`, `consistency`, `satisfiable`,
 `compatible`, `ground_valid` and the two payload hooks; `shrink` is
 optional.  Constraints are shown with `str`.
 
-Every backend's leaf stream is one `ConstraintStream`: a cursor over a
-lazy iterable of candidate closures, with a backend-supplied
+Every backend's leaf stream is one `ConstraintStream`: a cursor over
+lazily produced candidate closures, with a backend-supplied
 `combine(candidate, current)` that gives the pair (used literals,
-output) or None to skip the candidate.
+output) or None to skip the candidate.  The backend's candidate source
+sees each pull's input, so it may jump over candidates the input rules
+out; `fol` and `lra` ignore the input.
 """
 
 from __future__ import annotations
@@ -72,23 +74,26 @@ class ResourceLimit(TheoryError):
 
 
 class ConstraintStream:
-    """Resumable enumeration of leaf closures: a cursor over a lazily
-    consumed candidate iterable.
+    """Resumable enumeration of leaf closures: a cursor over lazily
+    consumed candidates.
 
     Each pull takes the current input constraint and returns the first
     `combine(candidate, current)` of the remaining candidates that is
     not None, a pair (used literal subset, output constraint), or None
-    when the alternatives are exhausted.  The cursor never revisits a
-    candidate, skipped or not.  Pulling is the only effectful operation;
-    a stream has a single consumer.
+    when the alternatives are exhausted.  `source(current)` gives the
+    remaining candidates as an iterator that resumes where the previous
+    pull stopped; it may leave out candidates that `combine` would skip
+    for this input, which then count as consumed.  The cursor never
+    revisits a candidate, skipped or not.  Pulling is the only effectful
+    operation; a stream has a single consumer.
     """
 
-    def __init__(self, candidates, combine) -> None:
-        self._candidates = iter(candidates)
+    def __init__(self, source, combine) -> None:
+        self._source = source
         self._combine = combine
 
     def pull(self, current: object) -> Optional[tuple[frozenset[Literal], object]]:
-        for cand in self._candidates:
+        for cand in self._source(current):
             out = self._combine(cand, current)
             if out is not None:
                 return out

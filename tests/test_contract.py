@@ -155,7 +155,8 @@ def test_candidate_stream_advances_a_persistent_cursor():
         log.append((x, current))
         return frozenset(), x + current
 
-    s = ConstraintStream([1, 2, 3], combine)
+    candidates = iter([1, 2, 3])
+    s = ConstraintStream(lambda current: candidates, combine)
     assert s.pull(10) == (frozenset(), 11)
     assert s.pull(20) == (frozenset(), 22)
     assert s.pull(30) == (frozenset(), 33)
@@ -167,14 +168,34 @@ def test_candidate_stream_skips_rejected_candidates():
     def combine(x, current):
         return None if x % 2 else (frozenset(), x)
 
-    s = ConstraintStream([1, 2, 3, 4], combine)
+    candidates = iter([1, 2, 3, 4])
+    s = ConstraintStream(lambda current: candidates, combine)
     assert s.pull(0) == (frozenset(), 2)
     assert s.pull(0) == (frozenset(), 4)
     assert s.pull(0) is None
 
 
+def test_candidate_stream_source_sees_each_input():
+    # A source may leave out the candidates an input rules out; they
+    # stay consumed for the later pulls with other inputs.
+    candidates = iter(range(10))
+    seen = []
+
+    def source(current):
+        seen.append(current)
+        return (x for x in candidates if x % current == 0)
+
+    s = ConstraintStream(source, lambda x, current: (frozenset(), x))
+    assert s.pull(3) == (frozenset(), 0)
+    assert s.pull(4) == (frozenset(), 4)
+    assert s.pull(3) == (frozenset(), 6)
+    assert s.pull(1) == (frozenset(), 7)
+    assert seen == [3, 4, 3, 1]
+
+
 def test_candidate_stream_reports_used_literals():
     used = frozenset({lit("p", a)})
-    s = ConstraintStream([(used, 7)], lambda cand, cur: cand)
+    candidates = iter([(used, 7)])
+    s = ConstraintStream(lambda current: candidates, lambda cand, cur: cand)
     got_used, got = s.pull(0)
     assert got_used == used and got == 7

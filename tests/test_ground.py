@@ -283,7 +283,8 @@ def _eager_consistency(theory, lits, domain):
         out = _eager_merge(current.domain, current, g)
         return None if out is None else (used, out)
 
-    return ConstraintStream(candidates(), combine)
+    cands = candidates()
+    return ConstraintStream(lambda current: cands, combine)
 
 
 g2 = lambda s, t: FunApp("g", (s, t))
@@ -393,6 +394,76 @@ def test_stream_pulled_with_two_inputs_in_turn_agrees(inputs, lits):
     d = inputs[0].domain
     lazy = _alternate(_STREAM_TH.consistency(lits, d), inputs)
     assert lazy == _alternate(_eager_consistency(_STREAM_TH, lits, d), inputs)
+
+
+def _pulls(stream, inputs, count):
+    """`count` pulls, with each input in turn, exhausted ones included."""
+    return [stream.pull(current) for current in itertools.islice(itertools.cycle(inputs), count)]
+
+
+_D4 = dom(*_XS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inputs(3), _leaf_lits)
+# The third input pins X1 to f(f(a)), which no candidate list holds at
+# ceiling 1: nothing agrees, and every later pull is exhausted too.
+@example((_STREAM_TH.top(_D4),
+          GroundConstraint(_D4, ((_XS[0], b),)),
+          GroundConstraint(_D4, ((_XS[1], f(f(a))),))),
+         [lit("q", _XS[0], _XS[1]), nlit("q", a, _XS[1]), nlit("q", b, _XS[1])])
+# An unpinned pull right after a pinned one starts just after the
+# grounding the pinned pull returned.
+@example((GroundConstraint(_D4, ((_XS[0], b),)),
+          _STREAM_TH.top(_D4),
+          GroundConstraint(_D4, ((_XS[0], a),))),
+         [lit("q", _XS[0], _XS[1]), nlit("q", a, a), nlit("q", b, a), nlit("q", a, f(a)),
+          nlit("q", b, f(b)), nlit("q", f(a), b)])
+# The same pins twice in a row, then other pins.
+@example((GroundConstraint(_D4, ((_XS[0], a), (_XS[2], b))),
+          GroundConstraint(_D4, ((_XS[0], a), (_XS[2], b))),
+          GroundConstraint(_D4, ((_XS[2], f(a)),))),
+         [lit("q", _XS[0], _XS[1]), nlit("q", a, _XS[1]), lit("p", _XS[2]), nlit("p", b),
+          nlit("p", f(a))])
+def test_stream_pulled_with_three_inputs_in_turn_agrees(inputs, lits):
+    d = inputs[0].domain
+    count = 12
+    assert (_pulls(_STREAM_TH.consistency(lits, d), inputs, count)
+            == _pulls(_eager_consistency(_STREAM_TH, lits, d), inputs, count))
+    # The theory's memo is shared by every domain drawn so far.
+    for m in d.metas:
+        terms = enumerate_ground_terms(_STREAM_SIG, d, m, _STREAM_TH.ceiling)
+        assert _STREAM_TH._candidates(d, m) == (
+            tuple((i, t, term_depth(t)) for i, t in enumerate(terms)),
+            {t: i for i, t in enumerate(terms)})
+
+
+def test_a_fully_pinned_pull_examines_at_most_one_grounding(monkeypatch):
+    # Four metas with 4 candidates each at ceiling 3: a, f(a), f(f(a)),
+    # f(f(f(a))).  Every grounding closes the leaf.  An input that fixes
+    # all four metas agrees with one grounding, wherever it sits among
+    # the 256, so a pull hands at most one grounding to the stream's
+    # combine step, and grounds the literals at most once.
+    sig = Signature(preds=(("q", (SORT_TERM,) * 4),), funs=(("f", 1),), consts=("a",))
+    th = GroundEnumTheory(sig, ceiling=3)
+    terms = enumerate_ground_terms(sig, _D4, _XS[0], 3)
+    assert len(terms) ** 4 == 256
+    lits = (lit("q", *_XS), nlit("q", *_XS))
+    grounded = []
+    real_pair = complementary_pair
+    monkeypatch.setattr("seqmod.ground.complementary_pair",
+                        lambda ls: grounded.append(ls) or real_pair(ls))
+    for images in [(terms[3],) * 4, (terms[0], terms[3], terms[1], terms[2]), (terms[2],) * 4]:
+        current = GroundConstraint(_D4, tuple(zip(_XS, images)))
+        stream = th.consistency(lits, _D4)
+        examined = []
+        combine = stream._combine
+        stream._combine = lambda cand, cur: examined.append(cand) or combine(cand, cur)
+        used, out = stream.pull(current)
+        assert out == current and len(examined) <= 1 and len(grounded) <= 1
+        assert stream.pull(current) is None
+        assert len(examined) <= 1 and len(grounded) <= 1
+        grounded.clear()
 
 
 @settings(max_examples=200, deadline=None)
