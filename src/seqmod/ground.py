@@ -24,17 +24,36 @@ groundings, for any sequence of inputs.  An image no candidate list
 holds leaves nothing that agrees, and the cursor moves to the end.  A
 pull whose pins equal the previous pull's resumes the previous walk; di
 pulls always take `top`, so they walk the order once.  Only literals
-whose predicate occurs with both polarities can close a leaf; each of
-them is instantiated once per grounding of its own meta-variables, for
-the life of the stream.  The candidate lists, their depths and their
-term-to-index maps are memoised on the theory instance, keyed by the
-meta-variable's sort and its authorised eigenvariables in declaration
-order, which is all `enumerate_ground_terms` reads besides the
-signature and ceiling.  This backend doubles as a cross-check oracle for
-the unification backend on problems both can express, so it stays a
-plain enumeration: no unification, and the fair order and its cap are
-those of the whole product; the pins only jump over groundings the
-merge would drop.
+whose predicate occurs with both polarities can close a leaf.  This
+backend doubles as a cross-check oracle for the unification backend on
+problems both can express, so it stays a plain enumeration: no
+unification, and the fair order and its cap are those of the whole
+product; the pins only jump over groundings the merge would drop.
+
+Each piece of a leaf stream's work is done once per theory instance,
+that is once per run, in three memos on the instance:
+
+- the candidate lists, their depths and their term-to-index maps, keyed
+  by the meta-variable's sort and its authorised eigenvariables in
+  declaration order, which is all `enumerate_ground_terms` reads
+  besides the signature and ceiling;
+- a stream's static parts (its meta-variables, their candidate lists
+  and index maps, the live literals and the positions of their
+  meta-variables), keyed by the leaf's literals and domain.  A stream
+  over more groundings than `_MAX_ASSIGNMENTS` is never stored, so its
+  `ResourceLimit` is raised by every call;
+- the ground instances of each live literal, keyed by the literal and
+  its meta-variables, then by their images.
+
+The cursor state (pins, walk, last grounding) stays with each stream.
+
+Only the public `GroundConstraint(...)` constructor checks its
+arguments.  The constraints this backend's own operations return (meet,
+project, lift, and a stream's outputs) are built by `_trusted`, which
+skips the checks, because the constraint family of a domain is closed
+under those operations.  A pull checks that its input is of the
+stream's family, as `meet_domain` does for a meet's operands; see
+`_trusted` for the argument.
 
 The witness of a meta-variable the constraint leaves unassigned is
 `theory.first_ground` over the signature's constants: the first default
@@ -86,7 +105,16 @@ _END = object()  # the cursor of an exhausted leaf stream
 @hash_once
 @dataclass(frozen=True)
 class GroundConstraint:
-    """Partial map from meta-variables to ground terms, declaration order."""
+    """Partial map from meta-variables to ground terms, declaration order.
+
+    The constructor checks that every meta-variable is declared in the
+    domain, that the entries follow declaration order without repeats,
+    and that each image is ground, of its meta-variable's sort and built
+    from eigenvariables that meta-variable is authorised to see.  Input
+    from outside the backend (tests, the conformance harness, `top`,
+    `shrink`) goes through it.  The backend's own operations build their
+    results with `_trusted` instead, which skips these checks.
+    """
 
     domain: Domain
     entries: tuple[tuple[MetaVar, Term], ...] = ()
@@ -124,18 +152,48 @@ class GroundConstraint:
         return "{%s}" % ", ".join("%s -> %s" % (m, t) for m, t in self.entries)
 
 
+def _trusted(domain: Domain, entries: tuple[tuple[MetaVar, Term], ...]) -> GroundConstraint:
+    """The GroundConstraint (domain, entries), built without the
+    constructor's checks.
+
+    Every caller's result is valid by construction:
+
+    - `_merge` (meet, and a stream's outputs): the operands are of one
+      constraint family, checked by `meet_domain` for a meet and by
+      `check_metas_compatible` for a stream's input, so the domains
+      declare the same meta-variables with the same authorised sets.
+      Each entry comes from a valid constraint of that family, or is a
+      grounding from that domain's candidate lists, whose terms are
+      ground, of the meta-variable's sort and authorised.  One family
+      declares its metas in one order, so either operand's entries are
+      in order at the result's domain, and `in_declaration_order`
+      restores the order of their union.
+    - `project_payload` drops the entry of the last meta-variable, whose
+      declaration is the one the result's domain drops.
+    - `lift` appends one meta-variable to the domain; the entries and
+      their metas' authorised sets are unchanged.
+    """
+    out = object.__new__(GroundConstraint)
+    out.__dict__.update(domain=domain, entries=entries)
+    return out
+
+
 def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundConstraint]:
-    """a extended by b_entries, whose metas are distinct, at domain; None
-    when a maps one of them to another image."""
+    """a extended by b_entries, distinct metas in declaration order, at
+    domain; None when a maps one of them to another image."""
     amap = a.mapping()
     added: dict[MetaVar, Term] = {}
     for m, t in b_entries:
         old = amap.get(m)
         if old is None:
             added[m] = t
-        elif old != t:
+        elif old is not t and old != t:
             return None
-    return GroundConstraint(domain, domain.in_declaration_order({**amap, **added}.items()))
+    if not added:
+        return a if a.domain is domain else _trusted(domain, a.entries)
+    if not amap:
+        return _trusted(domain, tuple(added.items()))
+    return _trusted(domain, domain.in_declaration_order({**amap, **added}.items()))
 
 
 def ground_meet(a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
@@ -242,6 +300,8 @@ class GroundEnumTheory(Theory):
         self.sig = sig
         self.ceiling = ceiling
         self._memo: dict = {}  # see `_candidates`
+        self._leaves: dict = {}  # see `_leaf`
+        self._instances: dict = {}  # (literal, its metas) -> {images: ground literal}
 
     def _candidates(self, domain: Domain, meta: MetaVar):
         """`meta`'s candidates as (index, term, depth) triples, and each
@@ -258,25 +318,23 @@ class GroundEnumTheory(Theory):
             out = self._memo[key] = (_indexed(terms), {t: j for j, t in enumerate(terms)})
         return out
 
-    # -- constraint algebra ------------------------------------------------
-
-    def top(self, domain: Domain) -> GroundConstraint:
-        return GroundConstraint(domain, ())
-
-    def project_payload(self, sigma: GroundConstraint, meta: MetaVar,
-                        domain: Domain) -> GroundConstraint:
-        return GroundConstraint(domain, tuple((m, t) for m, t in sigma.entries if m != meta))
-
-    def meet(self, a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
-        return ground_meet(a, b)
-
-    def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
-        lits = tuple(lits)
+    def _leaf(self, lits: tuple[Literal, ...], domain: Domain):
+        """The static parts of the leaf stream over `lits` at `domain`,
+        memoised on that pair: the metas the literals mention, their
+        candidate lists and index maps, whether the product has a member,
+        the live literals, each live literal's metas as positions in the
+        metas, and each live literal's table of ground instances.  An
+        over-cap product raises `ResourceLimit` before anything is stored.
+        """
+        key = (lits, domain)
+        out = self._leaves.get(key)
+        if out is not None:
+            return out
         metas = tuple(m for m in domain.metas
                       if any(m in literal_vars(l) for l in lits))
         memo = [self._candidates(domain, m) for m in metas]
-        cands = [c for c, _ in memo]
-        indexes = [ix for _, ix in memo]
+        cands = tuple(c for c, _ in memo)
+        indexes = tuple(ix for _, ix in memo)
         nonempty = _within_cap(cands)
         # Only a literal whose predicate occurs with both polarities can
         # be, or equal, a member of a complementary pair.
@@ -284,18 +342,46 @@ class GroundEnumTheory(Theory):
         for l in lits:
             polarities.setdefault(_pred_key(l.atom), set()).add(l.positive)
         live = tuple(l for l in lits if len(polarities[_pred_key(l.atom)]) == 2)
-        # Each live literal's metas, as positions in `metas`.
         positions = tuple(tuple(i for i, m in enumerate(metas) if m in vs)
                           for vs in map(literal_vars, live))
-        instances: dict = {}  # (literal index, images of its metas) -> ground literal
+        # Keyed by the metas too: two domains may order a literal's metas
+        # differently, or declare different ones of them.
+        tables = tuple(self._instances.setdefault((l, tuple(metas[i] for i in ps)), {})
+                       for l, ps in zip(live, positions))
+        out = self._leaves[key] = (metas, cands, indexes, nonempty, live, positions, tables)
+        return out
 
-        def ground(k: int, images: tuple[Term, ...]) -> Literal:
-            own = tuple(images[i] for i in positions[k])
-            gl = instances.get((k, own))
-            if gl is None:
-                mapping = {metas[i]: t for i, t in zip(positions[k], own)}
-                gl = instances[(k, own)] = subst_literal(live[k], mapping)
-            return gl
+    # -- constraint algebra ------------------------------------------------
+
+    def top(self, domain: Domain) -> GroundConstraint:
+        return GroundConstraint(domain, ())
+
+    def project_payload(self, sigma: GroundConstraint, meta: MetaVar,
+                        domain: Domain) -> GroundConstraint:
+        # `meta` is the last meta, so its entry, if any, is the last one.
+        entries = sigma.entries
+        if entries and entries[-1][0] == meta:
+            entries = entries[:-1]
+        return _trusted(domain, entries)
+
+    def lift(self, sigma: GroundConstraint, meta: MetaVar) -> GroundConstraint:
+        return _trusted(sigma.domain.add_meta(meta), sigma.entries)
+
+    def meet(self, a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
+        return ground_meet(a, b)
+
+    def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
+        metas, cands, indexes, nonempty, live, positions, tables = self._leaf(tuple(lits), domain)
+
+        def ground(images: tuple[Term, ...]) -> tuple[Literal, ...]:
+            out = []
+            for l, ps, table in zip(live, positions, tables):
+                own = tuple([images[i] for i in ps])
+                gl = table.get(own)
+                if gl is None:
+                    gl = table[own] = subst_literal(l, {metas[i]: t for i, t in zip(ps, own)})
+                out.append(gl)
+            return tuple(out)
 
         # The cursor: the walk of the groundings that agree with `pinned`
         # (the images the walk's input fixes), and the last grounding a
@@ -311,6 +397,9 @@ class GroundEnumTheory(Theory):
 
         def source(current: GroundConstraint) -> Iterator[tuple[Term, ...]]:
             nonlocal pinned, walk
+            if current.domain is not domain:
+                # The outputs are built unchecked (see `_trusted`).
+                check_metas_compatible(current.domain, domain)
             fixed = current.mapping()
             images = tuple(map(fixed.get, metas))
             if images == pinned:
@@ -337,9 +426,9 @@ class GroundEnumTheory(Theory):
             fixed = current.mapping()
             for m, t in zip(metas, images):
                 f = fixed.get(m)
-                if f is not None and f != t:
+                if f is not None and f is not t and f != t:
                     return None
-            ground_lits = tuple(ground(k, images) for k in range(len(live)))
+            ground_lits = ground(images)
             pair = complementary_pair(ground_lits)
             if pair is None:
                 return None

@@ -104,13 +104,23 @@ def check_metas_compatible(a_domain: Domain, b_domain: Domain) -> None:
     """Constraints interact only within one constraint family.
 
     Appending eigenvariables never changes the family, so two domains
-    are compatible when their meta declarations agree.
+    are compatible when their meta declarations agree.  The message
+    shows each side's metas with the eigenvariables they may see.
     """
     if a_domain.metas_key() != b_domain.metas_key():
         raise DomainMismatch(
             "domains disagree on meta-variables: %s vs %s"
-            % (a_domain.metas, b_domain.metas)
+            % (_family(a_domain), _family(b_domain))
         )
+
+
+def _family(domain: Domain) -> str:
+    """`(?X sees {e0}, ?Y sees {})`: each meta and its authorised
+    eigenvariables, in declaration order."""
+    return "(%s)" % ", ".join(
+        "%s sees {%s}" % (m, ", ".join(str(e) for e in domain.eigens
+                                       if e in domain.authorised(m)))
+        for m in domain.metas)
 
 
 def meet_domain(a, b) -> Domain:

@@ -697,7 +697,21 @@ def test_cli_exit_code_for_errors_during_search(monkeypatch, exc, code):
     assert err.startswith("internal error: " if code == 4 else "error: ")
 
 
-def test_cli_json_output_is_stable(tmp_path):
+@pytest.mark.parametrize("theory", ["fol", "enum"])
+def test_cli_domain_mismatch_names_the_authorised_sets(tmp_path, theory):
+    # A known sdi defect (ROADMAP item 10): the two domains declare the
+    # same metas, and differ only in what ?X03 may see.  The message must
+    # show that difference, or it reads as a false alarm.
+    target = tmp_path / "mismatch.prob"
+    target.write_text("(declare-pred q 0)\n(declare-pred r 1)\n"
+                      "(goal (=> q (exists (x0) (and (forall (x1) q) (r x0)))))\n")
+    code, out, err = cli("prove", str(target), "--theory", theory, "--calculus", "sdi")
+    assert code == 4 and out == ""
+    prefix = "internal error: DomainMismatch: domains disagree on meta-variables: "
+    assert err.startswith(prefix)
+    left, right = err[len(prefix):].strip().split(" vs ")
+    assert left != right
+    assert "?X03 sees {x12}" in left + right
     target = PROBLEMS / "lra_interval_pair.prob"
     argv = ("prove", str(target), "--theory", "lra", "--calculus", "di",
             "--check", "--output", "json")

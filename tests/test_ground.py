@@ -10,6 +10,7 @@ from seqmod.ground import (
     GroundConstraint,
     GroundEnumTheory,
     _fair_assignments,
+    _within_cap,
     ground_meet,
 )
 from seqmod.terms import (
@@ -33,6 +34,7 @@ from seqmod.terms import (
 )
 from seqmod.theory import (
     ConstraintStream,
+    DomainMismatch,
     PreconditionError,
     ResourceLimit,
     WitnessUnsupported,
@@ -464,6 +466,88 @@ def test_a_fully_pinned_pull_examines_at_most_one_grounding(monkeypatch):
         assert stream.pull(current) is None
         assert len(examined) <= 1 and len(grounded) <= 1
         grounded.clear()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inputs(2), _leaf_lits, st.booleans())
+# The input fixes X2, which the grounding follows in declaration order.
+@example((GroundConstraint(_D4, ((_XS[2], b),)), _STREAM_TH.top(_D4)),
+         [lit("q", _XS[0], _XS[2]), nlit("q", a, b)], False)
+def test_trusted_results_pass_the_constructor_checks(inputs, lits, longer):
+    # meet, project, lift and the stream's outputs skip the constructor's
+    # checks; each result must be one the checked constructor accepts.
+    left, right = inputs
+    d = left.domain
+    if longer:
+        right = GroundConstraint(d.add_eigen(E("e9")), right.entries)
+    meta = d.last_meta()
+    outs = [_STREAM_TH.meet(left, right)]
+    for sigma in (left, right):
+        lifted = _STREAM_TH.lift(sigma, M("Y"))
+        outs += [_STREAM_TH.project(sigma, meta), lifted, _STREAM_TH.project(lifted, M("Y"))]
+    pulled = _pulls(_STREAM_TH.consistency(lits, d), inputs, 12)
+    outs += [out for _, out in filter(None, pulled)]
+    for out in filter(None, outs):
+        assert out == GroundConstraint(out.domain, out.entries)
+
+
+def test_a_pull_refuses_an_input_of_another_family():
+    # The stream's outputs are built unchecked, so it refuses an input
+    # whose domain gives a meta other authorised eigenvariables, and
+    # takes one at an equal domain, or one with an eigenvariable appended.
+    X0, X1, e0 = _XS[0], _XS[1], E("e0")
+    late = dom(X0, e0, X1)
+    stream = TH.consistency((lit("p", X0), nlit("p", a), nlit("p", b)), late)
+    with pytest.raises(DomainMismatch):
+        stream.pull(TH.top(dom(X1, e0, X0)))
+    _, out = stream.pull(TH.top(dom(X0, e0, X1)))
+    assert out == GroundConstraint(late, ((X0, a),))
+    longer = late.add_eigen(E("e9"))
+    _, out = stream.pull(TH.top(longer))
+    assert out == GroundConstraint(longer, ((X0, b),))
+
+
+_WIDE = Signature(preds=(("p", (SORT_TERM,)), ("q", (SORT_TERM,) * 2), ("s", (SORT_TERM,) * 4)),
+                  funs=(("f", 1), ("g", 1)), consts=("a", "b", "c"))
+
+
+def test_memos_are_exact(monkeypatch):
+    # One instance serves a cycle of leaves twice over; each stream must
+    # pull exactly as a stream of a fresh instance does.  X1 may see e0
+    # at `late`, not at `early`, and the two domains order q(X0, X1)'s
+    # metas differently.  `over` has 45^4 groundings, over the cap.
+    X0, X1, e0 = _XS[0], _XS[1], E("e0")
+    late, early = dom(X0, e0, X1), dom(X1, e0, X0)
+    leaf = (lit("q", X0, X1), nlit("q", a, e0), nlit("q", f(a), X0), lit("p", X1), nlit("p", e0))
+    over = (lit("s", *_XS), nlit("s", a, a, a, a))
+    cycle = [(leaf, late), (over, _D4), (leaf, early)]
+    shared = GroundEnumTheory(_WIDE, ceiling=3)
+
+    def pulls(theory, lits, d):
+        inputs = (theory.top(d), GroundConstraint(d, ((X0, f(a)),)))
+        try:
+            return _pulls(theory.consistency(lits, d), inputs, 8)
+        except ResourceLimit:
+            return ResourceLimit
+
+    # Spies: a set-up checks the cap once, and a ground instance is built
+    # by one substitution.
+    calls = []
+    monkeypatch.setattr("seqmod.ground.subst_literal",
+                        lambda l, mapping: calls.append("subst") or subst_literal(l, mapping))
+    within_cap = _within_cap
+    monkeypatch.setattr("seqmod.ground._within_cap",
+                        lambda cands: calls.append("cap") or within_cap(cands))
+    first = [pulls(shared, lits, d) for lits, d in cycle]
+    assert calls.count("cap") == 3 and "subst" in calls
+    assert first == [pulls(GroundEnumTheory(_WIDE, ceiling=3), lits, d) for lits, d in cycle]
+    assert first[1] is ResourceLimit and first[0] != first[2]
+    # The second round finds both set-ups and every ground instance in
+    # the memos; only the over-cap set-up, never stored, runs again.
+    calls.clear()
+    assert [pulls(shared, lits, d) for lits, d in cycle] == first
+    assert calls == ["cap"]
+    assert set(shared._leaves) == {(leaf, late), (leaf, early)}
 
 
 @settings(max_examples=200, deadline=None)
