@@ -712,6 +712,9 @@ def test_cli_domain_mismatch_names_the_authorised_sets(tmp_path, theory):
     left, right = err[len(prefix):].strip().split(" vs ")
     assert left != right
     assert "?X03 sees {x12}" in left + right
+
+
+def test_cli_json_output_is_stable(tmp_path):
     target = PROBLEMS / "lra_interval_pair.prob"
     argv = ("prove", str(target), "--theory", "lra", "--calculus", "di",
             "--check", "--output", "json")
