@@ -71,7 +71,6 @@ from .theory import (
     PreconditionError,
     Theory,
     check_metas_compatible,
-    complementary_pair,
     dual_pred_pairs,
     first_ground,
     meet_domain,
@@ -387,15 +386,15 @@ class SubstTheory(Theory):
         return _meet(a, b)
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
-        def combine(pair: tuple[Literal, Literal], current: SubstConstraint):
+        def outputs(current: SubstConstraint):
             if current.is_bot:
-                return None
-            l, l2 = pair
-            out = _extend(zip(l.atom.args, l2.atom.args), current.domain, current)
-            return None if out is None else (frozenset(pair), out)
+                return
+            for l, l2 in dual_pred_pairs(lits):
+                out = _extend(zip(l.atom.args, l2.atom.args), current.domain, current)
+                if out is not None:
+                    yield frozenset((l, l2)), out
 
-        pairs = dual_pred_pairs(lits)
-        return ConstraintStream(lambda current: pairs, combine)
+        return ConstraintStream(outputs)
 
     # -- semantics ----------------------------------------------------------
 
@@ -432,9 +431,6 @@ class SubstTheory(Theory):
         fill = {v: first_ground(v.sort, auth, sigma.domain, self.ground_base)
                 for v in term_metas(pattern)}
         return subst_term(pattern, fill)
-
-    def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
-        return complementary_pair(lits) is not None
 
     def shrink(self, sigma: SubstConstraint) -> Iterator[SubstConstraint]:
         if sigma.is_bot or not sigma.entries:

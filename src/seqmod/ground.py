@@ -9,26 +9,15 @@ survivor with the input constraint.  A depth ceiling bounds the
 candidate terms; beyond it the stream is exhausted, never wrong.
 
 Groundings are produced lazily, one total depth at a time, so a leaf
-that closes early never builds the whole product.  They are the
-candidates of the shared `ConstraintStream`, walked by a positional
-cursor over the fair order.  Each pull reads the images its input
-fixes for the stream's meta-variables; each becomes a pin, the one
-candidate index allowed at that position, and the pull walks only the
-groundings that agree with the pins, from the cursor onwards.  After a
-pull the cursor sits just after the returned grounding, or at the end
-when none is left.  A grounding the cursor passes over is consumed,
-whether it was tried or jumped over for disagreeing with the input: the
-merge with the input would reject it anyway.  So the stream's outputs
-are those of a scan of the whole order that skips disagreeing
-groundings, for any sequence of inputs.  An image no candidate list
-holds leaves nothing that agrees, and the cursor moves to the end.  A
-pull whose pins equal the previous pull's resumes the previous walk; di
-pulls always take `top`, so they walk the order once.  Only literals
-whose predicate occurs with both polarities can close a leaf.  This
-backend doubles as a cross-check oracle for the unification backend on
-problems both can express, so it stays a plain enumeration: no
-unification, and the fair order and its cap are those of the whole
-product; the pins only jump over groundings the merge would drop.
+that closes early never builds the whole product.  The stream pins each
+meta-variable its input fixes to that image's candidate and walks only
+the groundings that agree with the pins: the merge with the input would
+drop the others.  An image no candidate list holds leaves nothing that
+agrees.  Only literals whose predicate occurs with both polarities can
+close a leaf.  This backend doubles as a cross-check oracle for the
+unification backend on problems both can express, so it stays a plain
+enumeration: no unification, and the fair order and its cap are those
+of the whole product.
 
 Each piece of a leaf stream's work is done once per theory instance,
 that is once per run, in three memos on the instance:
@@ -45,15 +34,13 @@ that is once per run, in three memos on the instance:
 - the ground instances of each live literal, keyed by the literal and
   its meta-variables, then by their images.
 
-The cursor state (pins, walk, last grounding) stays with each stream.
-
 Only the public `GroundConstraint(...)` constructor checks its
 arguments.  The constraints this backend's own operations return (meet,
 project, lift, and a stream's outputs) are built by `_trusted`, which
 skips the checks, because the constraint family of a domain is closed
-under those operations.  A pull checks that its input is of the
-stream's family, as `meet_domain` does for a meet's operands; see
-`_trusted` for the argument.
+under those operations.  A stream's first pull checks that its input is
+of the stream's family, as `meet_domain` does for a meet's operands;
+see `_trusted` for the argument.
 
 The witness of a meta-variable the constraint leaves unassigned is
 `theory.first_ground` over the signature's constants: the first default
@@ -99,7 +86,6 @@ from .theory import (
 )
 
 _MAX_ASSIGNMENTS = 500_000
-_END = object()  # the cursor of an exhausted leaf stream
 
 
 @hash_once
@@ -215,18 +201,15 @@ def _within_cap(cand_lists: Sequence[Sequence]) -> bool:
     return True
 
 
-def _walk(options: Sequence[Sequence[tuple[int, Term, int]]],
-          after: Optional[tuple[int, tuple[int, ...]]]) -> Iterator[tuple[Term, ...]]:
+def _walk(options: Sequence[Sequence[tuple[int, Term, int]]]) -> Iterator[tuple[Term, ...]]:
     """The term tuples of the fair order (total term depth, then candidate
-    indices) that take one of `options[i]` at each position i, from just
-    after `after` onwards.
+    indices) that take one of `options[i]` at each position i.
 
     `options[i]` holds (candidate index, term, depth) triples in index
     order, none of them empty: a whole candidate list, or the one
-    candidate a pin allows.  `after` is the (total depth, indices) of a
-    tuple, or None for the start of the order.  Produced level by level,
-    one total depth at a time, with each level's depth bounds taken over
-    the allowed candidates only.
+    candidate a pin allows.  Produced level by level, one total depth at
+    a time, with each level's depth bounds taken over the allowed
+    candidates only.
     """
     n = len(options)
     # lo[i], hi[i]: least and greatest total depth of positions i onwards.
@@ -246,42 +229,13 @@ def _walk(options: Sequence[Sequence[tuple[int, Term, int]]],
             if lo1 <= rest - d <= hi1:
                 yield from level(i + 1, rest - d, prefix + (t,))
 
-    def resume(i: int, rest: int, prefix: tuple[Term, ...]) -> Iterator[tuple[Term, ...]]:
-        # As `level`, for a prefix at after's first i indices: only the
-        # tuples lexicographically after after's own.
-        if i == n:
-            return
-        lo1, hi1 = lo[i + 1], hi[i + 1]
-        k = after_indices[i]
-        for j, t, d in options[i]:
-            if j >= k and lo1 <= rest - d <= hi1:
-                yield from (resume if j == k else level)(i + 1, rest - d, prefix + (t,))
-
-    first = lo[0]
-    head: Iterator[tuple[Term, ...]] = iter(())
-    if after is not None:
-        after_total, after_indices = after
-        head = resume(0, after_total, ())
-        first = max(first, after_total + 1)
-    return itertools.chain(head, itertools.chain.from_iterable(
-        level(0, total_depth, ()) for total_depth in range(first, hi[0] + 1)))
+    return itertools.chain.from_iterable(
+        level(0, total_depth, ()) for total_depth in range(lo[0], hi[0] + 1))
 
 
 def _indexed(terms: Sequence[Term]) -> tuple[tuple[int, Term, int], ...]:
     """(index, term, depth) for each candidate term."""
     return tuple((j, t, term_depth(t)) for j, t in enumerate(terms))
-
-
-def _fair_assignments(cand_lists: Sequence[Sequence[Term]]) -> Iterator[tuple[Term, ...]]:
-    """Term tuples, one candidate per list, ordered by total term depth,
-    then lexicographically on candidate indices: the unpinned walk.
-
-    An empty list gives an empty stream; otherwise the size cap is
-    checked on the call, not on the first draw.
-    """
-    if not _within_cap(cand_lists):
-        return iter(())
-    return _walk([_indexed(c) for c in cand_lists], None)
 
 
 def _pred_key(atom) -> object:
@@ -383,61 +337,35 @@ class GroundEnumTheory(Theory):
                 out.append(gl)
             return tuple(out)
 
-        # The cursor: the walk of the groundings that agree with `pinned`
-        # (the images the walk's input fixes), and the last grounding a
-        # pull returned, or _END once a walk is exhausted.
-        pinned: Optional[tuple] = None
-        walk: Iterator[tuple[Term, ...]] = iter(())
-        last: object = None if nonempty and live else _END
-
-        def to_end() -> Iterator[tuple[Term, ...]]:
-            nonlocal last
-            last = _END
-            yield from ()
-
-        def source(current: GroundConstraint) -> Iterator[tuple[Term, ...]]:
-            nonlocal pinned, walk
+        def outputs(current: GroundConstraint):
             if current.domain is not domain:
                 # The outputs are built unchecked (see `_trusted`).
                 check_metas_compatible(current.domain, domain)
+            if not (nonempty and live):
+                return
             fixed = current.mapping()
-            images = tuple(map(fixed.get, metas))
-            if images == pinned:
-                return walk
-            pinned = images
-            pins = tuple(None if t is None else ix.get(t) for ix, t in zip(indexes, images))
-            if last is _END or any(i is None and t is not None for i, t in zip(pins, images)):
-                # At the end already, or an image no candidate list holds,
-                # so that nothing agrees.
-                walk = to_end()
-                return walk
-            after = None
-            if last is not None:
-                done = tuple(ix[t] for ix, t in zip(indexes, last))
-                after = (sum(c[j][2] for c, j in zip(cands, done)), done)
-            options = [c if p is None else (c[p],) for c, p in zip(cands, pins)]
-            walk = itertools.chain(_walk(options, after), to_end())
-            return walk
+            options = []
+            for m, c, ix in zip(metas, cands, indexes):
+                t = fixed.get(m)
+                if t is None:
+                    options.append(c)
+                elif t in ix:
+                    options.append((c[ix[t]],))
+                else:
+                    return  # an image no candidate list holds: nothing agrees
+            for images in _walk(options):
+                ground_lits = ground(images)
+                pair = complementary_pair(ground_lits)
+                if pair is None:
+                    continue
+                # The walk gives only groundings that agree with the
+                # input; the guard keeps every output sound regardless.
+                out = _merge(current.domain, current, zip(metas, images))
+                if out is not None:
+                    # Map the closing ground literals back to their sources.
+                    yield frozenset(l for l, gl in zip(live, ground_lits) if gl in pair), out
 
-        def combine(images: tuple[Term, ...], current: GroundConstraint):
-            # The walk gives only groundings that agree with the images
-            # the input fixes; this test keeps every merge below sound.
-            nonlocal last
-            fixed = current.mapping()
-            for m, t in zip(metas, images):
-                f = fixed.get(m)
-                if f is not None and f is not t and f != t:
-                    return None
-            ground_lits = ground(images)
-            pair = complementary_pair(ground_lits)
-            if pair is None:
-                return None
-            last = images
-            # Map the closing ground literals back to their sources.
-            used = frozenset(l for l, gl in zip(live, ground_lits) if gl in pair)
-            return used, _merge(current.domain, current, zip(metas, images))
-
-        return ConstraintStream(source, combine)
+        return ConstraintStream(outputs)
 
     # -- semantics ----------------------------------------------------------
 
@@ -456,9 +384,6 @@ class GroundEnumTheory(Theory):
             return assigned
         return first_ground(meta.sort, sigma.domain.authorised(meta), sigma.domain,
                             tuple(FunApp(c, ()) for c in self.sig.consts))
-
-    def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
-        return complementary_pair(lits) is not None
 
     def shrink(self, sigma: GroundConstraint) -> Iterator[GroundConstraint]:
         for i in range(len(sigma.entries)):

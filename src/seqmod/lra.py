@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .terms import (
@@ -417,30 +418,22 @@ class LraTheory(Theory):
         single arithmetic literals.  A negated equality raises
         PreconditionError by the pull that reaches it at the latest."""
         lits = tuple(lits)
-        memo = self._candidates
+        memo, eliminated, sat = self._candidates, self._eliminated, self._sat
 
-        def candidate(used: tuple[Literal, ...]) -> Optional[Candidate]:
-            cand = memo.get(used, _MISSING)
-            if cand is _MISSING:
-                cand = memo[used] = _leaf_candidate(used)
-            return cand
+        def outputs(current: PolyConstraint):
+            arith = [(l,) for l in lits if isinstance(l.atom, ArithAtom)]
+            for key in chain(dual_pred_pairs(lits), arith):
+                cand = memo.get(key, _MISSING)
+                if cand is _MISSING:
+                    cand = memo[key] = _leaf_candidate(key)
+                if cand is None:
+                    continue
+                used, system = cand
+                out = _conjoin(current, PolyConstraint(current.domain, (system,)))
+                if _sat(out, eliminated, sat):
+                    yield used, out
 
-        def candidates() -> Iterator[Candidate]:
-            for pair in dual_pred_pairs(lits):
-                cand = candidate(pair)
-                if cand is not None:
-                    yield cand
-            for l in lits:
-                if isinstance(l.atom, ArithAtom):
-                    yield candidate((l,))
-
-        def combine(cand: Candidate, current: PolyConstraint):
-            used, system = cand
-            out = _conjoin(current, PolyConstraint(current.domain, (system,)))
-            return (used, out) if _sat(out, self._eliminated, self._sat) else None
-
-        cands = candidates()
-        return ConstraintStream(lambda current: cands, combine)
+        return ConstraintStream(outputs)
 
     # -- semantics ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ together with the operations the search kernel composes:
     project(sigma, X)   existential projection of the last meta-variable
     lift(sigma, X)      re-indexing into the extended domain d + X
     meet(a, b)          greatest lower bound, or None when unsatisfiable
-    consistency(lits,d) resumable stream of ways to close a leaf
+    consistency(lits,d) lazy stream of ways to close a leaf
 
 plus test-facing semantics: `compatible` decides whether a ground
 instantiation satisfies a constraint and `witness` extends a compatible
@@ -20,15 +20,13 @@ domain bookkeeping lives here, once: `lift` re-tags the domain,
 backend's `project_payload` and `witness_payload`, and `meet_domain`
 checks the family of two meet operands and picks the result's domain.
 A backend implements `top`, `meet`, `consistency`, `satisfiable`,
-`compatible`, `ground_valid` and the two payload hooks; `shrink` is
-optional.  Constraints are shown with `str`.
+`compatible` and the two payload hooks; `ground_valid` (default: a
+complementary pair) and `shrink` are optional.  Constraints are shown
+with `str`.
 
-Every backend's leaf stream is one `ConstraintStream`: a cursor over
-lazily produced candidate closures, with a backend-supplied
-`combine(candidate, current)` that gives the pair (used literals,
-output) or None to skip the candidate.  The backend's candidate source
-sees each pull's input, so it may jump over candidates the input rules
-out; `fol` and `lra` ignore the input.
+Every backend's leaf stream is one `ConstraintStream` over a backend
+generator `outputs(current)`, which yields the leaf's closures under
+one input constraint.
 """
 
 from __future__ import annotations
@@ -74,30 +72,29 @@ class ResourceLimit(TheoryError):
 
 
 class ConstraintStream:
-    """Resumable enumeration of leaf closures: a cursor over lazily
-    consumed candidates.
+    """The lazy stream of ways to close one leaf under one input.
 
-    Each pull takes the current input constraint and returns the first
-    `combine(candidate, current)` of the remaining candidates that is
-    not None, a pair (used literal subset, output constraint), or None
-    when the alternatives are exhausted.  `source(current)` gives the
-    remaining candidates as an iterator that resumes where the previous
-    pull stopped; it may leave out candidates that `combine` would skip
-    for this input, which then count as consumed.  The cursor never
-    revisits a candidate, skipped or not.  Pulling is the only effectful
-    operation; a stream has a single consumer.
+    `outputs(current)` is a backend generator of pairs (used literal
+    subset, output constraint).  The first pull fixes the input and
+    starts the generator; each pull returns its next pair, or None once
+    it is exhausted.  A pull that raises ends the stream.  A later pull
+    with an input not equal to the first raises PreconditionError.
+    Pulling is the only effectful operation; a stream has a single
+    consumer.
     """
 
-    def __init__(self, source, combine) -> None:
-        self._source = source
-        self._combine = combine
+    def __init__(self, outputs) -> None:
+        self._outputs = outputs
+        self._input: object = None
+        self._gen: Optional[Iterator] = None
 
     def pull(self, current: object) -> Optional[tuple[frozenset[Literal], object]]:
-        for cand in self._source(current):
-            out = self._combine(cand, current)
-            if out is not None:
-                return out
-        return None
+        if self._gen is None:
+            self._input = current
+            self._gen = self._outputs(current)
+        elif current is not self._input and current != self._input:
+            raise PreconditionError("a leaf stream serves one input")
+        return next(self._gen, None)
 
 
 def check_metas_compatible(a_domain: Domain, b_domain: Domain) -> None:
@@ -254,10 +251,10 @@ class Theory(ABC):
         """witness once its precondition holds; `meta` is the last meta."""
         raise NotImplementedError
 
-    @abstractmethod
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
-        """Ground-leaf validity used by proof reconstruction."""
-        raise NotImplementedError
+        """Ground-leaf validity used by proof reconstruction: a
+        syntactically complementary pair."""
+        return complementary_pair(lits) is not None
 
     def shrink(self, sigma) -> Iterator[object]:
         """Strictly smaller constraints for counterexample shrinking."""

@@ -149,53 +149,59 @@ def test_dual_pred_pairs_is_deterministic():
 
 
 def test_candidate_stream_advances_a_persistent_cursor():
-    log = []
+    # Each pull resumes the generator the first pull started.
+    started = []
 
-    def combine(x, current):
-        log.append((x, current))
-        return frozenset(), x + current
+    def outputs(current):
+        started.append(current)
+        for x in (1, 2, 3):
+            yield frozenset(), x + current
 
-    candidates = iter([1, 2, 3])
-    s = ConstraintStream(lambda current: candidates, combine)
+    s = ConstraintStream(outputs)
+    assert started == []
     assert s.pull(10) == (frozenset(), 11)
-    assert s.pull(20) == (frozenset(), 22)
-    assert s.pull(30) == (frozenset(), 33)
-    assert s.pull(40) is None
-    assert s.pull(50) is None
+    assert s.pull(10) == (frozenset(), 12)
+    assert s.pull(10) == (frozenset(), 13)
+    assert s.pull(10) is None
+    assert s.pull(10) is None
+    assert started == [10]
 
 
-def test_candidate_stream_skips_rejected_candidates():
-    def combine(x, current):
-        return None if x % 2 else (frozenset(), x)
+def test_candidate_stream_ends_at_a_raising_pull():
+    # The pull that reaches the error raises it; the stream is then over.
+    def outputs(current):
+        yield frozenset(), current
+        raise PreconditionError("unsupported literal")
 
-    candidates = iter([1, 2, 3, 4])
-    s = ConstraintStream(lambda current: candidates, combine)
-    assert s.pull(0) == (frozenset(), 2)
-    assert s.pull(0) == (frozenset(), 4)
+    s = ConstraintStream(outputs)
+    assert s.pull(0) == (frozenset(), 0)
+    with pytest.raises(PreconditionError):
+        s.pull(0)
     assert s.pull(0) is None
 
 
-def test_candidate_stream_source_sees_each_input():
-    # A source may leave out the candidates an input rules out; they
-    # stay consumed for the later pulls with other inputs.
-    candidates = iter(range(10))
-    seen = []
+def test_candidate_stream_serves_one_input():
+    # A later pull may pass the first input or an equal one, never
+    # another: a stream's outputs are those of its first input.
+    def outputs(current):
+        for x in range(3):
+            yield frozenset(), (x, current)
 
-    def source(current):
-        seen.append(current)
-        return (x for x in candidates if x % current == 0)
-
-    s = ConstraintStream(source, lambda x, current: (frozenset(), x))
-    assert s.pull(3) == (frozenset(), 0)
-    assert s.pull(4) == (frozenset(), 4)
-    assert s.pull(3) == (frozenset(), 6)
-    assert s.pull(1) == (frozenset(), 7)
-    assert seen == [3, 4, 3, 1]
+    d = dom(M("X"))
+    first = mgu([(M("X"), a)], d)
+    s = ConstraintStream(outputs)
+    assert s.pull(first) == (frozenset(), (0, first))
+    equal = mgu([(M("X"), a)], d)
+    assert equal is not first and equal == first
+    assert s.pull(equal) == (frozenset(), (1, first))
+    with pytest.raises(PreconditionError):
+        s.pull(mgu([], d))
+    assert s.pull(first) == (frozenset(), (2, first))
+    assert s.pull(first) is None
 
 
 def test_candidate_stream_reports_used_literals():
     used = frozenset({lit("p", a)})
-    candidates = iter([(used, 7)])
-    s = ConstraintStream(lambda current: candidates, lambda cand, cur: cand)
+    s = ConstraintStream(lambda current: iter([(used, 7)]))
     got_used, got = s.pull(0)
     assert got_used == used and got == 7

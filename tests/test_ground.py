@@ -9,7 +9,8 @@ from seqmod.ground import (
     _MAX_ASSIGNMENTS,
     GroundConstraint,
     GroundEnumTheory,
-    _fair_assignments,
+    _indexed,
+    _walk,
     _within_cap,
     ground_meet,
 )
@@ -237,7 +238,7 @@ def test_empty_candidate_list_exhausts_before_the_space_guard():
 # substitutes every leaf literal for each grounding, and merges each
 # closing grounding with the input, dropping it on disagreement.  The
 # two must give the same groundings in the same order, and the same
-# pulls for any sequence of inputs.
+# pulls for any input.
 
 
 def _eager_fair_assignments(cand_lists):
@@ -271,22 +272,19 @@ def _eager_consistency(theory, lits, domain):
     cand_lists = [enumerate_ground_terms(theory.sig, domain, m, theory.ceiling) for m in metas]
     assignments = _eager_fair_assignments(cand_lists)
 
-    def candidates():
+    def outputs(current):
         for images in assignments:
             g = tuple(zip(metas, images))
             mapping = {m: t for m, t in g}
             ground_lits = tuple(subst_literal(l, mapping) for l in lits)
             pair = complementary_pair(ground_lits)
-            if pair is not None:
-                yield frozenset(l for l, gl in zip(lits, ground_lits) if gl in pair), g
+            if pair is None:
+                continue
+            out = _eager_merge(current.domain, current, g)
+            if out is not None:
+                yield frozenset(l for l, gl in zip(lits, ground_lits) if gl in pair), out
 
-    def combine(cand, current):
-        used, g = cand
-        out = _eager_merge(current.domain, current, g)
-        return None if out is None else (used, out)
-
-    cands = candidates()
-    return ConstraintStream(lambda current: cands, combine)
+    return ConstraintStream(outputs)
 
 
 g2 = lambda s, t: FunApp("g", (s, t))
@@ -306,7 +304,9 @@ _cand_lists = st.lists(
 @example([[a], [], [b]])
 @example([])
 def test_fair_order_is_the_sorted_product(cand_lists):
-    assert list(_fair_assignments(cand_lists)) == list(_eager_fair_assignments(cand_lists))
+    # The unpinned walk: every candidate allowed at every position.
+    walked = _walk([_indexed(c) for c in cand_lists]) if _within_cap(cand_lists) else ()
+    assert list(walked) == list(_eager_fair_assignments(cand_lists))
 
 
 _XS = tuple(M("X%d" % i) for i in range(4))
@@ -360,14 +360,16 @@ def _inputs(draw, count):
     return tuple(out)
 
 
-def _alternate(stream, inputs):
-    """Pull with each input in turn until the stream is exhausted."""
+def _in_turn(make, inputs):
+    """Pulls of one stream per input, `make()` building each, taken in
+    turn until every stream is exhausted."""
+    live = [(make(), current) for current in inputs]
     out = []
-    for current in itertools.cycle(inputs):
-        step = stream.pull(current)
-        if step is None:
-            return out
-        out.append(step)
+    while live:
+        steps = [(stream, current, stream.pull(current)) for stream, current in live]
+        out += [step for _, _, step in steps]
+        live = [(stream, current) for stream, current, step in steps if step is not None]
+    return out
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,20 +389,15 @@ def test_stream_agrees_with_the_eager_reference_on_any_input(inputs, lits):
 
 @settings(max_examples=150, deadline=None)
 @given(_inputs(2), _leaf_lits)
-# The first input fixes X0 to a, the second to b; each pull skips the
-# groundings the other input allows, and they stay consumed.
+# The first input fixes X0 to a, the second to b; each stream skips the
+# groundings its own input rules out.
 @example((GroundConstraint(dom(*_XS), ((_XS[0], a),)),
           GroundConstraint(dom(*_XS), ((_XS[0], b),))),
          [lit("p", _XS[0]), nlit("p", a), nlit("p", b), nlit("p", f(a))])
 def test_stream_pulled_with_two_inputs_in_turn_agrees(inputs, lits):
     d = inputs[0].domain
-    lazy = _alternate(_STREAM_TH.consistency(lits, d), inputs)
-    assert lazy == _alternate(_eager_consistency(_STREAM_TH, lits, d), inputs)
-
-
-def _pulls(stream, inputs, count):
-    """`count` pulls, with each input in turn, exhausted ones included."""
-    return [stream.pull(current) for current in itertools.islice(itertools.cycle(inputs), count)]
+    lazy = _in_turn(lambda: _STREAM_TH.consistency(lits, d), inputs)
+    assert lazy == _in_turn(lambda: _eager_consistency(_STREAM_TH, lits, d), inputs)
 
 
 _D4 = dom(*_XS)
@@ -409,19 +406,18 @@ _D4 = dom(*_XS)
 @settings(max_examples=150, deadline=None)
 @given(_inputs(3), _leaf_lits)
 # The third input pins X1 to f(f(a)), which no candidate list holds at
-# ceiling 1: nothing agrees, and every later pull is exhausted too.
+# ceiling 1: nothing agrees with it.
 @example((_STREAM_TH.top(_D4),
           GroundConstraint(_D4, ((_XS[0], b),)),
           GroundConstraint(_D4, ((_XS[1], f(f(a))),))),
          [lit("q", _XS[0], _XS[1]), nlit("q", a, _XS[1]), nlit("q", b, _XS[1])])
-# An unpinned pull right after a pinned one starts just after the
-# grounding the pinned pull returned.
+# A pinned stream and an unpinned one over the same leaf, pulled in turn.
 @example((GroundConstraint(_D4, ((_XS[0], b),)),
           _STREAM_TH.top(_D4),
           GroundConstraint(_D4, ((_XS[0], a),))),
          [lit("q", _XS[0], _XS[1]), nlit("q", a, a), nlit("q", b, a), nlit("q", a, f(a)),
           nlit("q", b, f(b)), nlit("q", f(a), b)])
-# The same pins twice in a row, then other pins.
+# Two streams with the same pins, and one with other pins.
 @example((GroundConstraint(_D4, ((_XS[0], a), (_XS[2], b))),
           GroundConstraint(_D4, ((_XS[0], a), (_XS[2], b))),
           GroundConstraint(_D4, ((_XS[2], f(a)),))),
@@ -429,9 +425,8 @@ _D4 = dom(*_XS)
           nlit("p", f(a))])
 def test_stream_pulled_with_three_inputs_in_turn_agrees(inputs, lits):
     d = inputs[0].domain
-    count = 12
-    assert (_pulls(_STREAM_TH.consistency(lits, d), inputs, count)
-            == _pulls(_eager_consistency(_STREAM_TH, lits, d), inputs, count))
+    assert (_in_turn(lambda: _STREAM_TH.consistency(lits, d), inputs)
+            == _in_turn(lambda: _eager_consistency(_STREAM_TH, lits, d), inputs))
     # The theory's memo is shared by every domain drawn so far.
     for m in d.metas:
         terms = enumerate_ground_terms(_STREAM_SIG, d, m, _STREAM_TH.ceiling)
@@ -444,8 +439,8 @@ def test_a_fully_pinned_pull_examines_at_most_one_grounding(monkeypatch):
     # Four metas with 4 candidates each at ceiling 3: a, f(a), f(f(a)),
     # f(f(f(a))).  Every grounding closes the leaf.  An input that fixes
     # all four metas agrees with one grounding, wherever it sits among
-    # the 256, so a pull hands at most one grounding to the stream's
-    # combine step, and grounds the literals at most once.
+    # the 256, so a stream grounds the literals and looks for a
+    # complementary pair at most once.
     sig = Signature(preds=(("q", (SORT_TERM,) * 4),), funs=(("f", 1),), consts=("a",))
     th = GroundEnumTheory(sig, ceiling=3)
     terms = enumerate_ground_terms(sig, _D4, _XS[0], 3)
@@ -458,13 +453,10 @@ def test_a_fully_pinned_pull_examines_at_most_one_grounding(monkeypatch):
     for images in [(terms[3],) * 4, (terms[0], terms[3], terms[1], terms[2]), (terms[2],) * 4]:
         current = GroundConstraint(_D4, tuple(zip(_XS, images)))
         stream = th.consistency(lits, _D4)
-        examined = []
-        combine = stream._combine
-        stream._combine = lambda cand, cur: examined.append(cand) or combine(cand, cur)
         used, out = stream.pull(current)
-        assert out == current and len(examined) <= 1 and len(grounded) <= 1
+        assert out == current and len(grounded) <= 1
         assert stream.pull(current) is None
-        assert len(examined) <= 1 and len(grounded) <= 1
+        assert len(grounded) <= 1
         grounded.clear()
 
 
@@ -485,26 +477,27 @@ def test_trusted_results_pass_the_constructor_checks(inputs, lits, longer):
     for sigma in (left, right):
         lifted = _STREAM_TH.lift(sigma, M("Y"))
         outs += [_STREAM_TH.project(sigma, meta), lifted, _STREAM_TH.project(lifted, M("Y"))]
-    pulled = _pulls(_STREAM_TH.consistency(lits, d), inputs, 12)
+    pulled = _in_turn(lambda: _STREAM_TH.consistency(lits, d), inputs)
     outs += [out for _, out in filter(None, pulled)]
     for out in filter(None, outs):
         assert out == GroundConstraint(out.domain, out.entries)
 
 
 def test_a_pull_refuses_an_input_of_another_family():
-    # The stream's outputs are built unchecked, so it refuses an input
+    # A stream's outputs are built unchecked, so it refuses an input
     # whose domain gives a meta other authorised eigenvariables, and
     # takes one at an equal domain, or one with an eigenvariable appended.
     X0, X1, e0 = _XS[0], _XS[1], E("e0")
     late = dom(X0, e0, X1)
-    stream = TH.consistency((lit("p", X0), nlit("p", a), nlit("p", b)), late)
+    lits = (lit("p", X0), nlit("p", a), nlit("p", b))
     with pytest.raises(DomainMismatch):
-        stream.pull(TH.top(dom(X1, e0, X0)))
-    _, out = stream.pull(TH.top(dom(X0, e0, X1)))
+        TH.consistency(lits, late).pull(TH.top(dom(X1, e0, X0)))
+    _, out = TH.consistency(lits, late).pull(TH.top(dom(X0, e0, X1)))
     assert out == GroundConstraint(late, ((X0, a),))
     longer = late.add_eigen(E("e9"))
-    _, out = stream.pull(TH.top(longer))
-    assert out == GroundConstraint(longer, ((X0, b),))
+    stream = TH.consistency(lits, late)
+    assert [out for _, out in pull_all(stream, TH.top(longer))] == [
+        GroundConstraint(longer, ((X0, a),)), GroundConstraint(longer, ((X0, b),))]
 
 
 _WIDE = Signature(preds=(("p", (SORT_TERM,)), ("q", (SORT_TERM,) * 2), ("s", (SORT_TERM,) * 4)),
@@ -526,7 +519,7 @@ def test_memos_are_exact(monkeypatch):
     def pulls(theory, lits, d):
         inputs = (theory.top(d), GroundConstraint(d, ((X0, f(a)),)))
         try:
-            return _pulls(theory.consistency(lits, d), inputs, 8)
+            return _in_turn(lambda: theory.consistency(lits, d), inputs)
         except ResourceLimit:
             return ResourceLimit
 

@@ -27,7 +27,7 @@ from seqmod.kernel import (
     reconstruct_ground,
 )
 from seqmod.lra import LraTheory, make_atom, make_poly
-from seqmod.theory import DomainMismatch
+from seqmod.theory import ConstraintStream, DomainMismatch
 from seqmod.terms import (
     And,
     BoundVar,
@@ -998,6 +998,31 @@ def test_early_closure_commits_only_to_an_unchanged_output(monkeypatch, calculus
     assert check_proof(tree, TH) == (True, [])
     _without_early_closure(monkeypatch)
     assert prove(context, d, TH, SearchConfig(calculus=calculus)).tree.rule == "and"
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_each_leaf_stream_is_pulled_with_one_input(monkeypatch, calculus):
+    # A leaf stream serves one input.  Over the corpus and the fn chains,
+    # run with the proof check, each stream that the search, early
+    # closure or check_proof builds is pulled with one input object only.
+    pull = ConstraintStream.pull
+    first, pulls, others = {}, Counter(), []
+
+    def recording_pull(self, current):
+        if first.setdefault(self, current) is not current:
+            others.append(current)
+        pulls[self] += 1
+        return pull(self, current)
+
+    monkeypatch.setattr(ConstraintStream, "pull", recording_pull)
+    for text, theory in _corpus_and_fn_chains():
+        try:
+            report = run(parse_problem(text), theory, SearchConfig(calculus=calculus), check=True)
+        except DomainError:  # fn_chain_n4..7 under fol in di: ROADMAP item 2
+            continue
+        assert report.check is None or report.check["proof"]
+    assert others == []
+    assert sum(n > 1 for n in pulls.values()) > 0  # some streams take several pulls
 
 
 @pytest.mark.parametrize("calculus", ["di", "sdi"])
