@@ -78,7 +78,7 @@ from .theory import (
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class SubstConstraint:
     """Idempotent substitution, or the absurd constraint when entries is None.
 
@@ -111,10 +111,9 @@ class SubstConstraint:
         out = self.__dict__.get("_closed")
         if out is None:
             position = self.domain.position
-            out = self.entries is not None and all(
+            out = self._closed = self.entries is not None and all(
                 position(y) is not None
                 for m, t in self.entries for y in (m, *term_metas(t)))
-            object.__setattr__(self, "_closed", out)
         return out
 
     def mapping(self) -> dict[Term, Term]:
@@ -123,8 +122,7 @@ class SubstConstraint:
             raise PreconditionError("the absurd constraint maps nothing")
         out = self.__dict__.get("_mapping")
         if out is None:
-            out = dict(self.entries)
-            object.__setattr__(self, "_mapping", out)
+            out = self._mapping = dict(self.entries)
         return out
 
     def __str__(self) -> str:
@@ -269,7 +267,10 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     no mapping.
 
     A constraint this builds is closed, so its `closed` cache is set
-    here instead of being recomputed when it next seeds a pull.  Each
+    here, before the constraint is returned, instead of being recomputed
+    when it next seeds a pull.  The seed is only read: like every
+    constraint it is never mutated once built, since its cached hash
+    and mapping assume fixed fields.  Each
     binding comes from a closed seed or from `_bind`.  A closed seed's
     keys and image metas are declared in its domain, and the seed is of
     `domain`'s family (`mgu` checks this, the leaf stream passes the
@@ -293,7 +294,7 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
         return seed
     out = SubstConstraint(domain, domain.in_declaration_order(
         (m, _resolve(t, subst)) for m, t in subst.items()))
-    object.__setattr__(out, "_closed", True)
+    out._closed = True
     return out
 
 

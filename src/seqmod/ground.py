@@ -89,7 +89,7 @@ _MAX_ASSIGNMENTS = 500_000
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class GroundConstraint:
     """Partial map from meta-variables to ground terms, declaration order.
 
@@ -125,8 +125,7 @@ class GroundConstraint:
         """The entries as a dict, built once per constraint; not to be mutated."""
         out = self.__dict__.get("_mapping")
         if out is None:
-            out = dict(self.entries)
-            object.__setattr__(self, "_mapping", out)
+            out = self._mapping = dict(self.entries)
         return out
 
     def get(self, meta: MetaVar) -> Optional[Term]:
@@ -160,7 +159,8 @@ def _trusted(domain: Domain, entries: tuple[tuple[MetaVar, Term], ...]) -> Groun
       their metas' authorised sets are unchanged.
     """
     out = object.__new__(GroundConstraint)
-    out.__dict__.update(domain=domain, entries=entries)
+    out.domain = domain
+    out.entries = entries
     return out
 
 

@@ -93,14 +93,14 @@ class IllFormed(ValueError):
     """The goal context is not well formed over the starting domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: built at every node, never mutated
 class Sequent:
     domain: Domain
     context: Context
     input: Optional[object] = None  # None in producing mode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # like Sequent
 class ProofTree:
     """One derivation node; children follow the formula order of the rule."""
 
@@ -193,6 +193,7 @@ class _Search:
         self.counters: dict[str, int] = {}
         self.exists_blocked = False
         self.nodes_exhausted = False
+        self.debug = log.isEnabledFor(logging.DEBUG)  # read once: solve logs per node
 
     # -- fresh names ---------------------------------------------------------
 
@@ -297,7 +298,8 @@ class _Search:
             return
         self.stats.nodes += 1
         kind, idx, blocked = self._select(entries, budget)
-        log.debug("rule %s at %s (domain %d decls)", kind, idx, len(domain.decls))
+        if self.debug:
+            log.debug("rule %s at %s (domain %d decls)", kind, idx, len(domain.decls))
         if signs is None and kind != "leaf":
             record = self._close_early(entries, domain, current)
             if record is not None:

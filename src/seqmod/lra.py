@@ -77,7 +77,7 @@ EIGEN_VALUE = Fraction(0)  # the value every eigenvariable takes when evaluated
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class LinAtom:
     """Canonical linear atom: coeffs . vars + const OP 0.
 
@@ -89,15 +89,15 @@ class LinAtom:
     coeffs: tuple[tuple[Term, Fraction], ...]
     const: Fraction
 
-    # The text, rendered on first use and stored like `hash_once`'s `_hash`:
-    # not a field, so equality, hashing and `repr` ignore it.
+    # The text, rendered on first use and assigned to the instance like
+    # `hash_once`'s `_hash`: not a field, so equality, hashing and `repr`
+    # ignore it, and sound because the fields never change.
     _text = None
 
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            text = "%s %s 0" % (mk_lin(dict(self.coeffs), self.const), self.op)
-            object.__setattr__(self, "_text", text)
+            text = self._text = "%s %s 0" % (mk_lin(dict(self.coeffs), self.const), self.op)
         return text
 
 
@@ -168,7 +168,7 @@ System = frozenset[LinAtom]
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class PolyConstraint:
     """Disjunction of conjunctive systems; no disjuncts means FALSE."""
 

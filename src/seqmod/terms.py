@@ -11,11 +11,17 @@ A Domain records the declaration order of eigenvariables and
 meta-variables; each meta-variable may only be instantiated with ground
 terms built from the eigenvariables declared before it.
 
-All of these values are immutable.  Each caches its hash on first use
+All of these values are immutable by contract: no code changes a field
+after construction.  They are plain, not frozen, dataclasses: a frozen
+dataclass's `__init__` sets each field through a call to `object`'s
+attribute setter, which about doubles the cost of building one.  A test
+checks, over the proofs of the corpus, that every value still hashes
+as its fields do.  Each value caches its hash on first use
 (`hash_once`), a FunApp also its variable set (`term_vars`) and its
 meta-variables and eigenvariables (`term_metas`, `term_eigens`), and a
-Domain its lookups.  The caches hold per-process values, such as string
-hashes; nothing in seqmod pickles these objects.
+Domain its lookups.  The caches are plain attributes, not fields, and
+hold per-process values, such as string hashes; nothing in seqmod
+pickles these objects.
 """
 
 from __future__ import annotations
@@ -54,15 +60,18 @@ class SortError(ValueError):
 
 
 def hash_once(cls):
-    """Class decorator: a frozen dataclass whose instances hash once.
+    """Class decorator: an immutable dataclass whose instances hash once.
 
-    The generated `__hash__` hashes the tuple of the fields on every
-    call, and so the whole tree below a node.  The replacement computes
-    the same value, `hash` of the tuple of the fields, on first use and
+    A plain `@dataclass` with equality is unhashable, and a frozen one's
+    generated `__hash__` hashes the tuple of the fields on every call,
+    and so the whole tree below a node.  This `__hash__` computes the
+    same value, `hash` of the tuple of the fields, on first use and
     stores it on the instance as `_hash`; set and dict iteration order
     are therefore unchanged.  `_hash` is not a field, so equality,
     `repr`, `dataclasses.fields` and `dataclasses.replace` ignore it.
-    Apply it above `@dataclass(frozen=True)`.
+    Apply it above a plain `@dataclass` without slots, whose fields are
+    never assigned after construction (a frozen one works too, at the
+    cost of its slower `__init__`).
     """
     names = [f.name for f in fields(cls)]
     get = operator.attrgetter(*names)
@@ -71,8 +80,7 @@ def hash_once(cls):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((get(self),) if single else get(self))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((get(self),) if single else get(self))
         return h
 
     cls.__hash__ = __hash__
@@ -85,7 +93,7 @@ def hash_once(cls):
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class BoundVar:
     """Occurrence of a quantified variable inside its binder's body."""
 
@@ -97,7 +105,7 @@ class BoundVar:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class EigenVar:
     """Rigid variable: a problem constant or a universally bound witness."""
 
@@ -109,7 +117,7 @@ class EigenVar:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class MetaVar:
     """Flexible variable awaiting instantiation by a theory backend."""
 
@@ -121,7 +129,7 @@ class MetaVar:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class RatConst:
     """Exact rational constant."""
 
@@ -136,7 +144,7 @@ class RatConst:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class FunApp:
     """Application of an uninterpreted function symbol.
 
@@ -163,7 +171,7 @@ class FunApp:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class LinTerm:
     """Canonical linear combination over rational-sorted variables.
 
@@ -271,8 +279,7 @@ def term_vars(t: Term) -> frozenset[Term]:
         # cached_property computation takes a lock.
         out = t.__dict__.get("_vars")
         if out is None:
-            out = frozenset().union(*[term_vars(a) for a in t.args])
-            object.__setattr__(t, "_vars", out)
+            out = t._vars = frozenset().union(*[term_vars(a) for a in t.args])
         return out
     if is_var(t):
         return frozenset([t])
@@ -290,7 +297,7 @@ def _vars_of_kind(t: Term, kind: type, key: str) -> frozenset:
     out = t.__dict__.get(key)
     if out is None:
         out = frozenset([v for v in term_vars(t) if type(v) is kind])
-        object.__setattr__(t, key, out)
+        setattr(t, key, out)
     return out
 
 
@@ -337,7 +344,7 @@ ARITH_OPS = ("<=", "<", "=")
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class PredAtom:
     """Uninterpreted predicate application."""
 
@@ -351,7 +358,7 @@ class PredAtom:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class ArithAtom:
     """Comparison of two rational-sorted terms; op is one of <=, <, =."""
 
@@ -371,7 +378,7 @@ Atom = PredAtom | ArithAtom
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class Literal:
     """Signed atom."""
 
@@ -417,7 +424,7 @@ def subst_literal(lit: Literal, mapping: Mapping[Term, Term]) -> Literal:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class Lit:
     lit: Literal
 
@@ -426,7 +433,7 @@ class Lit:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class And:
     left: "Formula"
     right: "Formula"
@@ -436,7 +443,7 @@ class And:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class Or:
     left: "Formula"
     right: "Formula"
@@ -446,7 +453,7 @@ class Or:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class Forall:
     var: str
     sort: str
@@ -457,7 +464,7 @@ class Forall:
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class Exists:
     var: str
     sort: str
@@ -558,7 +565,7 @@ class DomainError(ValueError):
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass
 class Domain:
     """Ordered declarations of eigenvariables and meta-variables.
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import signal
 import sys
 from collections import Counter
@@ -481,6 +482,87 @@ def test_walk_is_the_recursive_preorder_on_every_corpus_proof():
                     proofs += 1
                     assert [id(t) for t in out.tree.walk()] == [id(t) for t in _preorder(out.tree)]
     assert proofs == 90
+
+
+def _assert_hashes_current(value, seen):
+    """Every dataclass value reachable from `value` that has cached its
+    hash still hashes as its fields do, so none was mutated after it was
+    hashed.  A parent's check reads its children's cached hashes, and
+    they are checked in turn."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if dataclasses.is_dataclass(v):
+            fields = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+            cached = vars(v).get("_hash")
+            assert cached is None or cached == hash(fields), "%r changed after hashing" % (v,)
+            stack.extend(fields)
+        elif isinstance(v, (tuple, frozenset)):
+            stack.extend(v)
+
+
+def test_no_value_in_a_corpus_proof_changes_after_it_is_hashed(monkeypatch):
+    # Terms, formulas, domains and constraints are immutable by contract,
+    # not frozen.  Run the whole path (search, both audits, JSON and the
+    # report) and then check every value each proof node holds.
+    outcomes = []
+
+    def recording_prove(*args):
+        outcomes.append(prove(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(kernel, "prove", recording_prove)
+    proofs = 0
+    for entry in json.loads((PROBLEMS / "corpus.json").read_text()):
+        prob = parse_problem((PROBLEMS / entry["file"]).read_text(), entry["name"])
+        for theory in [entry["theory"]] + (["enum"] if entry["pure_fol"] else []):
+            for calculus in ("di", "sdi"):
+                report = run(prob, theory, SearchConfig(calculus=calculus), check=True)
+                assert report.to_json()
+                out = outcomes.pop()
+                if out.status != "proved":
+                    continue
+                proofs += 1
+                seen: set[int] = set()
+                _assert_hashes_current(out.constraint, seen)
+                for node in out.tree.walk():
+                    seq = node.sequent
+                    for value in (seq.context, seq.domain, seq.input, node.output):
+                        _assert_hashes_current(value, seen)
+                assert report.check["proof"] and report.check["reconstruction"]
+    assert proofs == 90
+
+
+# ---------------------------------------------------------------------------
+# debug logging
+
+
+def _drinker():
+    prob = parse_problem((PROBLEMS / "fol_drinker.prob").read_text(), "fol_drinker")
+    return prob.goals, make_theory("fol", prob.signature)
+
+
+def test_debug_logging_records_each_node_and_the_proof(caplog):
+    goals, theory = _drinker()
+    with caplog.at_level(logging.DEBUG, logger="seqmod.kernel"):
+        out = prove(goals, Domain(), theory, SearchConfig())
+    assert out.status == "proved"
+    messages = [(r.levelno, r.getMessage()) for r in caplog.records]
+    rules = [m for level, m in messages if level == logging.DEBUG]
+    assert len(rules) == out.stats.nodes > 0
+    assert all(m.startswith("rule ") for m in rules)
+    assert [m for level, m in messages if level == logging.INFO] == [
+        "proved in round %d (%d nodes)" % (out.stats.rounds, out.stats.nodes)]
+
+
+def test_no_node_records_at_warning(caplog):
+    goals, theory = _drinker()
+    with caplog.at_level(logging.WARNING, logger="seqmod.kernel"):
+        assert prove(goals, Domain(), theory, SearchConfig()).status == "proved"
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------

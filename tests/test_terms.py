@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmod import fol, ground, lra, terms
+from seqmod import fol, frontend, ground, kernel, lra, terms
 from seqmod.fol import SubstConstraint, mgu
+from seqmod.frontend import Problem
 from seqmod.ground import GroundConstraint
+from seqmod.kernel import ProofTree, SearchConfig, SearchOutcome, Sequent
 from seqmod.lra import LinAtom, PolyConstraint, atom_from_terms, make_poly
 from seqmod.terms import (
     And,
@@ -387,31 +389,46 @@ def test_signature_lookup():
 # ---------------------------------------------------------------------------
 # cached hashes
 
-# Every frozen value that is hashed on a search or audit path.
+# Every value that is hashed on a search or audit path: the `hash_once`
+# classes.  They are immutable by contract, not frozen: a frozen
+# dataclass's `__init__` costs about twice as much.
 HASHED = (BoundVar, EigenVar, MetaVar, RatConst, FunApp, LinTerm, PredAtom,
           ArithAtom, Literal, Lit, And, Or, Forall, Exists, Domain,
           LinAtom, PolyConstraint, SubstConstraint, GroundConstraint)
+# Built once per run, so they keep the runtime guard of `frozen=True`.
+COLD = (SearchConfig, SearchOutcome, Problem, Signature, Instantiation)
 
 
 @hash_once
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class _Decorated:
     x: int
 
 
-def test_every_hashed_frozen_value_caches_its_hash():
-    frozen = {
+def test_every_hashed_value_caches_its_hash_and_is_not_frozen():
+    classes = {
         cls
-        for mod in (terms, lra, fol, ground)
+        for mod in (terms, lra, fol, ground, kernel, frontend)
         for cls in vars(mod).values()
         if isinstance(cls, type) and cls.__module__ == mod.__name__
-        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        and dataclasses.is_dataclass(cls)
     }
-    # Signatures and instantiations are never hashed.
-    assert frozen - {Signature, Instantiation} == set(HASHED)
-    # Every hash_once hash is a closure over the same code.
+    hashed = {cls for cls in classes
+              if getattr(cls.__hash__, "__code__", None) is _Decorated.__hash__.__code__}
+    assert hashed == set(HASHED)
+    # The caches are instance attributes, so no hashed class has slots.
     for cls in HASHED:
-        assert cls.__hash__.__code__ is _Decorated.__hash__.__code__, cls
+        assert not cls.__dataclass_params__.frozen, cls
+        assert "__slots__" not in vars(cls), cls
+    assert {cls for cls in classes if cls.__dataclass_params__.frozen} == set(COLD)
+
+
+def test_sequents_and_proof_nodes_have_slots():
+    seq = Sequent(Domain(), ())
+    node = ProofTree("leaf", seq, None)
+    for cls, value in ((Sequent, seq), (ProofTree, node)):
+        assert "__slots__" in vars(cls) and not hasattr(value, "__dict__"), cls
+        assert not cls.__dataclass_params__.frozen, cls
 
 
 _NAMES = st.sampled_from("xyz")
