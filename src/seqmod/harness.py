@@ -28,7 +28,6 @@ Laws:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -38,7 +37,7 @@ from typing import Callable, Iterable, Optional
 from . import fol as fol_mod
 from . import lra as lra_mod
 from .fol import SubstConstraint, SubstTheory, mgu, subst_meet
-from .frontend import make_theory
+from .frontend import json_text, make_theory
 from .ground import GroundConstraint, GroundEnumTheory, ground_meet
 from .lra import (
     LraTheory,
@@ -68,9 +67,6 @@ from .terms import (
     subst_term,
 )
 from .theory import Theory, WitnessUnsupported, first_ground, meet_domain
-
-LAWS = ("AX_proj", "AX_wit", "AX_meet", "AX_lift", "AX_pg",
-        "P1", "P2", "A1", "A2", "D1", "D2")
 
 MAX_UNIVERSE = 4096
 UNIVERSE_DEPTH = 1
@@ -123,7 +119,7 @@ class ConformanceResult:
 
 
 def report_json(result: ConformanceResult) -> str:
-    return json.dumps(result.as_dict(), indent=2, sort_keys=True)
+    return json_text(result.as_dict())
 
 
 def report_text(result: ConformanceResult) -> str:
@@ -152,7 +148,7 @@ class Bench:
     sig: Signature
     levels: list  # base, +meta, +eigen, +meta
     litsets: dict  # Domain -> list of literal tuples
-    synthetic: Callable[[Theory, Domain], list]
+    synthetic: Callable[[Domain], list]
 
     @property
     def lo_hi(self) -> list:
@@ -177,6 +173,16 @@ def _arith(positive: bool, op: str, lhs: Term, rhs: Term) -> Literal:
     return Literal(positive, ArithAtom(op, lhs, rhs))
 
 
+def _ladder(sort: str) -> tuple:
+    """e1, e2, M1, M2 of `sort` and the domains base, +M1, +e2, +M2."""
+    e1, e2 = EigenVar("e1", sort), EigenVar("e2", sort)
+    m1, m2 = MetaVar("M1", sort), MetaVar("M2", sort)
+    d0 = Domain.initial((e1,))
+    d1 = d0.add_meta(m1)
+    d2 = d1.add_eigen(e2)
+    return e1, e2, m1, m2, (d0, d1, d2, d2.add_meta(m2))
+
+
 def make_bench(kind: str) -> Bench:
     if kind in ("fol", "enum"):
         sig = Signature(
@@ -184,14 +190,7 @@ def make_bench(kind: str) -> Bench:
             funs=(("f", 1),),
             consts=("a", "b"),
         )
-        e1 = EigenVar("e1", SORT_TERM)
-        e2 = EigenVar("e2", SORT_TERM)
-        m1 = MetaVar("M1", SORT_TERM)
-        m2 = MetaVar("M2", SORT_TERM)
-        d0 = Domain.initial((e1,))
-        d1 = d0.add_meta(m1)
-        d2 = d1.add_eigen(e2)
-        d3 = d2.add_meta(m2)
+        e1, e2, m1, m2, (d0, d1, d2, d3) = _ladder(SORT_TERM)
         a = FunApp("a", ())
         b = FunApp("b", ())
         f = lambda t: FunApp("f", (t,))
@@ -210,7 +209,7 @@ def make_bench(kind: str) -> Bench:
             ],
         }
 
-        def synthetic(theory: Theory, domain: Domain) -> list:
+        def synthetic(domain: Domain) -> list:
             if kind == "fol":
                 out = [mgu([(m1, f(e1))], domain) if m1 in domain.metas else None,
                        mgu([(m1, a)], domain) if m1 in domain.metas else None]
@@ -233,14 +232,7 @@ def make_bench(kind: str) -> Bench:
 
     if kind == "lra":
         sig = Signature(preds=(("r", (SORT_RAT,)),))
-        e1 = EigenVar("e1", SORT_RAT)
-        e2 = EigenVar("e2", SORT_RAT)
-        m1 = MetaVar("M1", SORT_RAT)
-        m2 = MetaVar("M2", SORT_RAT)
-        d0 = Domain.initial((e1,))
-        d1 = d0.add_meta(m1)
-        d2 = d1.add_eigen(e2)
-        d3 = d2.add_meta(m2)
+        e1, e2, m1, m2, (d0, d1, d2, d3) = _ladder(SORT_RAT)
         q = lambda x: RatConst(Fraction(x))
         litsets = {
             d1: [
@@ -257,7 +249,7 @@ def make_bench(kind: str) -> Bench:
             ],
         }
 
-        def synthetic(theory: Theory, domain: Domain) -> list:
+        def synthetic(domain: Domain) -> list:
             def le(lo, hi):
                 return atom_from_terms("<=", lo, hi)
 
@@ -307,7 +299,6 @@ def _enum_extension_exists(sigma: GroundConstraint, rho: Instantiation) -> bool:
 
 
 def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation) -> bool:
-    meta = sigma.domain.last_meta()
     pins = []
     for m, t in rho.entries:
         pins.append(make_atom("=", {m: Fraction(1)}, -lra_mod._eval_term(t)))
@@ -317,6 +308,10 @@ def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation) -> bool:
                 pins.append(make_atom("=", {v: Fraction(1)}, -lra_mod.EIGEN_VALUE))
     pinned = make_poly(sigma.domain, [frozenset(pins)])
     return lra_sat(lra_mod._conjoin(sigma, pinned))
+
+
+_EXTENSION_EXISTS = {"fol": _fol_extension_exists, "enum": _enum_extension_exists,
+                     "lra": _lra_extension_exists}
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +324,7 @@ class _Probe:
         self.theory = theory
         self.cases = cases
         self.seed = seed
+        self.extension_exists = _EXTENSION_EXISTS[bench.kind]
         self.universes = {d: bench.universe(d) for d in bench.levels}
         self.compat_cache: dict = {}
         self.pools = self._build_pools()
@@ -348,7 +344,7 @@ class _Probe:
         th = self.theory
         for d in self.bench.levels:
             add(d, self._guard(lambda: th.top(d)))
-            for sigma in self._guard(lambda: self.bench.synthetic(th, d)) or []:
+            for sigma in self._guard(lambda: self.bench.synthetic(d)) or []:
                 add(d, sigma)
             for lits in self.bench.litsets.get(d, []):
                 stream = self._guard(lambda: th.consistency(lits, d))
@@ -414,13 +410,6 @@ class _Probe:
         return [(sigma, meta, rho) for sigma, meta, lo in self._proj_pairs()
                 for rho in self.universes[lo]]
 
-    def _extension_exists(self, sigma, rho) -> bool:
-        if self.bench.kind == "fol":
-            return _fol_extension_exists(sigma, rho)
-        if self.bench.kind == "enum":
-            return _enum_extension_exists(sigma, rho)
-        return _lra_extension_exists(sigma, rho)
-
     def _shrink(self, sigma, still_fails) -> object:
         for _ in range(20):
             for cand in self._guard(lambda: list(self.theory.shrink(sigma))) or []:
@@ -439,9 +428,8 @@ class _Probe:
 
     # -- the laws ------------------------------------------------------------
 
-    def ax_proj(self) -> LawReport:
-        rep = LawReport("AX_proj")
-        for sigma, meta, rho in self._sample("AX_proj", self._proj_combos()):
+    def ax_proj(self, rep: LawReport) -> None:
+        for sigma, meta, rho in self._sample(rep.law, self._proj_combos()):
             rep.cases += 1
             try:
                 projected = self.theory.project(sigma, meta)
@@ -449,19 +437,17 @@ class _Probe:
             except Exception as exc:
                 rep.fail("project raised %s on %s" % (exc, self._render(sigma)))
                 continue
-            right = self._extension_exists(sigma, rho)
+            right = self.extension_exists(sigma, rho)
             if left != right:
                 def still(s2, m=meta, r=rho):
                     return (self.theory.compatible(r, self.theory.project(s2, m))
-                            != self._extension_exists(s2, r))
+                            != self.extension_exists(s2, r))
                 small = self._shrink(sigma, still)
                 rep.fail("projection of %s wrong at %s (claims %s, extension %s)"
                          % (self._render(small), rho, left, right))
-        return rep
 
-    def ax_wit(self) -> LawReport:
-        rep = LawReport("AX_wit")
-        for sigma, meta, rho in self._sample("AX_wit", self._proj_combos()):
+    def ax_wit(self, rep: LawReport) -> None:
+        for sigma, meta, rho in self._sample(rep.law, self._proj_combos()):
             try:
                 projected = self.theory.project(sigma, meta)
                 if not self.theory.compatible(rho, projected):
@@ -486,15 +472,13 @@ class _Probe:
             if not self._guard(lambda: self.theory.compatible(extended, sigma)):
                 rep.fail("witness %s does not put %s inside %s"
                          % (t, rho, self._render(sigma)))
-        return rep
 
-    def ax_meet(self) -> LawReport:
-        rep = LawReport("AX_meet")
+    def ax_meet(self, rep: LawReport) -> None:
         combos = []
         for d in self.bench.levels:
             pool = self.pools[d]
             combos.extend((s1, s2) for s1 in pool for s2 in pool)
-        for s1, s2 in self._sample("AX_meet", combos):
+        for s1, s2 in self._sample(rep.law, combos):
             rep.cases += 1
             try:
                 met = self.theory.meet(s1, s2)
@@ -517,16 +501,14 @@ class _Probe:
                 small = self._shrink(s1, still)
                 rep.fail("meet of %s and %s has the wrong compatible set"
                          % (self._render(small), self._render(s2)))
-        return rep
 
-    def ax_lift(self) -> LawReport:
-        rep = LawReport("AX_lift")
+    def ax_lift(self, rep: LawReport) -> None:
         combos = []
         for lo, hi in self.bench.lo_hi:
             for sigma in self.pools[lo]:
                 for rho2 in self.universes[hi]:
                     combos.append((sigma, hi.metas[-1], rho2))
-        for sigma, meta, rho2 in self._sample("AX_lift", combos):
+        for sigma, meta, rho2 in self._sample(rep.law, combos):
             rep.cases += 1
             try:
                 lifted = self.theory.lift(sigma, meta)
@@ -539,7 +521,6 @@ class _Probe:
             if left != bool(right):
                 rep.fail("lift of %s disagrees with restriction at %s"
                          % (self._render(sigma), rho2))
-        return rep
 
     def _leaf_outputs(self) -> Iterable:
         """(domain, literals, input, pulled) for up to 4 pulls of each leaf
@@ -558,8 +539,7 @@ class _Probe:
                             break
                         yield d, lits, inp, res
 
-    def ax_pg(self) -> LawReport:
-        rep = LawReport("AX_pg")
+    def ax_pg(self, rep: LawReport) -> None:
         for d, lits, inp, res in self._leaf_outputs():
             if res is None:
                 rep.fail("consistency stream construction failed")
@@ -569,10 +549,8 @@ class _Probe:
             if not self.compat(out) <= self.compat(inp):
                 rep.fail("leaf output %s does not refine its input %s"
                          % (self._render(out), self._render(inp)))
-        return rep
 
-    def a2(self) -> LawReport:
-        rep = LawReport("A2")
+    def a2(self, rep: LawReport) -> None:
         for d, lits, inp, res in self._leaf_outputs():
             if res is None:
                 continue
@@ -589,7 +567,6 @@ class _Probe:
                     rep.fail("output %s admits %s but the used literals are not valid"
                              % (self._render(out), rho))
                     break
-        return rep
 
     def _prepare_ground(self, lits: Iterable[Literal]) -> list:
         lits = sorted(lits, key=str)
@@ -604,8 +581,7 @@ class _Probe:
             out.append(subst_literal(l, mapping))
         return out
 
-    def p1(self) -> LawReport:
-        rep = LawReport("P1")
+    def p1(self, rep: LawReport) -> None:
         for sigma, meta, _ in self._proj_pairs():
             rep.cases += 1
             try:
@@ -613,15 +589,13 @@ class _Probe:
                 before = self.theory.satisfiable(sigma)
                 after = self.theory.satisfiable(projected)
             except Exception as exc:
-                rep.fail("P1 raised %s" % (exc,))
+                rep.fail("%s raised %s" % (rep.law, exc))
                 continue
             if before != after:
                 rep.fail("projection of %s changes satisfiability (%s to %s)"
                          % (self._render(sigma), before, after))
-        return rep
 
-    def p2(self) -> LawReport:
-        rep = LawReport("P2")
+    def p2(self, rep: LawReport) -> None:
         for d in self.bench.levels:
             for sigma in self.pools[d]:
                 rep.cases += 1
@@ -641,16 +615,14 @@ class _Probe:
                         lambda: self.theory.satisfiable(met)):
                     rep.fail("meet of %s and %s is unsatisfiable but was not rejected"
                              % (self._render(s1), self._render(s2)))
-        return rep
 
-    def a1(self) -> LawReport:
-        rep = LawReport("A1")
+    def a1(self, rep: LawReport) -> None:
         combos = []
         for d, litsets in self.bench.litsets.items():
             for lits in litsets:
                 for rho in self.universes[d]:
                     combos.append((d, lits, rho))
-        for d, lits, rho in self._sample("A1", combos):
+        for d, lits, rho in self._sample(rep.law, combos):
             rep.cases += 1
             glits = tuple(rho.apply_literal(l) for l in lits)
             glits = tuple(self._prepare_ground(glits))
@@ -660,16 +632,14 @@ class _Probe:
                 stream = self.theory.consistency(glits, ground_domain)
                 yielded = stream.pull(self.theory.top(ground_domain)) is not None
             except Exception as exc:
-                rep.fail("A1 raised %s on %s" % (exc, [str(l) for l in glits]))
+                rep.fail("%s raised %s on %s" % (rep.law, exc, [str(l) for l in glits]))
                 continue
             if valid != yielded:
                 rep.fail("ground leaf %s: validity %s but the stream %s"
                          % ([str(l) for l in glits], valid,
                             "yields" if yielded else "is silent"))
-        return rep
 
-    def d1(self) -> LawReport:
-        rep = LawReport("D1")
+    def d1(self, rep: LawReport) -> None:
         for sigma, meta, lo in self._proj_pairs():
             rep.cases += 1
             projected = self._guard(lambda: self.theory.project(sigma, meta))
@@ -692,17 +662,30 @@ class _Probe:
                 met = self._guard(lambda: self.theory.meet(s1, s2))
                 if met is not None and met.domain != d:
                     rep.fail("meet moved its operands to another domain")
-        return rep
 
-    def d2(self) -> LawReport:
-        rep = LawReport("D2")
+    def d2(self, rep: LawReport) -> None:
         for d, lits, inp, res in self._leaf_outputs():
             if res is None:
                 continue
             rep.cases += 1
             if res[1].domain != d:
                 rep.fail("leaf output lives at the wrong domain")
-        return rep
+
+
+# Law name -> the check that fills in its report, in report order.
+LAWS = {
+    "AX_proj": _Probe.ax_proj,
+    "AX_wit": _Probe.ax_wit,
+    "AX_meet": _Probe.ax_meet,
+    "AX_lift": _Probe.ax_lift,
+    "AX_pg": _Probe.ax_pg,
+    "P1": _Probe.p1,
+    "P2": _Probe.p2,
+    "A1": _Probe.a1,
+    "A2": _Probe.a2,
+    "D1": _Probe.d1,
+    "D2": _Probe.d2,
+}
 
 
 def run_conformance(kind: str, cases: int = 200, seed: int = 0,
@@ -711,19 +694,9 @@ def run_conformance(kind: str, cases: int = 200, seed: int = 0,
     bench = make_bench(kind)
     theory = theory or make_theory(kind, bench.sig, depth=2)
     probe = _Probe(bench, theory, cases, seed)
-    laws = [
-        probe.ax_proj(),
-        probe.ax_wit(),
-        probe.ax_meet(),
-        probe.ax_lift(),
-        probe.ax_pg(),
-        probe.p1(),
-        probe.p2(),
-        probe.a1(),
-        probe.a2(),
-        probe.d1(),
-        probe.d2(),
-    ]
+    laws = [LawReport(name) for name in LAWS]
+    for rep, check in zip(laws, LAWS.values()):
+        check(probe, rep)
     return ConformanceResult(label or kind, all(l.ok for l in laws), laws)
 
 

@@ -454,8 +454,9 @@ def prove(context: Context, domain: Domain, theory: Theory,
                     continue
                 log.info("proved in round %d (%d nodes)", search.stats.rounds, search.stats.nodes)
                 return SearchOutcome("proved", _materialise(record), out, search.stats)
-            if not search.exists_blocked and not search.nodes_exhausted:
-                # Deeper expansion budgets cannot change anything.
+            if search.nodes_exhausted or not search.exists_blocked:
+                # The node budget is spent, or deeper expansion budgets
+                # cannot change anything.
                 break
     except ResourceLimit as exc:
         return SearchOutcome("resource", None, None, search.stats, str(exc))

@@ -14,11 +14,12 @@ instantiation satisfies a constraint and `witness` extends a compatible
 instantiation to the last meta-variable.  Proof search itself only calls
 compatible at the root gate and witness during reconstruction.
 
-Every constraint is a frozen dataclass with a `domain` field, and the
-domain bookkeeping lives here, once: `lift` re-tags the domain,
-`project` and `witness` check their preconditions before calling the
-backend's `project_payload` and `witness_payload`, and `meet_domain`
-checks the family of two meet operands and picks the result's domain.
+Every constraint is a dataclass with a `domain` field that is never
+mutated after construction, and the domain bookkeeping lives here,
+once: `lift` re-tags the domain, `project` and `witness` check their
+preconditions before calling the backend's `project_payload` and
+`witness_payload`, and `meet_domain` checks the family of two meet
+operands and picks the result's domain.
 A backend implements `top`, `meet`, `consistency`, `satisfiable`,
 `compatible` and the two payload hooks; `ground_valid` (default: a
 complementary pair) and `shrink` are optional.  Constraints are shown

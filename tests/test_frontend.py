@@ -598,6 +598,17 @@ def test_cli_prove_exit_codes():
     assert "node budget exhausted" in out
 
 
+@pytest.mark.parametrize("nodes, rounds", [("5", 2), ("0", 1)])
+def test_deepening_stops_in_the_round_that_spends_the_node_budget(nodes, rounds):
+    # The drinker needs a second round; 5 nodes run out inside it and 0
+    # inside the first.  No later round starts once the budget is spent.
+    code, out, _ = cli("prove", str(PROBLEMS / "fol_drinker.prob"), "--nodes", nodes,
+                       "--output", "json")
+    assert code == 3
+    stats = json.loads(out)["stats"]
+    assert (stats["nodes"], stats["rounds"]) == (int(nodes), rounds)
+
+
 def test_cli_rejects_bad_input(tmp_path):
     code, _, err = cli("prove", str(PROBLEMS / "nonexistent.prob"))
     assert code == 2

@@ -2,7 +2,10 @@
 
 `conformance_golden.json` holds one sha256 of `report_json` per run at
 `cases=200, seed=0`: the `fol`, `enum` and `lra` backends and the six
-mutants.  A refactor that changes any conformance report changes a hash.
+mutants.  `conformance_text_golden.json` holds the sha256 of
+`report_text` for the same nine runs, which pins the wording of a FAILED
+law and its examples.  A refactor that changes any conformance report
+changes a hash.
 
 Regenerate (only when a change is meant to alter a report, and say why
 in CHANGES.md):
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from seqmod import harness
 from seqmod.harness import (
     LAWS,
     mutants,
@@ -25,7 +29,9 @@ from seqmod.harness import (
     run_conformance,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "conformance_golden.json"
+HERE = Path(__file__).resolve().parent
+GOLDENS = {report_json: HERE / "conformance_golden.json",
+           report_text: HERE / "conformance_text_golden.json"}
 
 
 @pytest.mark.parametrize("kind", ["fol", "enum", "lra"])
@@ -88,26 +94,50 @@ def test_failure_count_survives_recording_cap():
     assert len(law.failures) <= 5
 
 
-def conformance_hashes() -> dict:
+def test_docstring_lists_exactly_the_laws():
+    doc = harness.__doc__.split("Laws:\n", 1)[1]
+    block = doc.split("\n\n", 1)[0]
+    assert [line.split()[0] for line in block.splitlines()] == list(LAWS)
+
+
+def conformance_results() -> dict:
     runs = {kind: (kind, None) for kind in ("fol", "enum", "lra")}
     runs.update((name, (kind, factory())) for name, (kind, factory, _) in mutants().items())
-    out = {}
-    for label, (kind, theory) in runs.items():
-        res = run_conformance(kind, cases=200, seed=0, theory=theory, label=label)
-        out[label] = hashlib.sha256(report_json(res).encode("utf-8")).hexdigest()
-    return out
+    return {label: run_conformance(kind, cases=200, seed=0, theory=theory, label=label)
+            for label, (kind, theory) in runs.items()}
 
 
-def test_conformance_reports_are_byte_identical():
-    golden = json.loads(GOLDEN.read_text())
-    got = conformance_hashes()
+def conformance_hashes(write, results) -> dict:
+    return {label: hashlib.sha256(write(res).encode("utf-8")).hexdigest()
+            for label, res in results.items()}
+
+
+@pytest.fixture(scope="module")
+def results():
+    return conformance_results()
+
+
+def check_golden(write, results) -> None:
+    golden = json.loads(GOLDENS[write].read_text())
+    got = conformance_hashes(write, results)
     assert len(golden) == 9
     assert sorted(got) == sorted(golden)
     changed = sorted(k for k in golden if got[k] != golden[k])
-    assert not changed, "conformance report changed for %s" % changed
+    assert not changed, "conformance %s changed for %s" % (write.__name__, changed)
+
+
+def test_conformance_reports_are_byte_identical(results):
+    check_golden(report_json, results)
+
+
+def test_conformance_text_reports_are_byte_identical(results):
+    check_golden(report_text, results)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_harness.py --write")
-    GOLDEN.write_text(json.dumps(conformance_hashes(), indent=1, sort_keys=True) + "\n")
+    results = conformance_results()
+    for write, path in GOLDENS.items():
+        hashes = conformance_hashes(write, results)
+        path.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
