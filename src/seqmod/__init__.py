@@ -54,7 +54,6 @@ from .terms import (
     FunApp,
     Instantiation,
     LinTerm,
-    Lit,
     Literal,
     MetaVar,
     Or,
@@ -94,7 +93,7 @@ __all__ = [
     "And", "ArithAtom", "BoundVar", "ConformanceResult",
     "ConstraintStream", "Domain", "DomainError", "EigenVar", "Exists",
     "Forall", "FunApp", "GroundConstraint", "GroundEnumTheory", "IllFormed",
-    "Instantiation", "LinAtom", "LinTerm", "Lit", "Literal", "LraTheory",
+    "Instantiation", "LinAtom", "LinTerm", "Literal", "LraTheory",
     "MetaVar", "Or", "ParseError", "PolyConstraint", "PreconditionError",
     "PredAtom", "Problem", "ProofTree", "RatConst", "ResourceLimit",
     "RunReport", "SearchConfig", "SearchOutcome", "SearchStats", "Sequent",

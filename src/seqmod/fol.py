@@ -63,7 +63,6 @@ from .terms import (
     subst_term,
     term_eigens,
     term_metas,
-    term_sort,
     term_vars,
 )
 from .theory import (
@@ -249,7 +248,7 @@ def _bind(domain: Domain, subst: dict[MetaVar, Term], meta: MetaVar, image: Term
     # The checks see the image resolved, as they would in an idempotent
     # substitution; the images bound earlier are left as they are.
     image = _resolve(image, subst)
-    if term_sort(image) != meta.sort:
+    if image.sort != meta.sort:
         raise _Clash
     if not _admissible(domain, meta, image):
         raise _Clash
@@ -342,7 +341,7 @@ def _match(pattern: Term, target: Term, bindings: dict[MetaVar, Term]) -> None:
     if pattern == target:
         return
     if isinstance(pattern, MetaVar):
-        if term_sort(target) != pattern.sort:
+        if target.sort != pattern.sort:
             raise _Mismatch
         bindings[pattern] = target
         return
@@ -352,7 +351,7 @@ def _match(pattern: Term, target: Term, bindings: dict[MetaVar, Term]) -> None:
         for p, t in zip(pattern.args, target.args):
             _match(p, t, bindings)
         return
-    if isinstance(pattern, LinTerm) and term_sort(target) == SORT_RAT:
+    if isinstance(pattern, LinTerm) and target.sort == SORT_RAT:
         solved = _solve_linear(lin_combine((Fraction(1), pattern), (Fraction(-1), target)))
         if solved is None:
             raise _Mismatch

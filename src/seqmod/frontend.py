@@ -29,6 +29,7 @@ becomes a disjunction of strict inequalities.
 from __future__ import annotations
 
 import functools
+import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -55,7 +56,6 @@ from .terms import (
     FunApp,
     Instantiation,
     LinTerm,
-    Lit,
     Literal,
     MetaVar,
     Or,
@@ -221,7 +221,7 @@ class _GoalBuilder:
         name = node.value
         if type(name) is str:  # a proposition
             if self.preds.get(name) == ():
-                return Lit(Literal(positive, PredAtom(name, ())))
+                return Literal(positive, PredAtom(name, ()))
             if name in env:
                 raise node.err("variable %s used as a formula" % (name,))
             raise node.err("unknown proposition %r" % (name,))
@@ -285,13 +285,13 @@ class _GoalBuilder:
             elif head == ">":
                 head, a, b = "<", b, a
             if positive:
-                return Lit(Literal(True, ArithAtom(head, a, b)))
+                return Literal(True, ArithAtom(head, a, b))
             if head == "<=":
-                return Lit(Literal(True, ArithAtom("<", b, a)))
+                return Literal(True, ArithAtom("<", b, a))
             if head == "<":
-                return Lit(Literal(True, ArithAtom("<=", b, a)))
-            return Or(Lit(Literal(True, ArithAtom("<", a, b))),
-                      Lit(Literal(True, ArithAtom("<", b, a))))
+                return Literal(True, ArithAtom("<=", b, a))
+            return Or(Literal(True, ArithAtom("<", a, b)),
+                      Literal(True, ArithAtom("<", b, a)))
         sorts = self.preds.get(head)
         if sorts is None:
             raise node.err("unknown predicate %r" % (head,))
@@ -299,7 +299,7 @@ class _GoalBuilder:
         if len(args) != len(sorts):
             raise node.err("%s takes %d arguments, got %d" % (head, len(sorts), len(args)))
         terms = tuple(self.term(a, s, env) for a, s in zip(args, sorts))
-        return Lit(Literal(positive, PredAtom(head, terms)))
+        return Literal(positive, PredAtom(head, terms))
 
     def term(self, node: SNode, expected: str, env: _Env) -> Term:
         name = node.value
@@ -451,16 +451,15 @@ def render_term(t: Term) -> str:
 
 
 def render_formula(f: Formula) -> str:
-    if isinstance(f, Lit):
-        lit = f.lit
-        if isinstance(lit.atom, ArithAtom):
-            if not lit.positive:
+    if isinstance(f, Literal):
+        atom = f.atom
+        if isinstance(atom, ArithAtom):
+            if not f.positive:
                 raise ValueError("negated arithmetic literal in normal form output")
-            return "(%s %s %s)" % (lit.atom.op, render_term(lit.atom.lhs),
-                                   render_term(lit.atom.rhs))
-        body = lit.atom.name if not lit.atom.args else "(%s %s)" % (
-            lit.atom.name, " ".join(render_term(a) for a in lit.atom.args))
-        return body if lit.positive else "(not %s)" % body
+            return "(%s %s %s)" % (atom.op, render_term(atom.lhs), render_term(atom.rhs))
+        body = atom.name if not atom.args else "(%s %s)" % (
+            atom.name, " ".join(render_term(a) for a in atom.args))
+        return body if f.positive else "(not %s)" % body
     if isinstance(f, And):
         return "(and %s %s)" % (render_formula(f.left), render_formula(f.right))
     if isinstance(f, Or):
@@ -537,9 +536,6 @@ def _node_json(tree: ProofTree, rendered: dict[int, str]) -> dict:
     return node
 
 
-_INFINITY = float("inf")
-
-
 def _json_leaf(o) -> str:
     """A scalar or an empty container as `json.dumps` writes it."""
     if isinstance(o, str):
@@ -550,21 +546,9 @@ def _json_leaf(o) -> str:
         return "true"
     if o is False:
         return "false"
-    if isinstance(o, int):
+    if type(o) is int:
         return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INFINITY:
-            return "Infinity"
-        if o == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, dict):
-        return "{}"
-    if isinstance(o, (list, tuple)):
-        return "[]"
-    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+    return json.dumps(o)  # floats, empty containers; a TypeError for the rest
 
 
 def _json_key(key) -> str:

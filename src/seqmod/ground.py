@@ -71,7 +71,6 @@ from .terms import (
     subst_literal,
     term_depth,
     term_eigens,
-    term_sort,
     term_vars,
 )
 from .theory import (
@@ -114,7 +113,7 @@ class GroundConstraint:
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise PreconditionError("entries must follow declaration order without repeats")
         for m, t in self.entries:
-            if term_sort(t) != m.sort:
+            if t.sort != m.sort:
                 raise PreconditionError("image sort mismatch for %s" % (m,))
             if any(isinstance(v, (MetaVar, BoundVar)) for v in term_vars(t)):
                 raise PreconditionError("image %s is not ground" % (t,))

@@ -328,6 +328,7 @@ class _Probe:
         self.universes = {d: bench.universe(d) for d in bench.levels}
         self.compat_cache: dict = {}
         self.pools = self._build_pools()
+        self.leaf_outputs = self._leaf_outputs()
 
     # -- construction ------------------------------------------------------
 
@@ -522,25 +523,28 @@ class _Probe:
                 rep.fail("lift of %s disagrees with restriction at %s"
                          % (self._render(sigma), rho2))
 
-    def _leaf_outputs(self) -> Iterable:
+    def _leaf_outputs(self) -> list:
         """(domain, literals, input, pulled) for up to 4 pulls of each leaf
-        stream; pulled is None once for a stream that could not be built."""
+        stream; pulled is None once for a stream that could not be built.
+        Built once per probe: AX_pg, A2 and D2 all read it."""
+        out = []
         for d, litsets in self.bench.litsets.items():
             inputs = [self.theory.top(d)] + self.pools[d][:2]
             for lits in litsets:
                 for inp in inputs:
                     stream = self._guard(lambda: self.theory.consistency(lits, d))
                     if stream is None:
-                        yield d, lits, inp, None
+                        out.append((d, lits, inp, None))
                         continue
                     for _ in range(4):
                         res = self._guard(lambda: stream.pull(inp))
                         if not res:
                             break
-                        yield d, lits, inp, res
+                        out.append((d, lits, inp, res))
+        return out
 
     def ax_pg(self, rep: LawReport) -> None:
-        for d, lits, inp, res in self._leaf_outputs():
+        for d, lits, inp, res in self.leaf_outputs:
             if res is None:
                 rep.fail("consistency stream construction failed")
                 continue
@@ -551,7 +555,7 @@ class _Probe:
                          % (self._render(out), self._render(inp)))
 
     def a2(self, rep: LawReport) -> None:
-        for d, lits, inp, res in self._leaf_outputs():
+        for d, lits, inp, res in self.leaf_outputs:
             if res is None:
                 continue
             used, out = res
@@ -664,7 +668,7 @@ class _Probe:
                     rep.fail("meet moved its operands to another domain")
 
     def d2(self, rep: LawReport) -> None:
-        for d, lits, inp, res in self._leaf_outputs():
+        for d, lits, inp, res in self.leaf_outputs:
             if res is None:
                 continue
             rep.cases += 1

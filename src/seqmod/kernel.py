@@ -75,7 +75,6 @@ from .terms import (
     Forall,
     Formula,
     Instantiation,
-    Lit,
     Literal,
     MetaVar,
     Or,
@@ -163,8 +162,8 @@ def _branch_signs(signs: Optional[dict], added) -> Optional[dict]:
         return None
     grown = None
     for f in added:
-        if isinstance(f, Lit):
-            atom, positive = f.lit.atom, f.lit.positive
+        if type(f) is Literal:
+            atom, positive = f.atom, f.positive
             if (grown or signs).get(atom, positive) != positive:
                 return None
             if grown is None:
@@ -230,7 +229,7 @@ class _Search:
         forall = fresh = conj = contraction = -1
         exists_left = False
         for i, (f, k) in enumerate(entries):
-            if isinstance(f, Lit):
+            if type(f) is Literal:
                 continue
             if isinstance(f, Or):
                 return "or", i, False

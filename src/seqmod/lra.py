@@ -56,7 +56,6 @@ from .terms import (
     lin_combine,
     lin_of,
     mk_lin,
-    term_sort,
     var_key,
 )
 from .theory import (
@@ -345,7 +344,7 @@ def _leaf_candidate(used: tuple[Literal, ...]) -> Optional[Candidate]:
     l, l2 = used
     eqs: list[LinAtom] = []
     for t, u in zip(l.atom.args, l2.atom.args):
-        if term_sort(t) == SORT_RAT and term_sort(u) == SORT_RAT:
+        if t.sort == SORT_RAT and u.sort == SORT_RAT:
             eqs.append(atom_from_terms("=", t, u))
         elif t != u:
             return None
@@ -505,7 +504,7 @@ class LraTheory(Theory):
                     return True
             else:
                 args = tuple(
-                    RatConst(_eval_term(t)) if term_sort(t) == SORT_RAT else t
+                    RatConst(_eval_term(t)) if t.sort == SORT_RAT else t
                     for t in l.atom.args
                 )
                 pred.append(Literal(l.positive, PredAtom(l.atom.name, args)))

@@ -7,6 +7,12 @@ eigenvariables (rigid: introduced by universal quantifiers, plus the
 problem constants), and meta-variables (flexible: introduced by
 existential quantifiers, to be solved by a theory backend).
 
+Formulas are in negation normal form, and a literal is a formula:
+
+    Formula ::= Literal | And(Formula, Formula) | Or(Formula, Formula)
+              | Forall(var, sort, Formula) | Exists(var, sort, Formula)
+    Literal ::= Literal(positive, PredAtom | ArithAtom)
+
 A Domain records the declaration order of eigenvariables and
 meta-variables; each meta-variable may only be instantiated with ground
 terms built from the eigenvariables declared before it.
@@ -157,7 +163,7 @@ class FunApp:
 
     def __post_init__(self) -> None:
         for a in self.args:
-            if term_sort(a) != SORT_TERM:
+            if a.sort != SORT_TERM:
                 raise SortError("argument %s of %s is not term-sorted" % (a, self.symbol))
 
     @property
@@ -214,10 +220,6 @@ def var_key(v: Term) -> tuple[int, str]:
     return (_VAR_KINDS[type(v)], v.name)
 
 
-def term_sort(t: Term) -> str:
-    return t.sort
-
-
 def as_fraction(c) -> Fraction:
     """c as a Fraction; a Fraction is returned as it is, not copied."""
     return c if type(c) is Fraction else Fraction(c)
@@ -231,7 +233,7 @@ def mk_lin(coeffs: Mapping[Term, Fraction], const: Fraction) -> Term:
     """
     items = []
     for v, c in coeffs.items():
-        if term_sort(v) != SORT_RAT:
+        if v.sort != SORT_RAT:
             raise SortError("linear combination over non-rational term %s" % (v,))
         if c != 0:
             items.append((v, as_fraction(c)))
@@ -397,17 +399,14 @@ def pos(atom: Atom) -> Literal:
     return Literal(True, atom)
 
 
-def atom_vars(atom: Atom) -> frozenset[Term]:
+def literal_vars(lit: Literal) -> frozenset[Term]:
+    atom = lit.atom
     if isinstance(atom, PredAtom):
         out: frozenset[Term] = frozenset()
         for a in atom.args:
             out |= term_vars(a)
         return out
     return term_vars(atom.lhs) | term_vars(atom.rhs)
-
-
-def literal_vars(lit: Literal) -> frozenset[Term]:
-    return atom_vars(lit.atom)
 
 
 def subst_literal(lit: Literal, mapping: Mapping[Term, Term]) -> Literal:
@@ -421,15 +420,6 @@ def subst_literal(lit: Literal, mapping: Mapping[Term, Term]) -> Literal:
 
 # ---------------------------------------------------------------------------
 # Formulas in negation normal form
-
-
-@hash_once
-@dataclass
-class Lit:
-    lit: Literal
-
-    def __str__(self) -> str:
-        return str(self.lit)
 
 
 @hash_once
@@ -474,7 +464,7 @@ class Exists:
         return "exists %s. %s" % (self.var, self.body)
 
 
-Formula = Lit | And | Or | Forall | Exists
+Formula = Literal | And | Or | Forall | Exists
 
 # A context is an ordered multiset of formulas; order is the search
 # traversal order, multiset equality is the sequent-level identity.
@@ -487,13 +477,13 @@ def substitute(formula: Formula, bound: str, replacement: Term) -> Formula:
     Binder names are globally fresh after parsing, so capture cannot
     occur; an inner binder reusing the name still shadows correctly.
     """
-    if isinstance(formula, Lit):
+    if isinstance(formula, Literal):
         mapping = {
             v: replacement
-            for v in literal_vars(formula.lit)
+            for v in literal_vars(formula)
             if isinstance(v, BoundVar) and v.name == bound
         }
-        return Lit(subst_literal(formula.lit, mapping)) if mapping else formula
+        return subst_literal(formula, mapping) if mapping else formula
     if isinstance(formula, And):
         return And(substitute(formula.left, bound, replacement),
                    substitute(formula.right, bound, replacement))
@@ -509,8 +499,8 @@ def substitute(formula: Formula, bound: str, replacement: Term) -> Formula:
 
 
 def formula_vars(formula: Formula) -> frozenset[Term]:
-    if isinstance(formula, Lit):
-        return literal_vars(formula.lit)
+    if isinstance(formula, Literal):
+        return literal_vars(formula)
     if isinstance(formula, (And, Or)):
         return formula_vars(formula.left) | formula_vars(formula.right)
     if isinstance(formula, (Forall, Exists)):
@@ -523,7 +513,7 @@ def formula_vars(formula: Formula) -> frozenset[Term]:
 
 def literals_of(context: Context) -> tuple[Literal, ...]:
     """Literal members of a context, deduplicated, in first-occurrence order."""
-    return tuple(dict.fromkeys(f.lit for f in context if isinstance(f, Lit)))
+    return tuple(dict.fromkeys(f for f in context if isinstance(f, Literal)))
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +532,6 @@ class Signature:
     preds: tuple[tuple[str, tuple[str, ...]], ...] = ()
     funs: tuple[tuple[str, int], ...] = ()
     consts: tuple[str, ...] = ()
-
-    def pred_sorts(self, name: str) -> Optional[tuple[str, ...]]:
-        for n, sorts in self.preds:
-            if n == name:
-                return sorts
-        return None
-
-    def fun_arity(self, name: str) -> Optional[int]:
-        for n, k in self.funs:
-            if n == name:
-                return k
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +663,8 @@ class Instantiation:
         if assigned != list(self.domain.metas):
             raise DomainError("instantiation does not cover the domain's metas in order")
         for m, t in self.entries:
-            if term_sort(t) != m.sort:
-                raise SortError("instantiation of %s has sort %s" % (m, term_sort(t)))
+            if t.sort != m.sort:
+                raise SortError("instantiation of %s has sort %s" % (m, t.sort))
             vs = term_vars(t)
             if any(isinstance(v, (MetaVar, BoundVar)) for v in vs):
                 raise DomainError("instantiation image %s is not ground" % (t,))

@@ -48,7 +48,6 @@ from .terms import (
     SORT_RAT,
     SORT_TERM,
     Term,
-    term_sort,
 )
 
 
@@ -160,7 +159,7 @@ def first_ground(sort: str, auth: frozenset[EigenVar], domain: Domain,
         if e in auth and e.sort == SORT_TERM:
             return e
     for t in ground_base:
-        if term_sort(t) == SORT_TERM:
+        if t.sort == SORT_TERM:
             return t
     raise WitnessUnsupported("no authorised ground term of the uninterpreted sort")
 

@@ -30,7 +30,6 @@ from seqmod.terms import (
     subst_term,
     term_eigens,
     term_metas,
-    term_sort,
 )
 from seqmod.theory import (
     DomainMismatch,
@@ -443,7 +442,7 @@ def _eager_unify(domain, subst, a, b):
         for x, y in zip(a.args, b.args):
             _eager_unify(domain, subst, x, y)
         return
-    if term_sort(a) == SORT_RAT and term_sort(b) == SORT_RAT:
+    if a.sort == SORT_RAT and b.sort == SORT_RAT:
         diff = lin_combine((Fraction(1), a), (Fraction(-1), b))
         if diff == RatConst(Fraction(0)):
             return
@@ -456,7 +455,7 @@ def _eager_unify(domain, subst, a, b):
 
 
 def _eager_bind(domain, subst, meta, image):
-    if term_sort(image) != meta.sort:
+    if image.sort != meta.sort:
         raise _EagerClash
     if not _eager_admissible(domain, meta, image):
         raise _EagerClash

@@ -30,7 +30,6 @@ from seqmod.terms import (
     Exists,
     Forall,
     FunApp,
-    Lit,
     Literal,
     Or,
     PredAtom,
@@ -56,9 +55,10 @@ def test_parse_signature_and_goal():
         (declare-const a)
         (goal (p a a))
     """)
-    assert prob.signature.pred_sorts("p") == (SORT_TERM, SORT_TERM)
-    assert prob.signature.pred_sorts("bound") == (SORT_RAT, SORT_RAT)
-    assert prob.signature.fun_arity("f") == 1
+    preds = dict(prob.signature.preds)
+    assert preds["p"] == (SORT_TERM, SORT_TERM)
+    assert preds["bound"] == (SORT_RAT, SORT_RAT)
+    assert dict(prob.signature.funs)["f"] == 1
     assert "a" in prob.signature.consts
     assert len(prob.goals) == 1
 
@@ -67,8 +67,8 @@ def test_parse_implication_becomes_nnf():
     prob = parse_problem("(declare-pred p 0)\n(goal (=> (p) (p)))")
     goal = prob.goals[0]
     assert isinstance(goal, Or)
-    assert isinstance(goal.left, Lit) and not goal.left.lit.positive
-    assert isinstance(goal.right, Lit) and goal.right.lit.positive
+    assert isinstance(goal.left, Literal) and not goal.left.positive
+    assert isinstance(goal.right, Literal) and goal.right.positive
 
 
 def test_parse_pushes_negation_to_literals():
@@ -78,7 +78,7 @@ def test_parse_pushes_negation_to_literals():
     """)
     goal = prob.goals[0]
     assert isinstance(goal, Forall)
-    assert isinstance(goal.body, Lit) and not goal.body.lit.positive
+    assert isinstance(goal.body, Literal) and not goal.body.positive
 
 
 def test_negated_comparisons_flip():
@@ -86,17 +86,17 @@ def test_negated_comparisons_flip():
         (goal (and (not (<= 1 2)) (and (not (< 1 2)) (not (= 1 2)))))
     """)
     flipped_le = prob.goals[0].left
-    assert flipped_le.lit.positive
-    assert flipped_le.lit.atom.op == "<"
+    assert flipped_le.positive
+    assert flipped_le.atom.op == "<"
     rest = prob.goals[0].right
-    assert rest.left.lit.atom.op == "<="
+    assert rest.left.atom.op == "<="
     # a negated equality splits into two strict comparisons
     assert isinstance(rest.right, Or)
 
 
 def test_greater_than_is_stored_swapped():
     prob = parse_problem("(goal (exists ((x rat)) (> x 3)))")
-    atom = prob.goals[0].body.lit.atom
+    atom = prob.goals[0].body.atom
     assert atom.op == "<"
     assert atom.lhs == RatConst(Fraction(3))
 
@@ -132,7 +132,7 @@ def test_binder_sort_conflict_is_an_error():
 
 def test_rational_literals():
     prob = parse_problem("(goal (<= 2/3 1))")
-    atom = prob.goals[0].lit.atom
+    atom = prob.goals[0].atom
     assert atom.lhs == RatConst(Fraction(2, 3))
 
 
@@ -394,11 +394,11 @@ def test_reader_matches_reference(text):
 
 
 def _p(*args):
-    return Lit(Literal(True, PredAtom("p", args)))
+    return Literal(True, PredAtom("p", args))
 
 
 def _lt(a, b):
-    return Lit(Literal(True, ArithAtom("<", a, b)))
+    return Literal(True, ArithAtom("<", a, b))
 
 
 X0_TERM = BoundVar("x!0", SORT_TERM)
@@ -415,12 +415,12 @@ P1 = ("p", (SORT_TERM,))
      (Signature(), Exists("x!0", SORT_RAT, _lt(X0_RAT, RatConst(Fraction(1)))))),
     # rat from the operand of *
     ("(goal (forall (x) (<= (* 2 x) 1)))",
-     (Signature(), Forall("x!0", SORT_RAT, Lit(Literal(True, ArithAtom(
-         "<=", lin_combine((Fraction(2), X0_RAT)), RatConst(Fraction(1)))))))),
+     (Signature(), Forall("x!0", SORT_RAT, Literal(True, ArithAtom(
+         "<=", lin_combine((Fraction(2), X0_RAT)), RatConst(Fraction(1))))))),
     # rat from a declared argument sort
     ("(declare-pred r (rat))\n(goal (exists (x) (r x)))",
      (Signature((("r", (SORT_RAT,)),)),
-      Exists("x!0", SORT_RAT, Lit(Literal(True, PredAtom("r", (X0_RAT,))))))),
+      Exists("x!0", SORT_RAT, Literal(True, PredAtom("r", (X0_RAT,)))))),
     # an inner binder of the same name at the other sort
     ("(declare-pred p 1)\n(goal (forall (x) (and (p x) (exists (x) (< x 0)))))",
      (Signature((P1,), (), ("c0",)), Forall("x!0", SORT_TERM, And(
@@ -428,7 +428,7 @@ P1 = ("p", (SORT_TERM,))
          Exists("x!1", SORT_RAT, _lt(BoundVar("x!1", SORT_RAT), RatConst(Fraction(0)))))))),
     # an unused binder is term-sorted
     ("(declare-pred q 0)\n(goal (forall (x) q))",
-     (Signature((("q", ()),)), Forall("x!0", SORT_TERM, Lit(Literal(True, PredAtom("q", ())))))),
+     (Signature((("q", ()),)), Forall("x!0", SORT_TERM, Literal(True, PredAtom("q", ()))))),
     # an annotated binder used at the other sort: the error is at the use
     ("(declare-pred p 1)\n(goal (forall ((x rat)) (p x)))",
      ("variable x has sort rat, expected term", 2, 28)),
@@ -479,7 +479,7 @@ def test_render_formula_only_accepts_nnf():
     prob = parse_problem("(declare-pred p 0)\n(goal (p))")
     assert render_formula(prob.goals[0]) == "p"
     # the printer has no spelling for a negated comparison
-    stray = Lit(Literal(False, ArithAtom("<=", RatConst(Fraction(0)), RatConst(Fraction(1)))))
+    stray = Literal(False, ArithAtom("<=", RatConst(Fraction(0)), RatConst(Fraction(1))))
     with pytest.raises(ValueError):
         render_formula(stray)
 
@@ -533,9 +533,9 @@ def eval_source(node, model):
 
 
 def eval_nnf(f, model):
-    if isinstance(f, Lit):
-        value = model[f.lit.atom.name]
-        return value if f.lit.positive else not value
+    if isinstance(f, Literal):
+        value = model[f.atom.name]
+        return value if f.positive else not value
     if isinstance(f, And):
         return eval_nnf(f.left, model) and eval_nnf(f.right, model)
     if isinstance(f, Or):

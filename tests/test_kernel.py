@@ -39,7 +39,6 @@ from seqmod.terms import (
     Forall,
     FunApp,
     Instantiation,
-    Lit,
     Literal,
     MetaVar,
     Or,
@@ -62,11 +61,11 @@ PROBLEMS = ROOT / "src" / "seqmod" / "problems"
 
 
 def plit(name, *args):
-    return Lit(pos(PredAtom(name, tuple(args))))
+    return pos(PredAtom(name, tuple(args)))
 
 
 def nlit(name, *args):
-    return Lit(Literal(False, PredAtom(name, tuple(args))))
+    return Literal(False, PredAtom(name, tuple(args)))
 
 
 def excluded_middle():
@@ -335,7 +334,7 @@ def test_context_multiset_check_tells_formulas_apart(calc):
     assert all(f is not g for f, g in zip(rebuilt, ctx))
     assert with_left_context(rebuilt) == (True, [])
 
-    other = Lit(pos(PredAtom("unrelated", ())))
+    other = pos(PredAtom("unrelated", ()))
     for context in (ctx[:-1] + (other,), ctx[1:], ctx + ctx[-1:]):
         ok, diags = with_left_context(context)
         assert not ok
@@ -1075,7 +1074,7 @@ def test_early_closure_commits_only_to_an_unchanged_output(monkeypatch, calculus
     assert counts(out) == ("proved", 1, 2, 0, 0)
     tree = out.tree
     assert (tree.rule, tree.stream_index) == ("leaf", 1)
-    assert tree.used == {nlit("p", X).lit, plit("p", X).lit}
+    assert tree.used == {nlit("p", X), plit("p", X)}
     assert tree.output == TH.top(d)
     assert check_proof(tree, TH) == (True, [])
     _without_early_closure(monkeypatch)

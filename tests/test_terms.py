@@ -28,7 +28,6 @@ from seqmod.terms import (
     FunApp,
     Instantiation,
     LinTerm,
-    Lit,
     Literal,
     MetaVar,
     Or,
@@ -50,7 +49,6 @@ from seqmod.terms import (
     term_depth,
     term_eigens,
     term_metas,
-    term_sort,
     term_vars,
 )
 
@@ -59,7 +57,7 @@ M = lambda n: MetaVar(n, SORT_TERM)
 
 
 def atom(name, *args):
-    return Lit(pos(PredAtom(name, tuple(args))))
+    return pos(PredAtom(name, tuple(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +65,10 @@ def atom(name, *args):
 
 
 def test_term_sorts():
-    assert term_sort(E("x")) == SORT_TERM
-    assert term_sort(MetaVar("X", SORT_RAT)) == SORT_RAT
-    assert term_sort(RatConst(Fraction(3, 2))) == SORT_RAT
-    assert term_sort(FunApp("f", (E("x"),))) == SORT_TERM
+    assert E("x").sort == SORT_TERM
+    assert MetaVar("X", SORT_RAT).sort == SORT_RAT
+    assert RatConst(Fraction(3, 2)).sort == SORT_RAT
+    assert FunApp("f", (E("x"),)).sort == SORT_TERM
 
 
 def test_funapp_rejects_rational_argument():
@@ -131,27 +129,26 @@ def test_literals_of_deduplicates_in_order():
     p = atom("p")
     q = atom("q")
     ctx = (p, q, p, And(p, q), q)
-    assert literals_of(ctx) == (p.lit, q.lit)
+    assert literals_of(ctx) == (p, q)
 
 
 def test_substitute_hits_only_the_named_binder():
     # forall x. p(x) /\ exists x. q(x): the inner x is a different binder
-    body = And(Lit(pos(PredAtom("p", (BoundVar("x", SORT_TERM),)))),
+    body = And(pos(PredAtom("p", (BoundVar("x", SORT_TERM),))),
                Exists("x", SORT_TERM,
-                      Lit(pos(PredAtom("q", (BoundVar("x", SORT_TERM),))))))
+                      pos(PredAtom("q", (BoundVar("x", SORT_TERM),)))))
     out = substitute(body, "x", E("e"))
-    assert out.left == Lit(pos(PredAtom("p", (E("e"),))))
+    assert out.left == pos(PredAtom("p", (E("e"),)))
     assert out.right == body.right
 
 
 def test_substitute_reaches_under_other_binders():
     body = Forall("y", SORT_TERM,
-                  Lit(pos(PredAtom("q", (BoundVar("x", SORT_TERM),
-                                         BoundVar("y", SORT_TERM))))))
+                  pos(PredAtom("q", (BoundVar("x", SORT_TERM),
+                                     BoundVar("y", SORT_TERM)))))
     out = substitute(body, "x", E("e"))
     assert out == Forall("y", SORT_TERM,
-                         Lit(pos(PredAtom("q", (E("e"),
-                                                BoundVar("y", SORT_TERM))))))
+                         pos(PredAtom("q", (E("e"), BoundVar("y", SORT_TERM)))))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +377,11 @@ def test_enumeration_terms_are_ground_and_within_depth(depth):
 
 
 def test_signature_lookup():
-    assert SIG.pred_sorts("p") == (SORT_TERM,)
-    assert SIG.pred_sorts("missing") is None
-    assert SIG.fun_arity("f") == 1
-    assert SIG.fun_arity("p") is None
+    preds, funs = dict(SIG.preds), dict(SIG.funs)
+    assert preds["p"] == (SORT_TERM,)
+    assert "missing" not in preds
+    assert funs["f"] == 1
+    assert "p" not in funs
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def test_signature_lookup():
 # classes.  They are immutable by contract, not frozen: a frozen
 # dataclass's `__init__` costs about twice as much.
 HASHED = (BoundVar, EigenVar, MetaVar, RatConst, FunApp, LinTerm, PredAtom,
-          ArithAtom, Literal, Lit, And, Or, Forall, Exists, Domain,
+          ArithAtom, Literal, And, Or, Forall, Exists, Domain,
           LinAtom, PolyConstraint, SubstConstraint, GroundConstraint)
 # Built once per run, so they keep the runtime guard of `frozen=True`.
 COLD = (SearchConfig, SearchOutcome, Problem, Signature, Instantiation)
@@ -454,7 +452,7 @@ _ariths = st.builds(ArithAtom, st.sampled_from(("<=", "<", "=")), _rterms, _rter
 _atoms = _preds | _ariths
 _literals = st.builds(Literal, st.booleans(), _atoms)
 _formulas = st.recursive(
-    st.builds(Lit, _literals),
+    _literals,
     lambda sub: (st.builds(And, sub, sub) | st.builds(Or, sub, sub)
                  | st.builds(Forall, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), sub)
                  | st.builds(Exists, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), sub)),
@@ -507,7 +505,6 @@ _VALUES = {
     PredAtom: _preds,
     ArithAtom: _ariths,
     Literal: _literals,
-    Lit: st.builds(Lit, _literals),
     And: st.builds(And, _formulas, _formulas),
     Or: st.builds(Or, _formulas, _formulas),
     Forall: st.builds(Forall, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT)), _formulas),
