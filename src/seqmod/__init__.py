@@ -35,7 +35,6 @@ from .kernel import (
     SearchOutcome,
     SearchStats,
     Sequent,
-    check_lk1_leaf,
     check_proof,
     fold,
     prove,
@@ -98,7 +97,7 @@ __all__ = [
     "PredAtom", "Problem", "ProofTree", "RatConst", "ResourceLimit",
     "RunReport", "SearchConfig", "SearchOutcome", "SearchStats", "Sequent",
     "Signature", "SortError", "SubstConstraint", "SubstTheory", "Theory",
-    "TheoryError", "WitnessUnsupported", "check_lk1_leaf", "check_proof",
+    "TheoryError", "WitnessUnsupported", "check_proof",
     "enumerate_ground_terms", "fm_eliminate", "fold", "literals_of",
     "lra_sat", "make_poly", "make_theory", "mgu", "mutants", "parse_problem",
     "print_problem", "prove", "reconstruct_ground",

@@ -93,12 +93,7 @@ class SubstConstraint:
 
     def get(self, meta: MetaVar) -> Term:
         """Image of a meta-variable; unmapped variables stand for themselves."""
-        if self.entries is None:
-            raise PreconditionError("the absurd constraint maps nothing")
-        for m, t in self.entries:
-            if m == meta:
-                return t
-        return meta
+        return self.mapping().get(meta, meta)
 
     @property
     def closed(self) -> bool:

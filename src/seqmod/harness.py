@@ -28,7 +28,6 @@ Laws:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -68,7 +67,6 @@ from .terms import (
 )
 from .theory import Theory, WitnessUnsupported, first_ground, meet_domain
 
-MAX_UNIVERSE = 4096
 UNIVERSE_DEPTH = 1
 MAX_POOL = 24
 MAX_RECORDED = 5
@@ -159,8 +157,6 @@ class Bench:
         cap_each = 8
         lists = [enumerate_ground_terms(self.sig, domain, m, UNIVERSE_DEPTH)[:cap_each]
                  for m in domain.metas]
-        while math.prod(max(len(c), 1) for c in lists) > MAX_UNIVERSE:
-            lists = [c[: max(len(c) // 2, 1)] for c in lists]
         return [Instantiation(domain, tuple(zip(domain.metas, images)))
                 for images in itertools.product(*lists)]
 
@@ -327,6 +323,7 @@ class _Probe:
         self.extension_exists = _EXTENSION_EXISTS[bench.kind]
         self.universes = {d: bench.universe(d) for d in bench.levels}
         self.compat_cache: dict = {}
+        self.pulled: dict = {}  # (domain, literals, input) -> `_pulls`
         self.pools = self._build_pools()
         self.leaf_outputs = self._leaf_outputs()
 
@@ -348,15 +345,8 @@ class _Probe:
             for sigma in self._guard(lambda: self.bench.synthetic(d)) or []:
                 add(d, sigma)
             for lits in self.bench.litsets.get(d, []):
-                stream = self._guard(lambda: th.consistency(lits, d))
-                if stream is None:
-                    continue
-                top = self._guard(lambda: th.top(d))
-                for _ in range(3):
-                    res = self._guard(lambda: stream.pull(top))
-                    if not res:
-                        break
-                    add(d, res[1])
+                for res in self._pulls(d, lits, self._guard(lambda: th.top(d)))[:3]:
+                    add(d, res and res[1])  # None: the stream could not be built
         # Meets of neighbours enrich each level.
         for d in self.bench.levels:
             pool = list(pools[d])
@@ -370,6 +360,16 @@ class _Probe:
             for sigma in list(pools[lo]):
                 add(hi, self._guard(lambda: th.lift(sigma, target)))
         return pools
+
+    def _pulls(self, d, lits, inp) -> list:
+        """Up to 4 pulls of the leaf stream of `lits` at `d` under `inp`, or
+        [None] when the stream cannot be built; made once per probe."""
+        key = (d, lits, inp)
+        if key not in self.pulled:
+            stream = self._guard(lambda: self.theory.consistency(lits, d))
+            pulls = (self._guard(lambda: stream.pull(inp)) for _ in range(4))
+            self.pulled[key] = [None] if stream is None else list(itertools.takewhile(bool, pulls))
+        return self.pulled[key]
 
     @staticmethod
     def _guard(thunk):
@@ -524,23 +524,15 @@ class _Probe:
                          % (self._render(sigma), rho2))
 
     def _leaf_outputs(self) -> list:
-        """(domain, literals, input, pulled) for up to 4 pulls of each leaf
-        stream; pulled is None once for a stream that could not be built.
-        Built once per probe: AX_pg, A2 and D2 all read it."""
+        """(domain, literals, input, pulled) for each of a leaf stream's
+        `_pulls`; pulled is None once for a stream that could not be
+        built.  Built once per probe: AX_pg, A2 and D2 all read it."""
         out = []
         for d, litsets in self.bench.litsets.items():
             inputs = [self.theory.top(d)] + self.pools[d][:2]
             for lits in litsets:
                 for inp in inputs:
-                    stream = self._guard(lambda: self.theory.consistency(lits, d))
-                    if stream is None:
-                        out.append((d, lits, inp, None))
-                        continue
-                    for _ in range(4):
-                        res = self._guard(lambda: stream.pull(inp))
-                        if not res:
-                            break
-                        out.append((d, lits, inp, res))
+                    out.extend((d, lits, inp, res) for res in self._pulls(d, lits, inp))
         return out
 
     def ax_pg(self, rep: LawReport) -> None:

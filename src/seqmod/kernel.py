@@ -50,8 +50,8 @@ Only outputs flow from a node to its parent, so each node runs in one
 generator frame and yields (record, output), a plain tuple (rule,
 entries, domain, input, output, child records, then ProofTree's fields
 after `children` in order up to the last one the rule sets, each unset
-one at its default); `prove` builds ProofTrees only for the accepted
-record.  Backtracks: alternatives after a child's first, leaf pulls
+one at its default; the one-premise rules all give principal, meta and
+eigen); `prove` builds ProofTrees only for the accepted record.  Backtracks: alternatives after a child's first, leaf pulls
 after the first, failed meets and root outputs the gate rejects.
 """
 
@@ -63,7 +63,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .terms import (
     And,
@@ -192,6 +192,7 @@ class _Search:
         self.counters: dict[str, int] = {}
         self.exists_blocked = False
         self.nodes_exhausted = False
+        self.budget = 0  # the existential budget of the deepening round; prove sets it
         self.debug = log.isEnabledFor(logging.DEBUG)  # read once: solve logs per node
 
     # -- fresh names ---------------------------------------------------------
@@ -289,14 +290,14 @@ class _Search:
                 return ("leaf", entries, domain, current, out, (), -1, None, None, 0, used, k)
         return None
 
-    def solve(self, entries, domain, current, path, budget, signs) -> Iterator:
+    def solve(self, entries, domain, current, path, signs) -> Iterator:
         """Each distinct (record, output) of the node; `signs` maps each atom
         among the branch's literals to its sign, None once one has both."""
         if self.stats.nodes >= self.cfg.nodes:
             self.nodes_exhausted = True
             return
         self.stats.nodes += 1
-        kind, idx, blocked = self._select(entries, budget)
+        kind, idx, blocked = self._select(entries, self.budget)
         if self.debug:
             log.debug("rule %s at %s (domain %d decls)", kind, idx, len(domain.decls))
         if signs is None and kind != "leaf":
@@ -304,54 +305,32 @@ class _Search:
             if record is not None:
                 yield record, record[4]
                 return
-        rest = entries[:idx] + entries[idx + 1:] if idx >= 0 else entries
 
-        if kind == "or":
-            f = entries[idx][0]
-            child = ((f.left, 0), (f.right, 0)) + rest
-            alts = self.solve(child, domain, current, path + ("o",), budget,
-                              _branch_signs(signs, (f.left, f.right)))
-            for i, (t, out) in enumerate(alts):
-                self.stats.backtracks += i > 0
-                yield ("or", entries, domain, current, out, (t,), idx), out
-            return
-
-        if kind == "forall":
-            f = entries[idx][0]
-            eigen = self.fresh_eigen(f.var, f.sort)
-            body = substitute(f.body, f.var, eigen)
-            child = ((body, 0),) + rest
-            d2 = domain.add_eigen(eigen)
-            # The threaded input must see the new eigenvariable, or later
-            # lifts would compute authorised sets that are too small.
-            child_in = rehouse(current, d2) if self.sdi else None
-            alts = self.solve(child, d2, child_in, path + ("f",), budget,
-                              _branch_signs(signs, (body,)))
-            for i, (t, out) in enumerate(alts):
-                self.stats.backtracks += i > 0
-                yield ("forall", entries, domain, current, out, (t,), idx, None, eigen), out
-            return
-
-        if kind == "exists":
-            f, count = entries[idx]
-            meta = self.fresh_meta(f.var, f.sort)
-            d2 = domain.add_meta(meta)
-            body = substitute(f.body, f.var, meta)
-            child = ((body, 0), (f, count + 1)) + rest
-            child_in = self.theory.lift(current, meta) if self.sdi else None
-            seen = set()  # projection merges outputs
-            alts = self.solve(child, d2, child_in, path + ("e",), budget,
-                              _branch_signs(signs, (body,)))
-            for i, (t, child_out) in enumerate(alts):
-                self.stats.backtracks += i > 0
-                out = self.theory.project(child_out, meta)
-                if out not in seen:
+        if kind == "leaf":
+            if blocked:
+                self.exists_blocked = True
+            stream, inp = self._leaf_stream(entries, domain, current)
+            seen = None  # made at the second output: distinct used sets give equal outputs
+            for k in range(self.cfg.pulls):
+                self.stats.backtracks += k > 0
+                res = stream.pull(inp)
+                self.stats.pulls += 1
+                if res is None:
+                    return
+                used, out = res
+                if k:
+                    seen = seen or {first}
+                    if out in seen:
+                        continue
                     seen.add(out)
-                    yield ("exists", entries, domain, current, out, (t,), idx, meta), out
+                else:
+                    first = out
+                yield ("leaf", entries, domain, current, out, (), -1, None, None, 0, used, k), out
             return
 
+        f = entries[idx][0]
+        rest = entries[:idx] + entries[idx + 1:]
         if kind == "and":
-            f = entries[idx][0]
             bit = self._order_bit(path)
             parts = (f.left, f.right)
             first_ctx = ((parts[bit], 0),) + rest
@@ -360,14 +339,14 @@ class _Search:
             second_path = path + ("a%d" % (1 - bit),)
             second_signs = _branch_signs(signs, (parts[1 - bit],))
             replay = None if self.sdi else itertools.tee(
-                self.solve(second_ctx, domain, None, second_path, budget, second_signs), 1)[0]
+                self.solve(second_ctx, domain, None, second_path, second_signs), 1)[0]
             seen = set()  # meets, or second-conjunct outputs for two o1, collide
-            alts = self.solve(first_ctx, domain, current, first_path, budget,
+            alts = self.solve(first_ctx, domain, current, first_path,
                               _branch_signs(signs, (parts[bit],)))
             for i, (t1, o1) in enumerate(alts):
                 self.stats.backtracks += i > 0
                 if self.sdi:
-                    second = self.solve(second_ctx, domain, o1, second_path, budget, second_signs)
+                    second = self.solve(second_ctx, domain, o1, second_path, second_signs)
                 else:  # di: each o1 replays a copy of one never-advanced tee
                     second = copy.copy(replay)
                     self.stats.memo_hits += i > 0
@@ -383,26 +362,37 @@ class _Search:
                                idx, None, None, bit), out
             return
 
-        # Leaf attempt.
-        if blocked:
-            self.exists_blocked = True
-        stream, inp = self._leaf_stream(entries, domain, current)
-        seen = None  # made at the second output: distinct used sets give equal outputs
-        for k in range(self.cfg.pulls):
-            self.stats.backtracks += k > 0
-            res = stream.pull(inp)
-            self.stats.pulls += 1
-            if res is None:
-                return
-            used, out = res
-            if k:
-                seen = seen or {first}
+        # The one-premise rules build their premise; one loop applies it.
+        meta = eigen = None
+        if kind == "or":
+            added = (f.left, f.right)
+            child = ((f.left, 0), (f.right, 0)) + rest
+            d2, child_in = domain, current
+        elif kind == "forall":
+            eigen = self.fresh_eigen(f.var, f.sort)
+            added = (substitute(f.body, f.var, eigen),)
+            child = ((added[0], 0),) + rest
+            d2 = domain.add_eigen(eigen)
+            # The threaded input must see the new eigenvariable, or later
+            # lifts would compute authorised sets that are too small.
+            child_in = rehouse(current, d2) if self.sdi else None
+        else:  # exists
+            meta = self.fresh_meta(f.var, f.sort)
+            d2 = domain.add_meta(meta)
+            added = (substitute(f.body, f.var, meta),)
+            child = ((added[0], 0), (f, entries[idx][1] + 1)) + rest
+            child_in = self.theory.lift(current, meta) if self.sdi else None
+        seen = set()  # projection merges outputs; or and forall pass them up
+        # The path step is the rule's initial: "o", "f" or "e".
+        alts = self.solve(child, d2, child_in, path + (kind[0],), _branch_signs(signs, added))
+        for i, (t, out) in enumerate(alts):
+            self.stats.backtracks += i > 0
+            if meta is not None:
+                out = self.theory.project(out, meta)
                 if out in seen:
                     continue
                 seen.add(out)
-            else:
-                first = out
-            yield ("leaf", entries, domain, current, out, (), -1, None, None, 0, used, k), out
+            yield (kind, entries, domain, current, out, (t,), idx, meta, eigen), out
 
 
 def _materialise(record) -> ProofTree:
@@ -447,7 +437,8 @@ def prove(context: Context, domain: Domain, theory: Theory,
         for b in _deepening_budgets(cfg.max_exists):
             search.stats.rounds += 1
             search.exists_blocked = False
-            for record, out in search.solve(entries, domain, root_input, (), b, signs):
+            search.budget = b
+            for record, out in search.solve(entries, domain, root_input, (), signs):
                 if gate and not theory.compatible(rho_empty, out):
                     search.stats.backtracks += 1
                     continue
@@ -578,15 +569,6 @@ def _premises(node: ProofTree, principal: Formula, theory: Theory) -> tuple[list
 # Ground reconstruction
 
 
-def check_lk1_leaf(lits, gvp: Callable[[tuple[Literal, ...]], bool]) -> bool:
-    """Ground-leaf validity; errors on non-ground input."""
-    lits = tuple(lits)
-    for l in lits:
-        if any(isinstance(v, (MetaVar, BoundVar)) for v in literal_vars(l)):
-            raise IllFormed("leaf literal %s is not ground" % (l,))
-    return gvp(lits)
-
-
 def fold(sigma, theory: Theory) -> Instantiation:
     """Canonical instantiation of a satisfiable constraint.
 
@@ -617,7 +599,8 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
     with a witness at every existential node; each leaf's used literals,
     once instantiated, must pass the backend's ground validity
     predicate.  When a list is passed as `witnesses` the chosen (meta,
-    term) pairs are appended to it.
+    term) pairs are appended to it.  Returns (ok, diagnostics), never
+    raising on a misbehaving backend.
     pre: rho is compatible with the root output.
     """
     diags: list[str] = []
@@ -630,7 +613,11 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
             diags.append("instantiation incompatible with a %s child" % (parent,))
         elif node.rule == "leaf":
             ground = tuple(rho.apply_literal(l) for l in sorted(node.used, key=str))
-            if not check_lk1_leaf(ground, theory.ground_valid):
+            loose = [g for g in ground if any(isinstance(v, (MetaVar, BoundVar))
+                                              for v in literal_vars(g))]
+            if loose:
+                diags.append("leaf literal %s is not ground" % (loose[0],))
+            elif not theory.ground_valid(ground):
                 diags.append("leaf %s not valid under %s" % ([str(g) for g in ground], rho))
         elif node.rule == "exists":
             if len(node.children) != 1:  # the diagnostic check_proof gives
@@ -639,12 +626,12 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
             (child,) = node.children
             try:
                 t = theory.witness(child.output, rho)
+                rho2 = rho.extend(child.output.domain, node.meta, t)
             except Exception as exc:  # surfaced as an audit failure, not a crash
                 diags.append("witness failed at %s: %s" % (node.meta, exc))
                 continue
             if witnesses is not None:
                 witnesses.append((node.meta, t))
-            rho2 = rho.extend(child.output.domain, node.meta, t)
             if not theory.compatible(rho2, child.output):
                 diags.append("extended instantiation incompatible below %s" % (node.meta,))
                 continue

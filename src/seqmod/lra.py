@@ -178,10 +178,6 @@ class PolyConstraint:
     def is_false(self) -> bool:
         return not self.disjuncts
 
-    @property
-    def is_true(self) -> bool:
-        return any(not s for s in self.disjuncts)
-
     def __str__(self) -> str:
         if self.is_false:
             return "FALSE"

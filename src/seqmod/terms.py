@@ -391,14 +391,6 @@ class Literal:
         return str(self.atom) if self.positive else "~" + str(self.atom)
 
 
-def neg(lit: Literal) -> Literal:
-    return Literal(not lit.positive, lit.atom)
-
-
-def pos(atom: Atom) -> Literal:
-    return Literal(True, atom)
-
-
 def literal_vars(lit: Literal) -> frozenset[Term]:
     atom = lit.atom
     if isinstance(atom, PredAtom):
@@ -624,16 +616,13 @@ class Domain:
             raise DomainError("meta-variable %s not declared" % (meta,))
         return Domain(tuple(v for v in self.decls if v != meta))
 
+    @cached_property
     def metas_key(self) -> tuple[tuple[str, frozenset[EigenVar]], ...]:
         """Identity of the constraint family this domain indexes.
 
         Appending eigenvariables does not change the family, so only the
         metas and their authorised sets matter.
         """
-        return self._metas_key
-
-    @cached_property
-    def _metas_key(self) -> tuple[tuple[str, frozenset[EigenVar]], ...]:
         return tuple((m.name, self.authorised(m)) for m in self.metas)
 
     def in_declaration_order(self, entries) -> tuple[tuple[MetaVar, Term], ...]:

@@ -15,11 +15,14 @@ instantiation to the last meta-variable.  Proof search itself only calls
 compatible at the root gate and witness during reconstruction.
 
 Every constraint is a dataclass with a `domain` field that is never
-mutated after construction, and the domain bookkeeping lives here,
-once: `lift` re-tags the domain, `project` and `witness` check their
+mutated after construction.  Most of the domain bookkeeping lives
+here: `lift` re-tags the domain, `project` and `witness` check their
 preconditions before calling the backend's `project_payload` and
 `witness_payload`, and `meet_domain` checks the family of two meet
-operands and picks the result's domain.
+operands and picks the result's domain.  Each backend's `compatible`
+calls `check_metas_compatible` itself.  The `fol` and `lra` leaf
+streams build their outputs at the input's domain and never read their
+`domain` argument; `enum`'s checks the input's family against it.
 A backend implements `top`, `meet`, `consistency`, `satisfiable`,
 `compatible` and the two payload hooks; `ground_valid` (default: a
 complementary pair) and `shrink` are optional.  Constraints are shown
@@ -104,7 +107,7 @@ def check_metas_compatible(a_domain: Domain, b_domain: Domain) -> None:
     are compatible when their meta declarations agree.  The message
     shows each side's metas with the eigenvariables they may see.
     """
-    if a_domain.metas_key() != b_domain.metas_key():
+    if a_domain.metas_key != b_domain.metas_key:
         raise DomainMismatch(
             "domains disagree on meta-variables: %s vs %s"
             % (_family(a_domain), _family(b_domain))

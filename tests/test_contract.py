@@ -14,7 +14,6 @@ from seqmod.terms import (
     MetaVar,
     PredAtom,
     SORT_TERM,
-    pos,
 )
 from seqmod.theory import (
     ConstraintStream,
@@ -98,7 +97,7 @@ def test_rehouse_refuses_changed_meta_family():
 
 
 def lit(name, *args):
-    return pos(PredAtom(name, tuple(args)))
+    return Literal(True, PredAtom(name, tuple(args)))
 
 
 def nlit(name, *args):

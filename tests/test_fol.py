@@ -26,7 +26,6 @@ from seqmod.terms import (
     SORT_TERM,
     lin_combine,
     mk_lin,
-    pos,
     subst_term,
     term_eigens,
     term_metas,
@@ -314,7 +313,7 @@ def test_witness_respects_authorisation():
 
 
 def lit(name, *args):
-    return pos(PredAtom(name, tuple(args)))
+    return Literal(True, PredAtom(name, tuple(args)))
 
 
 def neg_lit(name, *args):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqmod import frontend
 from seqmod.cli import main
+from seqmod.fol import SubstTheory
 from seqmod.frontend import (
     ParseError,
     Problem,
@@ -22,15 +23,19 @@ from seqmod.frontend import (
     run,
 )
 from seqmod.kernel import IllFormed, SearchConfig
+from seqmod.theory import ConstraintStream, check_metas_compatible
 from seqmod.terms import (
     And,
     ArithAtom,
     BoundVar,
+    Domain,
     DomainError,
+    EigenVar,
     Exists,
     Forall,
     FunApp,
     Literal,
+    MetaVar,
     Or,
     PredAtom,
     RatConst,
@@ -709,20 +714,61 @@ def test_cli_exit_code_for_errors_during_search(monkeypatch, exc, code):
 
 
 @pytest.mark.parametrize("theory", ["fol", "enum"])
-def test_cli_domain_mismatch_names_the_authorised_sets(tmp_path, theory):
-    # A known sdi defect (ROADMAP item 10): the two domains declare the
-    # same metas, and differ only in what ?X03 may see.  The message must
-    # show that difference, or it reads as a false alarm.
-    target = tmp_path / "mismatch.prob"
-    target.write_text("(declare-pred q 0)\n(declare-pred r 1)\n"
-                      "(goal (=> q (exists (x0) (and (forall (x1) q) (r x0)))))\n")
-    code, out, err = cli("prove", str(target), "--theory", theory, "--calculus", "sdi")
+def test_cli_domain_mismatch_names_the_authorised_sets(monkeypatch, theory):
+    # The two domains declare the same metas, and differ only in what
+    # ?X03 may see.  The message must show that difference, or it reads
+    # as a false alarm.
+    x12, x03 = EigenVar("x12", SORT_TERM), MetaVar("X03", SORT_TERM)
+    sees = Domain().add_eigen(x12).add_meta(x03)
+    blind = Domain().add_meta(x03).add_eigen(x12)
+
+    def mismatch(problem, theory_name, *args, **kwargs):
+        assert theory_name == theory
+        check_metas_compatible(sees, blind)
+
+    monkeypatch.setattr(frontend, "run", mismatch)
+    code, out, err = cli("prove", str(PROBLEMS / "fol_drinker.prob"),
+                         "--theory", theory, "--calculus", "sdi")
     assert code == 4 and out == ""
     prefix = "internal error: DomainMismatch: domains disagree on meta-variables: "
     assert err.startswith(prefix)
     left, right = err[len(prefix):].strip().split(" vs ")
     assert left != right
     assert "?X03 sees {x12}" in left + right
+
+
+class _NonGroundWitness(SubstTheory):
+    def witness_payload(self, sigma, meta, rho):
+        return MetaVar("Z9")
+
+
+class _NonGroundLeaf(SubstTheory):
+    def consistency(self, lits, domain):
+        stream = super().consistency(lits, domain)
+        extra = Literal(True, PredAtom("p", (MetaVar("Q9"),)))
+
+        def outputs(current):
+            while (res := stream.pull(current)) is not None:
+                yield res[0] | {extra}, res[1]
+
+        return ConstraintStream(outputs)
+
+
+@pytest.mark.parametrize("broken, diagnostic", [
+    (_NonGroundWitness, "witness failed at ?X2: instantiation image ?Z9 is not ground"),
+    (_NonGroundLeaf, "leaf literal p(?Q9) is not ground"),
+], ids=["witness", "leaf"])
+def test_check_reports_a_broken_backend_as_a_failed_audit(monkeypatch, broken, diagnostic):
+    # A backend that breaks its contract fails the --check audit: not a
+    # crash (exit 4), and not bad input (exit 2).
+    make = frontend.make_theory
+    monkeypatch.setattr(frontend, "make_theory",
+                        lambda name, sig, depth=3: broken(make(name, sig, depth).ground_base))
+    code, out, err = cli("prove", str(PROBLEMS / "fol_drinker.prob"), "--check")
+    assert code == 0
+    assert "reconstruction: FAILED" in out
+    assert "    " + diagnostic + "\n" in out
+    assert err == "warning: proof audit failed\n"
 
 
 def test_cli_json_output_is_stable(tmp_path):

@@ -29,7 +29,6 @@ from seqmod.terms import (
     SORT_TERM,
     enumerate_ground_terms,
     literal_vars,
-    pos,
     subst_literal,
     term_depth,
 )
@@ -62,7 +61,7 @@ def dom(*decls):
 
 
 def lit(name, *args):
-    return pos(PredAtom(name, tuple(args)))
+    return Literal(True, PredAtom(name, tuple(args)))
 
 
 def nlit(name, *args):

@@ -21,7 +21,6 @@ from seqmod.kernel import (
     IllFormed,
     SearchConfig,
     _Search,
-    check_lk1_leaf,
     check_proof,
     fold,
     prove,
@@ -46,7 +45,6 @@ from seqmod.terms import (
     Signature,
     SORT_RAT,
     SORT_TERM,
-    pos,
 )
 
 E = lambda n: EigenVar(n, SORT_TERM)
@@ -61,7 +59,7 @@ PROBLEMS = ROOT / "src" / "seqmod" / "problems"
 
 
 def plit(name, *args):
-    return pos(PredAtom(name, tuple(args)))
+    return Literal(True, PredAtom(name, tuple(args)))
 
 
 def nlit(name, *args):
@@ -334,7 +332,7 @@ def test_context_multiset_check_tells_formulas_apart(calc):
     assert all(f is not g for f, g in zip(rebuilt, ctx))
     assert with_left_context(rebuilt) == (True, [])
 
-    other = pos(PredAtom("unrelated", ()))
+    other = Literal(True, PredAtom("unrelated", ()))
     for context in (ctx[:-1] + (other,), ctx[1:], ctx + ctx[-1:]):
         ok, diags = with_left_context(context)
         assert not ok
@@ -565,16 +563,7 @@ def test_no_node_records_at_warning(caplog):
 
 
 # ---------------------------------------------------------------------------
-# leaf validity, folding, reconstruction
-
-
-def test_check_lk1_leaf_requires_ground_literals():
-    gvp = TH.ground_valid
-    assert check_lk1_leaf((pos(PredAtom("p", (a,))),
-                           Literal(False, PredAtom("p", (a,)))), gvp)
-    assert not check_lk1_leaf((pos(PredAtom("p", (a,))),), gvp)
-    with pytest.raises(IllFormed):
-        check_lk1_leaf((pos(PredAtom("p", (M("X"),))),), gvp)
+# folding, reconstruction
 
 
 def test_fold_substitution_constraint():

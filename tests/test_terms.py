@@ -42,8 +42,6 @@ from seqmod.terms import (
     lin_combine,
     lin_of,
     literals_of,
-    neg,
-    pos,
     subst_term,
     substitute,
     term_depth,
@@ -57,7 +55,7 @@ M = lambda n: MetaVar(n, SORT_TERM)
 
 
 def atom(name, *args):
-    return pos(PredAtom(name, tuple(args)))
+    return Literal(True, PredAtom(name, tuple(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +118,11 @@ def test_term_vars_split():
 
 
 def test_neg_is_involutive():
-    l = pos(PredAtom("p", (E("x"),)))
-    assert neg(neg(l)) == l
-    assert neg(l).positive is False
+    # A literal's complement is the same atom with the other sign.
+    l = Literal(True, PredAtom("p", (E("x"),)))
+    flipped = Literal(False, l.atom)
+    assert Literal(not flipped.positive, flipped.atom) == l
+    assert flipped != l and str(flipped) == "~" + str(l)
 
 
 def test_literals_of_deduplicates_in_order():
@@ -134,21 +134,21 @@ def test_literals_of_deduplicates_in_order():
 
 def test_substitute_hits_only_the_named_binder():
     # forall x. p(x) /\ exists x. q(x): the inner x is a different binder
-    body = And(pos(PredAtom("p", (BoundVar("x", SORT_TERM),))),
+    body = And(Literal(True, PredAtom("p", (BoundVar("x", SORT_TERM),))),
                Exists("x", SORT_TERM,
-                      pos(PredAtom("q", (BoundVar("x", SORT_TERM),)))))
+                      Literal(True, PredAtom("q", (BoundVar("x", SORT_TERM),)))))
     out = substitute(body, "x", E("e"))
-    assert out.left == pos(PredAtom("p", (E("e"),)))
+    assert out.left == Literal(True, PredAtom("p", (E("e"),)))
     assert out.right == body.right
 
 
 def test_substitute_reaches_under_other_binders():
     body = Forall("y", SORT_TERM,
-                  pos(PredAtom("q", (BoundVar("x", SORT_TERM),
+                  Literal(True, PredAtom("q", (BoundVar("x", SORT_TERM),
                                      BoundVar("y", SORT_TERM)))))
     out = substitute(body, "x", E("e"))
     assert out == Forall("y", SORT_TERM,
-                         pos(PredAtom("q", (E("e"), BoundVar("y", SORT_TERM)))))
+                         Literal(True, PredAtom("q", (E("e"), BoundVar("y", SORT_TERM)))))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,8 @@ def test_last_meta_of_meta_free_domain_is_none():
 
 def test_metas_key_ignores_trailing_eigens():
     d = Domain().add_eigen(E("a")).add_meta(M("X"))
-    assert d.metas_key() == d.add_eigen(E("b")).metas_key()
-    assert d.metas_key() != Domain().add_meta(M("X")).metas_key()
+    assert d.metas_key == d.add_eigen(E("b")).metas_key
+    assert d.metas_key != Domain().add_meta(M("X")).metas_key
 
 
 @given(st.lists(st.sampled_from("em"), max_size=8))
@@ -200,8 +200,8 @@ def test_metas_key_tracks_authorised_sets(kinds):
         else:
             d = d.add_meta(M("M%d" % n))
     # appending eigens never changes the key; appending a meta always does
-    assert d.add_eigen(E("tail")).metas_key() == d.metas_key()
-    assert d.add_meta(M("Tail")).metas_key() != d.metas_key()
+    assert d.add_eigen(E("tail")).metas_key == d.metas_key
+    assert d.add_meta(M("Tail")).metas_key != d.metas_key
 
 
 def _scan_lookups(decls, probes):
@@ -239,7 +239,7 @@ def _cached_lookups(d, probes):
     return {
         "metas": d.metas,
         "eigens": d.eigens,
-        "metas_key": d.metas_key(),
+        "metas_key": d.metas_key,
         "authorised": [authorised(p) for p in probes if isinstance(p, MetaVar)],
         "position": [d.position(p) for p in probes],
         "order": d.in_declaration_order((p, p) for p in probes),
