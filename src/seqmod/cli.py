@@ -102,7 +102,7 @@ def _print(text: str) -> None:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,6 +1,7 @@
 """Problem files, normal form construction, and run orchestration.
 
-A problem is a sequence of s-expressions:
+A problem is a sequence of s-expressions, declarations and exactly one
+goal:
 
     (declare-pred p 2)              ; both arguments term-sorted
     (declare-pred bound (rat rat))  ; explicit argument sorts
@@ -34,7 +35,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
@@ -410,6 +411,8 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
         elif head == "goal":
             if len(rest) != 1:
                 raise form.err("usage: (goal formula)")
+            if goal_nodes:
+                raise form.err("a problem has one goal")
             goal_nodes.append(rest[0])
         else:
             raise form.err("unknown form %r" % (head,))
@@ -451,24 +454,36 @@ def render_term(t: Term) -> str:
 
 
 def render_formula(f: Formula) -> str:
-    if isinstance(f, Literal):
+    return _render_node(f, {})
+
+
+def _render_node(f: Formula, rendered: dict[int, str]) -> str:
+    """The text of `f`, stored in `rendered` under id(f).  A subformula
+    already there, by its id, is not rendered again."""
+    cls = type(f)
+    if cls is Literal:
         atom = f.atom
         if isinstance(atom, ArithAtom):
             if not f.positive:
                 raise ValueError("negated arithmetic literal in normal form output")
-            return "(%s %s %s)" % (atom.op, render_term(atom.lhs), render_term(atom.rhs))
-        body = atom.name if not atom.args else "(%s %s)" % (
-            atom.name, " ".join(render_term(a) for a in atom.args))
-        return body if f.positive else "(not %s)" % body
-    if isinstance(f, And):
-        return "(and %s %s)" % (render_formula(f.left), render_formula(f.right))
-    if isinstance(f, Or):
-        return "(or %s %s)" % (render_formula(f.left), render_formula(f.right))
-    if isinstance(f, (Forall, Exists)):
-        head = "forall" if isinstance(f, Forall) else "exists"
-        return "(%s ((%s %s)) %s)" % (head, f.var.rsplit("!", 1)[0], f.sort,
-                                      render_formula(f.body))
-    raise TypeError(f)
+            text = "(%s %s %s)" % (atom.op, render_term(atom.lhs), render_term(atom.rhs))
+        else:
+            text = atom.name if not atom.args else "(%s %s)" % (
+                atom.name, " ".join(render_term(a) for a in atom.args))
+            if not f.positive:
+                text = "(not %s)" % text
+    elif cls is And or cls is Or:
+        left = rendered.get(id(f.left)) or _render_node(f.left, rendered)
+        right = rendered.get(id(f.right)) or _render_node(f.right, rendered)
+        text = "(%s %s %s)" % ("and" if cls is And else "or", left, right)
+    elif cls is Forall or cls is Exists:
+        body = rendered.get(id(f.body)) or _render_node(f.body, rendered)
+        text = "(%s ((%s %s)) %s)" % ("forall" if cls is Forall else "exists",
+                                      f.var.rsplit("!", 1)[0], f.sort, body)
+    else:
+        raise TypeError(f)
+    rendered[id(f)] = text
+    return text
 
 
 def print_problem(problem: Problem) -> str:
@@ -501,22 +516,29 @@ def tree_to_json(tree: ProofTree) -> dict:
 
 
 def _node_json(tree: ProofTree, rendered: dict[int, str]) -> dict:
-    # Sibling sequents share almost every formula object, so each one is
-    # rendered once per proof, keyed by id(): the tree keeps them alive.
-    context = []
-    for f in tree.sequent.context:
-        text = rendered.get(id(f))
-        if text is None:
-            text = rendered[id(f)] = render_formula(f)
-        context.append(text)
+    # Sibling sequents share almost every formula and constraint object,
+    # so each one is rendered once per proof, keyed by id(): the tree keeps
+    # them alive.  A node's new formulas are mostly parts of its parent's
+    # principal, rendered with it.
+    seq = tree.sequent
+    try:
+        context = list(map(rendered.__getitem__, map(id, seq.context)))
+    except KeyError:  # a formula not rendered yet: the root's, a quantifier's instance
+        context = [rendered.get(id(f)) or _render_node(f, rendered) for f in seq.context]
+    output = rendered.get(id(tree.output))
+    if output is None:
+        output = rendered[id(tree.output)] = str(tree.output)
     node: dict = {
         "rule": tree.rule,
-        "domain": _render_domain(tree.sequent.domain),
+        "domain": _render_domain(seq.domain),
         "context": context,
-        "output": str(tree.output),
+        "output": output,
     }
-    if tree.sequent.input is not None:
-        node["input"] = str(tree.sequent.input)
+    if seq.input is not None:
+        text = rendered.get(id(seq.input))
+        if text is None:
+            text = rendered[id(seq.input)] = str(seq.input)
+        node["input"] = text
     if tree.rule == "leaf":
         node["used"] = sorted(str(l) for l in tree.used)
         node["stream_index"] = tree.stream_index
@@ -557,47 +579,78 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
 def json_text(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, from an explicit stack.
 
     The standard encoder recurses once per level when it indents; this
     writer takes a proof of any depth.  Keys must be strings, which is
-    all a report holds.
+    all a report holds.  Each container's loop writes its scalar items
+    and its lists of strings, and stops at any other non-empty
+    container, which it opens.
     """
+    if not (isinstance(obj, _CONTAINERS) and obj):
+        return _json_leaf(obj)
     out: list[str] = []
-    # Open containers: (their remaining (prefix, value) pairs, closing text, id).
-    stack: list[tuple] = []
+    write = out.append
+    newlines = ["\n"]  # newlines[d]: a line break and the indentation of depth d
+    seps = [",\n"]  # seps[d]: a comma, then newlines[d]
+    stack: list[tuple] = []  # open containers: (remaining items, is a dict, id)
     open_ids: set[int] = set()
-    value, opened = obj, False
-    while True:
-        if isinstance(value, (list, tuple, dict)) and value:
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            open_ids.add(id(value))
-            inner = ",\n" + "  " * (len(stack) + 1)
-            if isinstance(value, dict):
-                out.append("{")
-                pairs = iter([(inner + _json_key(k) + ": ", v) for k, v in sorted(value.items())])
-                close = "}"
-            else:
-                out.append("[")
-                pairs = zip(repeat(inner), value)
-                close = "]"
-            stack.append((pairs, "\n" + "  " * len(stack) + close, id(value)))
-            opened = True
+    value = obj
+    while True:  # `value` is a non-empty container: open it
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        depth = len(stack) + 1
+        while len(newlines) <= depth + 1:  # its lists of strings are one deeper
+            newlines.append(newlines[-1] + "  ")
+            seps.append("," + newlines[-1])
+        if isinstance(value, dict):
+            write("{")
+            stack.append((iter(sorted(value.items())), True, id(value)))
         else:
-            out.append(_json_leaf(value))
-        while stack:  # on to the next value, closing each finished container
-            pairs, close, key = stack[-1]
-            pair = next(pairs, None)
-            if pair is not None:
-                prefix, value = pair
-                out.append(prefix[1:] if opened else prefix)  # no comma before a first item
-                opened = False
-                break
-            stack.pop()
-            open_ids.discard(key)
-            out.append(close)
+            write("[")
+            stack.append((iter(value), False, id(value)))
+        prefix = newlines[depth]
+        while stack:  # the innermost open container's items, up to one to open
+            items, is_dict, key = stack[-1]
+            depth = len(stack)
+            sep = seps[depth]
+            for value in items:
+                write(prefix)
+                prefix = sep
+                if is_dict:
+                    k, value = value
+                    write(_json_key(k))
+                    write(": ")
+                if type(value) is str:
+                    write(encode_basestring_ascii(value))
+                elif not (isinstance(value, _CONTAINERS) and value):
+                    write(_json_leaf(value))
+                elif isinstance(value, dict) or type(value[0]) is not str:
+                    break
+                else:  # one call, no join: a joined list would be copied twice
+                    pieces = [seps[depth + 1]] * (2 * len(value) + 1)
+                    try:
+                        pieces[1::2] = map(encode_basestring_ascii, value)
+                    except TypeError:  # not all strings: opened as any list is
+                        break
+                    pieces[0] = newlines[depth + 1]
+                    pieces[-1] = newlines[depth]
+                    write("[")
+                    out += pieces
+                    write("]")
+            else:
+                stack.pop()
+                open_ids.discard(key)
+                write(newlines[depth - 1])
+                write("}" if is_dict else "]")
+                prefix = seps[depth - 1]
+                continue
+            break
         else:
             return "".join(out)
 

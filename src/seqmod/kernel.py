@@ -152,6 +152,7 @@ class SearchOutcome:
 
 
 Entry = tuple[Formula, int]
+_formula = itemgetter(0)  # an entry's formula
 
 
 def _branch_signs(signs: Optional[dict], added) -> Optional[dict]:
@@ -271,7 +272,7 @@ class _Search:
 
     def _leaf_stream(self, entries, domain, current):
         """The leaf stream of a node and the constraint its pulls take."""
-        lits = literals_of(tuple(map(itemgetter(0), entries)))
+        lits = literals_of(map(_formula, entries))
         inp = current if self.sdi else self.theory.top(domain)
         return self.theory.consistency(lits, domain), inp
 
@@ -401,11 +402,10 @@ def _materialise(record) -> ProofTree:
     for rec in order:  # breadth first: every record after its parent
         order.extend(rec[5])
     built: dict = {}
-    for rec in reversed(order):
-        rule, entries, domain, current, out, kids, *fields = rec
-        seq = Sequent(domain, tuple(map(itemgetter(0), entries)), current)
-        kids = tuple([built[id(c)] for c in kids])
-        built[id(rec)] = ProofTree(rule, seq, out, kids, *fields)
+    for rec in reversed(order):  # rule, entries, domain, input, output, children, fields
+        built[id(rec)] = ProofTree(
+            rec[0], Sequent(rec[2], tuple([f for f, _ in rec[1]]), rec[3]), rec[4],
+            tuple([built[id(c)] for c in rec[5]]), *rec[6:])
     return built[id(record)]
 
 

@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 SORT_TERM = "term"
 SORT_RAT = "rat"
@@ -503,9 +503,9 @@ def formula_vars(formula: Formula) -> frozenset[Term]:
     raise TypeError(formula)
 
 
-def literals_of(context: Context) -> tuple[Literal, ...]:
+def literals_of(context: Iterable[Formula]) -> tuple[Literal, ...]:
     """Literal members of a context, deduplicated, in first-occurrence order."""
-    return tuple(dict.fromkeys(f for f in context if isinstance(f, Literal)))
+    return tuple(dict.fromkeys([f for f in context if type(f) is Literal]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,22 @@ def corpus_runs():
                 yield key, problem, theory, calculus
 
 
-def report_hashes() -> dict:
+def report_hashes(check_writer: bool = False) -> dict:
+    """The golden hash of each run; with `check_writer`, also assert that
+    `frontend.json_text` writes each report as the standard encoder does."""
     out = {}
     for key, problem, theory, calculus in corpus_runs():
         report = run(problem, theory, SearchConfig(calculus=calculus), check=True)
-        out[key] = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        text = report.to_json()
+        if check_writer:
+            assert text == json.dumps(report.canonical(), indent=2, sort_keys=True), key
+        out[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return out
 
 
 def test_corpus_proof_json_is_byte_identical():
     golden = json.loads(GOLDEN.read_text())
-    got = report_hashes()
+    got = report_hashes(check_writer=True)
     assert len(golden) == 100
     assert sorted(got) == sorted(golden)
     changed = sorted(k for k in golden if got[k] != golden[k])

@@ -1,16 +1,18 @@
 """Problem format, normal form construction, CLI behaviour."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmod import frontend
+from seqmod import frontend, kernel
 from seqmod.cli import main
 from seqmod.fol import SubstTheory
 from seqmod.frontend import (
@@ -237,6 +239,8 @@ def _long(text, expected, id):
     ("(declare-pred p 1)\n(goal (forall and (p and)))", ("invalid variable name 'and'", 2, 15)),
     ("(declare-pred p 1)\n(goal (forall (and) (p and)))",
      ("invalid variable name 'and'", 2, 16)),
+    # a second goal is not joined to the first
+    ("(declare-pred p 0)\n(goal p)\n(goal (not p))", ("a problem has one goal", 3, 1)),
 ])
 def test_parse_errors(text, expected):
     if expected is None:
@@ -489,6 +493,29 @@ def test_render_formula_only_accepts_nnf():
         render_formula(stray)
 
 
+def test_a_proof_renders_each_formula_once(monkeypatch):
+    # Sibling sequents share their formulas, and a node's new formulas
+    # are parts of its parent's principal: one tree_to_json renders each
+    # distinct formula object once, however many contexts hold it.
+    names = ["p%d" % i for i in range(101)]
+    prob = parse_problem("".join("(declare-pred %s 0)\n" % p for p in names)
+                         + "(goal (or %s (not p0)))\n" % " ".join(names))
+    tree = kernel.prove(prob.goals, Domain.initial(()), SubstTheory(), SearchConfig("di")).tree
+    calls = Counter()
+    for name in ("render_formula", "_render_node"):  # whichever renders one formula
+        if hasattr(frontend, name):
+            real = getattr(frontend, name)
+            monkeypatch.setattr(frontend, name, functools.partial(_counted, real, calls))
+    frontend.tree_to_json(tree)
+    assert max(calls.values()) == 1
+    assert len(calls) == 203  # 102 literals and 101 disjunctions
+
+
+def _counted(real, calls, f, *rest):
+    calls[id(f)] += 1
+    return real(f, *rest)
+
+
 def test_render_term_forms():
     assert render_term(RatConst(Fraction(5, 3))) == "5/3"
     assert render_term(FunApp("f", (FunApp("a", ()),))) == "(f a)"
@@ -640,6 +667,19 @@ def test_cli_rejects_bad_input(tmp_path):
         assert "Traceback" not in err
         if path != not_utf8:
             assert err == "error: input nested too deeply\n"
+
+
+def test_cli_accepts_a_byte_order_mark(tmp_path):
+    # Some editors start a UTF-8 file with U+FEFF; the reader drops it.
+    source = PROBLEMS / "fol_drinker.prob"
+    marked = tmp_path / "fol_drinker.prob"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    reports = []
+    for path in (source, marked):
+        code, out, err = cli("prove", str(path), "--check", "--output", "json")
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("calculus", ["di", "sdi"])

@@ -128,6 +128,8 @@ def check_golden(write, results) -> None:
 
 def test_conformance_reports_are_byte_identical(results):
     check_golden(report_json, results)
+    for label, res in results.items():  # the writer is the standard encoder on each
+        assert report_json(res) == json.dumps(res.as_dict(), indent=2, sort_keys=True), label
 
 
 def test_conformance_text_reports_are_byte_identical(results):
