@@ -34,7 +34,6 @@ from .kernel import (
     SearchConfig,
     SearchOutcome,
     SearchStats,
-    Sequent,
     check_proof,
     fold,
     prove,
@@ -95,7 +94,7 @@ __all__ = [
     "Instantiation", "LinAtom", "LinTerm", "Literal", "LraTheory",
     "MetaVar", "Or", "ParseError", "PolyConstraint", "PreconditionError",
     "PredAtom", "Problem", "ProofTree", "RatConst", "ResourceLimit",
-    "RunReport", "SearchConfig", "SearchOutcome", "SearchStats", "Sequent",
+    "RunReport", "SearchConfig", "SearchOutcome", "SearchStats",
     "Signature", "SortError", "SubstConstraint", "SubstTheory", "Theory",
     "TheoryError", "WitnessUnsupported", "check_proof",
     "enumerate_ground_terms", "fm_eliminate", "fold", "literals_of",

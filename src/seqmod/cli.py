@@ -53,6 +53,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _cases(text: str) -> int:
+    """argparse type for --cases: a positive integer, as zero cases check nothing."""
+    if _count(text) == 0:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqmod",
@@ -82,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("conformance", help="check a backend against the constraint laws")
     c.add_argument("theory", choices=("fol", "enum", "lra"))
-    c.add_argument("--cases", type=_count, default=200, help="cases per law")
+    c.add_argument("--cases", type=_cases, default=200, help="cases per law")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--output", choices=("text", "json"), default="text")
     return parser

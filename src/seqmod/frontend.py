@@ -520,24 +520,23 @@ def _node_json(tree: ProofTree, rendered: dict[int, str]) -> dict:
     # so each one is rendered once per proof, keyed by id(): the tree keeps
     # them alive.  A node's new formulas are mostly parts of its parent's
     # principal, rendered with it.
-    seq = tree.sequent
     try:
-        context = list(map(rendered.__getitem__, map(id, seq.context)))
+        context = list(map(rendered.__getitem__, map(id, tree.context)))
     except KeyError:  # a formula not rendered yet: the root's, a quantifier's instance
-        context = [rendered.get(id(f)) or _render_node(f, rendered) for f in seq.context]
+        context = [rendered.get(id(f)) or _render_node(f, rendered) for f in tree.context]
     output = rendered.get(id(tree.output))
     if output is None:
         output = rendered[id(tree.output)] = str(tree.output)
     node: dict = {
         "rule": tree.rule,
-        "domain": _render_domain(seq.domain),
+        "domain": _render_domain(tree.domain),
         "context": context,
         "output": output,
     }
-    if seq.input is not None:
-        text = rendered.get(id(seq.input))
+    if tree.input is not None:
+        text = rendered.get(id(tree.input))
         if text is None:
-            text = rendered[id(seq.input)] = str(seq.input)
+            text = rendered[id(tree.input)] = str(tree.input)
         node["input"] = text
     if tree.rule == "leaf":
         node["used"] = sorted(str(l) for l in tree.used)

@@ -22,10 +22,11 @@ of the whole product.
 Each piece of a leaf stream's work is done once per theory instance,
 that is once per run, in three memos on the instance:
 
-- the candidate lists, their depths and their term-to-index maps, keyed
-  by the meta-variable's sort and its authorised eigenvariables in
-  declaration order, which is all `enumerate_ground_terms` reads
-  besides the signature and ceiling;
+- the candidate lists, with the depths the enumeration gives them, and
+  their term-to-index maps, keyed by the meta-variable's sort and its
+  authorised eigenvariables in declaration order, which is all
+  `ground_candidates` reads besides the signature and ceiling.  A list
+  stops one past `_MAX_ASSIGNMENTS`, over the cap, and is never stored;
 - a stream's static parts (its meta-variables, their candidate lists
   and index maps, the live literals and the positions of their
   meta-variables), keyed by the leaf's literals and domain.  A stream
@@ -65,11 +66,10 @@ from .terms import (
     PredAtom,
     Signature,
     Term,
-    enumerate_ground_terms,
+    ground_candidates,
     hash_once,
     literal_vars,
     subst_literal,
-    term_depth,
     term_eigens,
     term_vars,
 )
@@ -232,11 +232,6 @@ def _walk(options: Sequence[Sequence[tuple[int, Term, int]]]) -> Iterator[tuple[
         level(0, total_depth, ()) for total_depth in range(lo[0], hi[0] + 1))
 
 
-def _indexed(terms: Sequence[Term]) -> tuple[tuple[int, Term, int], ...]:
-    """(index, term, depth) for each candidate term."""
-    return tuple((j, t, term_depth(t)) for j, t in enumerate(terms))
-
-
 def _pred_key(atom) -> object:
     """The predicate of an atom: name and arity, or the arithmetic op."""
     if isinstance(atom, PredAtom):
@@ -260,15 +255,19 @@ class GroundEnumTheory(Theory):
         """`meta`'s candidates as (index, term, depth) triples, and each
         term's index.
 
-        `enumerate_ground_terms` depends only on the meta's sort and its
+        `ground_candidates` depends only on the meta's sort and its
         authorised eigenvariables in declaration order, which are the
         domain's first ones, so that pair is the memo key.
         """
         key = (meta.sort, domain.eigens[:len(domain.authorised(meta))])
         out = self._memo.get(key)
         if out is None:
-            terms = enumerate_ground_terms(self.sig, domain, meta, self.ceiling)
-            out = self._memo[key] = (_indexed(terms), {t: j for j, t in enumerate(terms)})
+            made = ground_candidates(self.sig, domain, meta, self.ceiling)
+            made = itertools.islice(made, _MAX_ASSIGNMENTS + 1)  # one past the cap at most
+            cands = tuple([(j, t, d) for j, (t, d) in enumerate(made)])
+            out = (cands, {t: j for j, t, _ in cands})
+            if len(cands) <= _MAX_ASSIGNMENTS:  # `_within_cap` rejects a longer one
+                self._memo[key] = out
         return out
 
     def _leaf(self, lits: tuple[Literal, ...], domain: Domain):

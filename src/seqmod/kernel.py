@@ -47,12 +47,12 @@ branch's literals while no atom has both (None once one does), and only
 the added literals are checked against it.
 
 Only outputs flow from a node to its parent, so each node runs in one
-generator frame and yields (record, output), a plain tuple (rule,
-entries, domain, input, output, child records, then ProofTree's fields
-after `children` in order up to the last one the rule sets, each unset
-one at its default; the one-premise rules all give principal, meta and
-eigen); `prove` builds ProofTrees only for the accepted record.  Backtracks: alternatives after a child's first, leaf pulls
-after the first, failed meets and root outputs the gate rejects.
+generator frame and yields (record, output), a plain tuple that lists
+ProofTree's fields in order, up to the last field its rule sets (the
+entries for the context, child records for the children); `prove`
+builds ProofTrees only for the accepted record.  Backtracks:
+alternatives after a child's first, leaf pulls after the first, failed
+meets and root outputs the gate rejects.
 """
 
 from __future__ import annotations
@@ -93,18 +93,13 @@ class IllFormed(ValueError):
 
 
 @dataclass(slots=True)  # not frozen: built at every node, never mutated
-class Sequent:
-    domain: Domain
-    context: Context
-    input: Optional[object] = None  # None in producing mode
-
-
-@dataclass(slots=True)  # like Sequent
 class ProofTree:
-    """One derivation node; children follow the formula order of the rule."""
+    """A sequent and the rule that derives it; children follow the rule's formula order."""
 
     rule: str  # "or" | "and" | "exists" | "forall" | "leaf"
-    sequent: Sequent
+    context: Context
+    domain: Domain
+    input: Optional[object]  # None in producing mode
     output: object
     children: tuple["ProofTree", ...] = ()
     principal: int = -1
@@ -402,10 +397,9 @@ def _materialise(record) -> ProofTree:
     for rec in order:  # breadth first: every record after its parent
         order.extend(rec[5])
     built: dict = {}
-    for rec in reversed(order):  # rule, entries, domain, input, output, children, fields
-        built[id(rec)] = ProofTree(
-            rec[0], Sequent(rec[2], tuple([f for f, _ in rec[1]]), rec[3]), rec[4],
-            tuple([built[id(c)] for c in rec[5]]), *rec[6:])
+    for rec in reversed(order):
+        built[id(rec)] = ProofTree(rec[0], tuple([f for f, _ in rec[1]]), *rec[2:5],
+                                   tuple([built[id(c)] for c in rec[5]]), *rec[6:])
     return built[id(record)]
 
 
@@ -484,17 +478,16 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
     """
     diags: list[str] = []
     for node in reversed(list(tree.walk())):
-        seq, rule = node.sequent, node.rule
-        if not _expect(rule in _RULES, diags, "unknown rule %r" % (rule,)):
+        if not _expect(node.rule in _RULES, diags, "unknown rule %r" % (node.rule,)):
             continue
-        connective, kind, arity = _RULES[rule]
+        connective, kind, arity = _RULES[node.rule]
         if not _expect(len(node.children) == arity, diags, "%s node has %d children, not %d"
-                       % (rule, len(node.children), arity)):
+                       % (node.rule, len(node.children), arity)):
             continue
-        if rule == "leaf":
-            lits = literals_of(seq.context)
-            stream = theory.consistency(lits, seq.domain)
-            inp = seq.input if seq.input is not None else theory.top(seq.domain)
+        if node.rule == "leaf":
+            lits = literals_of(node.context)
+            stream = theory.consistency(lits, node.domain)
+            inp = node.input if node.input is not None else theory.top(node.domain)
             got = None
             for _ in range(node.stream_index + 1):
                 got = stream.pull(inp)
@@ -506,29 +499,29 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
                         "leaf replay mismatch at index %d" % node.stream_index)
                 _expect(node.used <= set(lits), diags, "leaf used literals outside the context")
             continue
-        ctx = seq.context
+        ctx = node.context
         if not _expect(0 <= node.principal < len(ctx), diags, "principal index out of range"):
             continue
         principal = ctx[node.principal]
         if not _expect(isinstance(principal, connective), diags,
-                       "%s rule on non-%s" % (rule, kind)):
+                       "%s rule on non-%s" % (node.rule, kind)):
             continue
         try:
             premises, out = _premises(node, principal, theory)
         except ValueError as exc:  # DomainError among them
-            diags.append("%s rule: %s" % (rule, exc))
+            diags.append("%s rule: %s" % (node.rule, exc))
             continue
         rest = ctx[:node.principal] + ctx[node.principal + 1:]
         for (name, domain, added, current), child in zip(premises, node.children):
-            _expect(child.sequent.domain == domain, diags, name + " domain mismatch")
+            _expect(child.domain == domain, diags, name + " domain mismatch")
             # The search builds each premise's context as added + rest, so
             # comparing tuples settles almost every node; any other order
             # is still compared as a multiset.
-            got, expected = child.sequent.context, added + rest
+            got, expected = child.context, added + rest
             _expect(got == expected or Counter(got) == Counter(expected), diags,
                     name + " context mismatch")
-            _expect(child.sequent.input == current, diags, name + " input mismatch")
-        _expect(out is not None and node.output == out, diags, rule + " output mismatch")
+            _expect(child.input == current, diags, name + " input mismatch")
+        _expect(out is not None and node.output == out, diags, node.rule + " output mismatch")
     return not diags, diags
 
 
@@ -537,31 +530,31 @@ def _premises(node: ProofTree, principal: Formula, theory: Theory) -> tuple[list
     input; None in di), and the rule's output.  Raises ValueError for a bad
     order bit, or a new variable missing, ill-sorted or not fresh.
     """
-    seq, kids = node.sequent, node.children
-    sdi = seq.input is not None
+    kids = node.children
+    sdi = node.input is not None
     out = kids[0].output  # the or and forall rules pass their child's output up
     if node.rule == "or":
-        return [("or child", seq.domain, (principal.left, principal.right), seq.input)], out
+        return [("or child", node.domain, (principal.left, principal.right), node.input)], out
     if node.rule == "and":
         bit = node.order_bit
         if bit not in (0, 1):
             raise ValueError("order bit %r is not 0 or 1" % (bit,))
         inputs = [None, None]
         if sdi:  # the first conjunct explored feeds its output to the second
-            inputs[bit], inputs[1 - bit] = seq.input, kids[bit].output
+            inputs[bit], inputs[1 - bit] = node.input, kids[bit].output
         out = kids[1 - bit].output if sdi else theory.meet(kids[0].output, kids[1].output)
-        return [("left conjunct", seq.domain, (principal.left,), inputs[0]),
-                ("right conjunct", seq.domain, (principal.right,), inputs[1])], out
+        return [("left conjunct", node.domain, (principal.left,), inputs[0]),
+                ("right conjunct", node.domain, (principal.right,), inputs[1])], out
     v = node.eigen if node.rule == "forall" else node.meta
     if v is None or v.sort != principal.sort:
         raise ValueError("variable missing or ill-sorted")
     body = substitute(principal.body, principal.var, v)
     if node.rule == "forall":
-        domain = seq.domain.add_eigen(v)
-        current = rehouse(seq.input, domain) if sdi else None
+        domain = node.domain.add_eigen(v)
+        current = rehouse(node.input, domain) if sdi else None
         return [("forall child", domain, (body,), current)], out
-    domain = seq.domain.add_meta(v)
-    current = theory.lift(seq.input, v) if sdi else None
+    domain = node.domain.add_meta(v)
+    current = theory.lift(node.input, v) if sdi else None
     return [("exists child", domain, (body, principal), current)], theory.project(out, v)
 
 

@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 SORT_TERM = "term"
 SORT_RAT = "rat"
@@ -309,13 +309,6 @@ def term_metas(t: Term) -> frozenset[MetaVar]:
 
 def term_eigens(t: Term) -> frozenset[EigenVar]:
     return _vars_of_kind(t, EigenVar, "_eigens")
-
-
-def term_depth(t: Term) -> int:
-    """Function-application nesting depth; variables and constants are 0."""
-    if isinstance(t, FunApp) and t.args:
-        return 1 + max(term_depth(a) for a in t.args)
-    return 0
 
 
 def subst_term(t: Term, mapping: Mapping[Term, Term]) -> Term:
@@ -690,38 +683,39 @@ class Instantiation:
 # Bounded ground-term enumeration
 
 
-def enumerate_ground_terms(
-    sig: Signature,
-    domain: Domain,
-    meta: MetaVar,
-    depth: int,
-) -> tuple[Term, ...]:
-    """Ground candidate terms for one meta-variable, smallest first.
+def ground_candidates(sig: Signature, domain: Domain, meta: MetaVar,
+                      depth: int) -> Iterator[tuple[Term, int]]:
+    """Ground candidate terms for one meta-variable, smallest first, each
+    with its function-application nesting depth.
 
     Uninterpreted sort: authorised eigenvariables in declaration order at
-    depth 0, then function applications level by level up to `depth`.
+    depth 0, then function applications level by level up to `depth`,
+    each one level deeper than its deepest argument.
     Rational sort: DEFAULT_RATIONAL_SAMPLES followed by authorised
-    rational eigenvariables (flat; depth does not grow this set).
+    rational eigenvariables (depth 0; depth does not grow this set).
     Deterministic, and a prefix of any deeper enumeration.
     """
     auth = domain.authorised(meta)
-    ordered_auth = [e for e in domain.eigens if e in auth]
+    base = [e for e in domain.eigens if e in auth and e.sort == meta.sort]
     if meta.sort == SORT_RAT:
-        out: list[Term] = [RatConst(s) for s in DEFAULT_RATIONAL_SAMPLES]
-        out.extend(e for e in ordered_auth if e.sort == SORT_RAT)
-        return tuple(out)
-    base: list[Term] = [e for e in ordered_auth if e.sort == SORT_TERM]
-    base.extend(FunApp(c, ()) for c in sig.consts)
-    levels: list[list[Term]] = [base]
-    for _ in range(depth):
-        prev = [t for level in levels for t in level]
-        nxt: list[Term] = []
+        yield from ((t, 0) for t in [RatConst(s) for s in DEFAULT_RATIONAL_SAMPLES] + base)
+        return
+    shallower = [(t, 0) for t in base + [FunApp(c, ()) for c in sig.consts]]
+    yield from shallower
+    for level in range(1, depth + 1):
+        nxt = []
         for fname, arity in sig.funs:
             if arity == 0:
                 continue
-            for args in itertools.product(prev, repeat=arity):
-                cand = FunApp(fname, args)
-                if term_depth(cand) == len(levels):
+            for args in itertools.product(shallower, repeat=arity):
+                if max(d for _, d in args) == level - 1:
+                    cand = (FunApp(fname, tuple([t for t, _ in args])), level)
                     nxt.append(cand)
-        levels.append(nxt)
-    return tuple(t for level in levels for t in level)
+                    yield cand
+        shallower.extend(nxt)
+
+
+def enumerate_ground_terms(sig: Signature, domain: Domain, meta: MetaVar,
+                           depth: int) -> tuple[Term, ...]:
+    """The terms of `ground_candidates`, in its order."""
+    return tuple([t for t, _ in ground_candidates(sig, domain, meta, depth)])

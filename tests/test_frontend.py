@@ -736,6 +736,15 @@ def test_cli_rejects_negative_counts(argv, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_cli_rejects_zero_conformance_cases(capsys):
+    # Zero cases per law would check nothing and still report ok.
+    with pytest.raises(SystemExit) as exc:
+        main(["conformance", "fol", "--cases", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "expected a positive integer, got 0" in err
+
+
 @pytest.mark.parametrize("exc, code", [
     (IllFormed("free bound variable"), 2),
     (DomainError("meta-variable ?X1 not declared"), 4),

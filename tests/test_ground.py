@@ -9,7 +9,6 @@ from seqmod.ground import (
     _MAX_ASSIGNMENTS,
     GroundConstraint,
     GroundEnumTheory,
-    _indexed,
     _walk,
     _within_cap,
     ground_meet,
@@ -28,9 +27,9 @@ from seqmod.terms import (
     SORT_RAT,
     SORT_TERM,
     enumerate_ground_terms,
+    ground_candidates,
     literal_vars,
     subst_literal,
-    term_depth,
 )
 from seqmod.theory import (
     ConstraintStream,
@@ -51,6 +50,11 @@ f = lambda t: FunApp("f", (t,))
 SIG = Signature(preds=(("p", (SORT_TERM,)), ("q", (SORT_TERM, SORT_TERM))),
                 funs=(("f", 1),), consts=("a", "b"))
 TH = GroundEnumTheory(SIG, ceiling=2)
+
+
+def term_depth(t):
+    """Function-application nesting depth; variables and constants are 0."""
+    return 1 + max(map(term_depth, t.args)) if isinstance(t, FunApp) and t.args else 0
 
 
 def dom(*decls):
@@ -229,6 +233,53 @@ def test_empty_candidate_list_exhausts_before_the_space_guard():
     assert pull_all(th.consistency(lits, d), th.top(d)) == []
 
 
+# One ternary function: over two constants or eigenvariables it gives 2,
+# 8 and 992 terms at depths 0-2, and about 10^9 at depth 3.
+_TERNARY = Signature(preds=(("p", (SORT_TERM,)), ("q", (SORT_TERM, SORT_TERM))),
+                     funs=(("h", 3),), consts=("a", "b"))
+
+
+def _count_candidates_made(monkeypatch):
+    """A list of every candidate the enumeration makes from now on."""
+    made = []
+
+    def counted(*args):
+        for cand in ground_candidates(*args):
+            made.append(cand)
+            yield cand
+
+    monkeypatch.setattr("seqmod.ground.ground_candidates", counted)
+    return made
+
+
+def test_an_over_cap_candidate_list_stops_one_past_the_cap(monkeypatch):
+    monkeypatch.setattr("seqmod.ground._MAX_ASSIGNMENTS", 1000)
+    made = _count_candidates_made(monkeypatch)
+    th = GroundEnumTheory(_TERNARY, ceiling=3)
+    d = dom(M("X"))
+    lits = (lit("p", M("X")), nlit("p", a))
+    for _ in range(2):  # nothing is stored, so the second call makes the list again
+        with pytest.raises(ResourceLimit, match="exceeds 1000"):
+            th.consistency(lits, d)
+        assert len(made) == 1001
+        assert th._memo == {} and th._leaves == {}
+        made.clear()
+
+
+def test_an_empty_candidate_list_wins_over_an_over_cap_one(monkeypatch):
+    # X0 sees no constant and no eigenvariable, so it has no candidate and
+    # the stream is empty, although X1's list alone is over the cap.
+    monkeypatch.setattr("seqmod.ground._MAX_ASSIGNMENTS", 1000)
+    made = _count_candidates_made(monkeypatch)
+    sig = Signature(preds=_TERNARY.preds, funs=_TERNARY.funs)
+    th = GroundEnumTheory(sig, ceiling=3)
+    d = dom(M("X0"), E("e0"), E("e1"), M("X1"))
+    lits = (lit("q", M("X0"), M("X1")), nlit("q", M("X0"), M("X1")))
+    assert pull_all(th.consistency(lits, d), th.top(d)) == []
+    assert len(made) == 1001
+    assert list(th._memo) == [(SORT_TERM, ())]
+
+
 # ---------------------------------------------------------------------------
 # the lazy stream against the eager reference
 #
@@ -304,7 +355,8 @@ _cand_lists = st.lists(
 @example([])
 def test_fair_order_is_the_sorted_product(cand_lists):
     # The unpinned walk: every candidate allowed at every position.
-    walked = _walk([_indexed(c) for c in cand_lists]) if _within_cap(cand_lists) else ()
+    options = [[(j, t, term_depth(t)) for j, t in enumerate(c)] for c in cand_lists]
+    walked = _walk(options) if _within_cap(cand_lists) else ()
     assert list(walked) == list(_eager_fair_assignments(cand_lists))
 
 

@@ -201,8 +201,8 @@ def test_random_order_bits_are_pinned(key):
 
 def test_sdi_threads_inputs_and_di_does_not():
     di, sdi = run_both(drinker())
-    assert all(t.sequent.input is None for t in di.tree.walk())
-    assert all(t.sequent.input is not None for t in sdi.tree.walk())
+    assert all(t.input is None for t in di.tree.walk())
+    assert all(t.input is not None for t in sdi.tree.walk())
 
 
 def test_well_formedness_rejects_loose_variables():
@@ -284,9 +284,7 @@ def test_check_proof_rejects_wrong_principal():
 def test_check_proof_rejects_dropped_context_formula():
     out = proved_tree(goal=excluded_middle())
     tree = out.tree
-    seq = tree.sequent
-    bad_seq = dataclasses.replace(seq, context=seq.context + (plit("q"),))
-    ok, _ = check_proof(dataclasses.replace(tree, sequent=bad_seq), TH)
+    ok, _ = check_proof(dataclasses.replace(tree, context=tree.context + (plit("q"),)), TH)
     assert not ok
 
 
@@ -312,12 +310,11 @@ def test_context_multiset_check_tells_formulas_apart(calc):
     assert check_proof(out.tree, theory) == (True, [])
     node = next(t for t in out.tree.walk() if t.rule == "and")
     left = node.children[0]
-    ctx = left.sequent.context
+    ctx = left.context
     assert len(ctx) >= 2
 
     def with_left_context(context):
-        child = dataclasses.replace(left, sequent=dataclasses.replace(left.sequent,
-                                                                       context=context))
+        child = dataclasses.replace(left, context=context)
         new = dataclasses.replace(node, children=(child,) + node.children[1:])
 
         def swap(t):
@@ -346,10 +343,9 @@ def test_a_permuted_child_context_is_accepted(calculus):
     text = "(declare-pred p 0) (declare-pred q 0) (goal (or q (or p (not p))))"
     tree, theory = _tampered(text, "fol", calculus, "or", lambda n: n)
     child = tree.children[0]
-    permuted = child.sequent.context[::-1]
-    assert permuted != child.sequent.context
-    child = dataclasses.replace(child, sequent=dataclasses.replace(child.sequent,
-                                                                    context=permuted),
+    permuted = child.context[::-1]
+    assert permuted != child.context
+    child = dataclasses.replace(child, context=permuted,
                                 principal=len(permuted) - 1 - child.principal)
     assert check_proof(dataclasses.replace(tree, children=(child,)), theory) == (True, [])
 
@@ -382,8 +378,7 @@ def _tampered(text, theory, calculus, rule, edit):
 
 def _with_child_input(node, index, current):
     kids = list(node.children)
-    kids[index] = dataclasses.replace(
-        kids[index], sequent=dataclasses.replace(kids[index].sequent, input=current))
+    kids[index] = dataclasses.replace(kids[index], input=current)
     return dataclasses.replace(node, children=tuple(kids))
 
 
@@ -393,7 +388,7 @@ SHIFT = "(declare-pred p 1) (goal (forall (x) (exists (y) (=> (p x) (p y)))))"
 def _reuse_domain_name(node, field):
     # the new variable takes the name of the first variable already declared
     var = getattr(node, field)
-    return dataclasses.replace(node, **{field: type(var)(node.sequent.domain.decls[0].name,
+    return dataclasses.replace(node, **{field: type(var)(node.domain.decls[0].name,
                                                          var.sort)})
 
 
@@ -401,14 +396,13 @@ def _reuse_domain_name(node, field):
 # a diagnostic the audit must give)
 TAMPERINGS = {
     "forall-input-not-rehoused": (FORALL_CONJ, "fol", "sdi", "forall",
-                                  lambda n: _with_child_input(n, 0, n.sequent.input),
+                                  lambda n: _with_child_input(n, 0, n.input),
                                   "forall child input mismatch"),
     "exists-input-not-lifted": (FORALL_CONJ, "fol", "sdi", "exists",
-                                lambda n: _with_child_input(n, 0, n.sequent.input),
+                                lambda n: _with_child_input(n, 0, n.input),
                                 "exists child input mismatch"),
     "second-conjunct-not-fed": (STRICT_CHAIN_3, "lra", "sdi", "and",
-                                lambda n: _with_child_input(n, 1 - n.order_bit,
-                                                            n.sequent.input),
+                                lambda n: _with_child_input(n, 1 - n.order_bit, n.input),
                                 "right conjunct input mismatch"),
     "order-bit-flipped": (STRICT_CHAIN_3, "lra", "sdi", "and",
                           lambda n: dataclasses.replace(n, order_bit=1 - n.order_bit),
@@ -526,8 +520,7 @@ def test_no_value_in_a_corpus_proof_changes_after_it_is_hashed(monkeypatch):
                 seen: set[int] = set()
                 _assert_hashes_current(out.constraint, seen)
                 for node in out.tree.walk():
-                    seq = node.sequent
-                    for value in (seq.context, seq.domain, seq.input, node.output):
+                    for value in (node.context, node.domain, node.input, node.output):
                         _assert_hashes_current(value, seen)
                 assert report.check["proof"] and report.check["reconstruction"]
     assert proofs == 90
@@ -980,7 +973,7 @@ def test_implication_chain_is_pinned(calculus, expected, digest):
     rendered = list(_json_walk(tree_to_json(out.tree)))
     assert len(nodes) == len(rendered)
     for node, js in zip(nodes, rendered):
-        assert js["context"] == [render_formula(f) for f in node.sequent.context]
+        assert js["context"] == [render_formula(f) for f in node.context]
 
 
 # ---------------------------------------------------------------------------

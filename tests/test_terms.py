@@ -1,6 +1,7 @@
 """Core syntax: terms, literals, formulas, domains, instantiations."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -8,13 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seqmod import fol, frontend, ground, kernel, lra, terms
 from seqmod.fol import SubstConstraint, mgu
 from seqmod.frontend import Problem
 from seqmod.ground import GroundConstraint
-from seqmod.kernel import ProofTree, SearchConfig, SearchOutcome, Sequent
+from seqmod.kernel import ProofTree, SearchConfig, SearchOutcome
 from seqmod.lra import LinAtom, PolyConstraint, atom_from_terms, make_poly
 from seqmod.terms import (
     And,
@@ -38,13 +39,13 @@ from seqmod.terms import (
     SORT_RAT,
     SORT_TERM,
     enumerate_ground_terms,
+    ground_candidates,
     hash_once,
     lin_combine,
     lin_of,
     literals_of,
     subst_term,
     substitute,
-    term_depth,
     term_eigens,
     term_metas,
     term_vars,
@@ -98,13 +99,6 @@ def test_lin_term_drops_zero_coefficients():
 def test_subst_term_replaces_metas():
     f = FunApp("f", (M("X"),))
     assert subst_term(f, {M("X"): E("a")}) == FunApp("f", (E("a"),))
-
-
-def test_term_depth():
-    a = FunApp("a", ())
-    assert term_depth(a) == 0
-    assert term_depth(FunApp("f", (a,))) == 1
-    assert term_depth(FunApp("g", (FunApp("f", (a,)), a))) == 2
 
 
 def test_term_vars_split():
@@ -334,6 +328,11 @@ def test_instantiation_checks_sorts():
 SIG = Signature(preds=(("p", (SORT_TERM,)),), funs=(("f", 1),), consts=("a",))
 
 
+def term_depth(t):
+    """Function-application nesting depth; variables and constants are 0."""
+    return 1 + max(map(term_depth, t.args)) if isinstance(t, FunApp) and t.args else 0
+
+
 def test_enumeration_starts_with_eigens_then_constants():
     d = Domain().add_eigen(E("e")).add_meta(M("X"))
     terms = enumerate_ground_terms(SIG, d, M("X"), 1)
@@ -370,6 +369,51 @@ def test_enumeration_terms_are_ground_and_within_depth(depth):
     for t in enumerate_ground_terms(SIG, d, M("X"), depth):
         assert term_depth(t) <= depth
         assert not any(isinstance(v, MetaVar) for v in term_vars(t))
+
+
+def _product_enumeration(sig, domain, meta, depth):
+    """The enumeration as first written: each level takes the product over
+    every shallower term and keeps the applications of that depth."""
+    ordered = [e for e in domain.eigens if e in domain.authorised(meta)]
+    if meta.sort == SORT_RAT:
+        return [RatConst(q) for q in terms.DEFAULT_RATIONAL_SAMPLES] + [
+            e for e in ordered if e.sort == SORT_RAT]
+    levels = [[e for e in ordered if e.sort == SORT_TERM] + [FunApp(c, ()) for c in sig.consts]]
+    for _ in range(depth):
+        prev = [t for level in levels for t in level]
+        levels.append([FunApp(name, args) for name, arity in sig.funs if arity
+                       for args in itertools.product(prev, repeat=arity)
+                       if term_depth(FunApp(name, args)) == len(levels)])
+    return [t for level in levels for t in level]
+
+
+@st.composite
+def _enumeration_cases(draw):
+    arities = draw(st.lists(st.integers(0, 3), max_size=2))
+    sig = Signature(funs=tuple(("f%d" % i, n) for i, n in enumerate(arities)),
+                    consts=tuple("c%d" % i for i in range(draw(st.integers(0, 2)))))
+    eigens = [EigenVar("e%d" % i, draw(st.sampled_from((SORT_TERM, SORT_RAT))))
+              for i in range(draw(st.integers(0, 2)))]
+    meta = MetaVar("X", draw(st.sampled_from((SORT_TERM, SORT_RAT))))
+    seen = draw(st.integers(0, len(eigens)))  # how many eigenvariables precede the meta
+    d = Domain()
+    for e in eigens[:seen]:
+        d = d.add_eigen(e)
+    d = d.add_meta(meta)
+    for e in eigens[seen:]:
+        d = d.add_eigen(e)
+    return sig, d, meta, draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_enumeration_cases())
+def test_enumeration_matches_the_product_reference(case):
+    sig, d, meta, depth = case
+    made = list(itertools.islice(ground_candidates(sig, d, meta, depth), 3001))
+    assume(len(made) <= 3000)  # the reference is slow; test_ground tests the cap
+    expected = _product_enumeration(sig, d, meta, depth)
+    assert enumerate_ground_terms(sig, d, meta, depth) == tuple(expected)
+    assert made == [(t, term_depth(t)) for t in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +466,9 @@ def test_every_hashed_value_caches_its_hash_and_is_not_frozen():
 
 
 def test_sequents_and_proof_nodes_have_slots():
-    seq = Sequent(Domain(), ())
-    node = ProofTree("leaf", seq, None)
-    for cls, value in ((Sequent, seq), (ProofTree, node)):
-        assert "__slots__" in vars(cls) and not hasattr(value, "__dict__"), cls
-        assert not cls.__dataclass_params__.frozen, cls
+    node = ProofTree("leaf", (), Domain(), None, None)
+    assert "__slots__" in vars(ProofTree) and not hasattr(node, "__dict__")
+    assert not ProofTree.__dataclass_params__.frozen
 
 
 _NAMES = st.sampled_from("xyz")
