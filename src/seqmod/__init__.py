@@ -14,7 +14,7 @@ enumeration), `lra` (linear rational arithmetic via variable
 elimination).
 """
 
-from .fol import SubstConstraint, SubstTheory, mgu, subst_meet
+from .fol import SubstConstraint, SubstTheory, mgu
 from .frontend import (
     ParseError,
     Problem,
@@ -39,7 +39,7 @@ from .kernel import (
     prove,
     reconstruct_ground,
 )
-from .lra import LinAtom, LraTheory, PolyConstraint, fm_eliminate, lra_sat, make_poly
+from .lra import LinAtom, LraTheory, PolyConstraint, make_poly
 from .terms import (
     And,
     ArithAtom,
@@ -97,9 +97,8 @@ __all__ = [
     "RunReport", "SearchConfig", "SearchOutcome", "SearchStats",
     "Signature", "SortError", "SubstConstraint", "SubstTheory", "Theory",
     "TheoryError", "WitnessUnsupported", "check_proof",
-    "enumerate_ground_terms", "fm_eliminate", "fold", "literals_of",
-    "lra_sat", "make_poly", "make_theory", "mgu", "mutants", "parse_problem",
-    "print_problem", "prove", "reconstruct_ground",
-    "render_formula", "render_term", "run", "run_conformance", "subst_meet",
-    "substitute", "tree_to_json",
+    "enumerate_ground_terms", "fold", "literals_of", "make_poly",
+    "make_theory", "mgu", "mutants", "parse_problem", "print_problem",
+    "prove", "reconstruct_ground", "render_formula", "render_term", "run",
+    "run_conformance", "substitute", "tree_to_json",
 ]

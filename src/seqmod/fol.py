@@ -19,7 +19,7 @@ applications that are both closed are decided by their cached hashes
 and equality, not by descending into their arguments.
 
 A leaf closure or a meet extends a constraint that is already solved,
-so `mgu` takes it as a seed: its entries are the starting substitution
+so `_extend` takes it as a seed: its entries are the starting substitution
 and only the new pairs are unified.  Re-solving an idempotent
 admissible substitution from scratch rebuilds it binding for binding,
 also after `lift` and `rehouse`, whose appended declarations change no
@@ -267,9 +267,9 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     and mapping assume fixed fields.  Each
     binding comes from a closed seed or from `_bind`.  A closed seed's
     keys and image metas are declared in its domain, and the seed is of
-    `domain`'s family (`mgu` checks this, the leaf stream passes the
-    seed's own domain, and `meet_domain` checks it for `_meet`), which
-    declares the same meta-variables.  A binding made
+    `domain`'s family (the leaf stream passes the seed's own domain, and
+    `meet` checks the family through `meet_domain`), which declares the
+    same meta-variables.  A binding made
     by `_bind` passed `_admissible`, which looks up in `domain` the
     authorised set of its key and of every meta-variable of its image,
     and raises DomainError for one that is undeclared.  Resolving an
@@ -292,31 +292,10 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     return out
 
 
-def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain,
-        seed: Optional[SubstConstraint] = None) -> SubstConstraint:
-    """Most general unifier of the pairs as a constraint; absurd on failure.
-
-    With a satisfiable `seed` of domain's family, the result is the mgu
-    of the seed's entries followed by the pairs; a closed seed is the
-    starting substitution and only the pairs are unified.  A closed seed
-    at `domain` itself that the pairs add no binding to is the result.
-    A seed of another family raises DomainMismatch.
-    """
-    if seed is not None:
-        check_metas_compatible(seed.domain, domain)
-    out = _extend(pairs, domain, seed)
+def mgu(pairs: Iterable[tuple[Term, Term]], domain: Domain) -> SubstConstraint:
+    """Most general unifier of the pairs as a constraint; absurd on failure."""
+    out = _extend(pairs, domain)
     return _bot(domain) if out is None else out
-
-
-def _meet(a: SubstConstraint, b: SubstConstraint) -> Optional[SubstConstraint]:
-    domain = meet_domain(a, b)
-    return None if a.is_bot or b.is_bot else _extend(b.entries, domain, a)
-
-
-def subst_meet(a: SubstConstraint, b: SubstConstraint) -> SubstConstraint:
-    """Most general common instance of two substitutions; absurd on clash."""
-    out = _meet(a, b)
-    return _bot(meet_domain(a, b)) if out is None else out
 
 
 class _Mismatch(Exception):
@@ -378,7 +357,8 @@ class SubstTheory(Theory):
         return SubstConstraint(domain, tuple((m, t) for m, t in sigma.entries if m != meta))
 
     def meet(self, a: SubstConstraint, b: SubstConstraint) -> Optional[SubstConstraint]:
-        return _meet(a, b)
+        domain = meet_domain(a, b)
+        return None if a.is_bot or b.is_bot else _extend(b.entries, domain, a)
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
         def outputs(current: SubstConstraint):

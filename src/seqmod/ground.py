@@ -181,12 +181,6 @@ def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundCon
     return _trusted(domain, domain.in_declaration_order({**amap, **added}.items()))
 
 
-def ground_meet(a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
-    """Union of two partial maps; None on disagreement."""
-    domain = meet_domain(a, b)
-    return _merge(domain, a, b.entries)
-
-
 def _within_cap(cand_lists: Sequence[Sequence]) -> bool:
     """Whether the product of the lists has a member: False when one is
     empty; ResourceLimit when it has more than `_MAX_ASSIGNMENTS`."""
@@ -320,7 +314,7 @@ class GroundEnumTheory(Theory):
         return _trusted(sigma.domain.add_meta(meta), sigma.entries)
 
     def meet(self, a: GroundConstraint, b: GroundConstraint) -> Optional[GroundConstraint]:
-        return ground_meet(a, b)
+        return _merge(meet_domain(a, b), a, b.entries)
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
         metas, cands, indexes, nonempty, live, positions, tables = self._leaf(tuple(lits), domain)

@@ -35,14 +35,13 @@ from typing import Callable, Iterable, Optional
 
 from . import fol as fol_mod
 from . import lra as lra_mod
-from .fol import SubstConstraint, SubstTheory, mgu, subst_meet
+from .fol import SubstConstraint, SubstTheory, mgu
 from .frontend import json_text, make_theory
-from .ground import GroundConstraint, GroundEnumTheory, ground_meet
+from .ground import GroundConstraint, GroundEnumTheory
 from .lra import (
     LraTheory,
     PolyConstraint,
     atom_from_terms,
-    lra_sat,
     make_atom,
     make_poly,
 )
@@ -303,7 +302,7 @@ def _lra_extension_exists(sigma: PolyConstraint, rho: Instantiation) -> bool:
             if isinstance(v, EigenVar):
                 pins.append(make_atom("=", {v: Fraction(1)}, -lra_mod.EIGEN_VALUE))
     pinned = make_poly(sigma.domain, [frozenset(pins)])
-    return lra_sat(lra_mod._conjoin(sigma, pinned))
+    return LraTheory().satisfiable(lra_mod._conjoin(sigma, pinned))
 
 
 _EXTENSION_EXISTS = {"fol": _fol_extension_exists, "enum": _enum_extension_exists,
@@ -687,6 +686,8 @@ LAWS = {
 def run_conformance(kind: str, cases: int = 200, seed: int = 0,
                     theory: Optional[Theory] = None,
                     label: Optional[str] = None) -> ConformanceResult:
+    if cases < 1:
+        raise ValueError("cases must be a positive integer, got %r" % (cases,))
     bench = make_bench(kind)
     theory = theory or make_theory(kind, bench.sig, depth=2)
     probe = _Probe(bench, theory, cases, seed)
@@ -709,8 +710,8 @@ class _FolProjDropsWrongEntry(SubstTheory):
 
 class _FolMeetIgnoresClash(SubstTheory):
     def meet(self, a, b):
-        out = subst_meet(a, b)
-        return a if out.is_bot else out
+        out = super().meet(a, b)
+        return a if out is None else out
 
 
 class _FolLiftBindsExtra(SubstTheory):
@@ -730,7 +731,7 @@ class _LraProjDropsVarAtoms(LraTheory):
 
 class _EnumMeetPrefersFirst(GroundEnumTheory):
     def meet(self, a, b):
-        out = ground_meet(a, b)
+        out = super().meet(a, b)
         if out is not None:
             return out
         d = meet_domain(a, b)

@@ -127,6 +127,15 @@ class SearchConfig:
     pulls: int = 32
     nodes: int = 10000
 
+    def __post_init__(self) -> None:
+        if self.calculus not in ("di", "sdi"):
+            raise ValueError("unknown calculus %r: expected di or sdi" % (self.calculus,))
+        if self.order not in ("left", "right", "random"):
+            raise ValueError("unknown order %r: expected left, right or random" % (self.order,))
+        for name in ("max_exists", "pulls", "nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))
+
 
 @dataclass
 class SearchStats:
@@ -593,8 +602,8 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
     once instantiated, must pass the backend's ground validity
     predicate.  When a list is passed as `witnesses` the chosen (meta,
     term) pairs are appended to it.  Returns (ok, diagnostics), never
-    raising on a misbehaving backend.
-    pre: rho is compatible with the root output.
+    raising on a misbehaving backend.  A rho incompatible with the root
+    output fails at once, with one diagnostic that says so.
     """
     diags: list[str] = []
     if not theory.compatible(rho, tree.output):

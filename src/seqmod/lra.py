@@ -23,8 +23,7 @@ satisfiability of each system.  They are keyed by value (systems are
 frozensets of atoms that hash once), hold only returned values (a
 negated equality or a size cap raises again on every call that reaches
 it) and live as long as the instance, which is one run: nothing is
-carried from one run to the next.  `fm_eliminate` and `lra_sat` run the
-same code with tables of their own call.  The `--check` audit shares
+carried from one run to the next.  The `--check` audit shares
 the search's instance, and so its tables, without taking on any of the
 search's assumptions: each entry is the output of a pure function of its
 key, so the audit gets exactly what computing the value again would
@@ -263,7 +262,7 @@ def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
     return normalize_system(out)
 
 
-# The memo tables below map a (system, variable) pair to its elimination
+# An `LraTheory`'s memo tables map a (system, variable) pair to its elimination
 # and a system to its satisfiability.  They only ever hold values the
 # functions they stand for return; an exception is never stored.  Their
 # types are written out in annotations, not as module-level aliases: an
@@ -273,58 +272,11 @@ def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
 _MISSING = object()
 
 
-def _eliminate(s: System, var: Term,
-               eliminated: dict[tuple[System, Term], Optional[System]]) -> Optional[System]:
-    """eliminate_var_system(s, var), computed once per `eliminated` table."""
-    key = (s, var)
-    out = eliminated.get(key, _MISSING)
-    if out is _MISSING:
-        out = eliminated[key] = eliminate_var_system(s, var)
-    return out
-
-
-def _fm(sigma: PolyConstraint, var: Term, eliminated: dict) -> PolyConstraint:
-    return make_poly(sigma.domain, (_eliminate(s, var, eliminated) for s in sigma.disjuncts))
-
-
-def fm_eliminate(sigma: PolyConstraint, var: Term) -> PolyConstraint:
-    """Fourier-Motzkin elimination of one variable across all disjuncts."""
-    return _fm(sigma, var, {})
-
-
 def _system_vars(s: System) -> set[Term]:
     out: set[Term] = set()
     for a in s:
         out |= {v for v, _ in a.coeffs}
     return out
-
-
-def _system_sat(s: System, eliminated: dict) -> bool:
-    for v in sorted(_system_vars(s), key=var_key, reverse=True):
-        ns = _eliminate(s, v, eliminated)
-        if ns is None:
-            return False
-        if not ns:
-            return True
-        s = ns
-    return normalize_system(s) is not None
-
-
-def _sat(sigma: PolyConstraint, eliminated: dict, sat: dict[System, bool]) -> bool:
-    """lra_sat, deciding each system once per `sat` table."""
-    for s in sigma.disjuncts:
-        out = sat.get(s)
-        if out is None:
-            out = sat[s] = _system_sat(s, eliminated)
-        if out:
-            return True
-    return False
-
-
-def lra_sat(sigma: PolyConstraint) -> bool:
-    """Native satisfiability: some rational assignment to every variable
-    (meta and eigen alike) satisfies some disjunct."""
-    return _sat(sigma, {}, {})
 
 
 # A leaf closure: the literals it uses and the system that closes on them.
@@ -392,7 +344,35 @@ class LraTheory(Theory):
         # module docstring.
         self._candidates: dict[tuple[Literal, ...], Optional[Candidate]] = {}
         self._eliminated: dict[tuple[System, Term], Optional[System]] = {}
-        self._sat: dict[System, bool] = {}
+        self._decided: dict[System, bool] = {}
+
+    def _eliminate(self, s: System, var: Term) -> Optional[System]:
+        """eliminate_var_system(s, var), computed once per instance."""
+        key = (s, var)
+        out = self._eliminated.get(key, _MISSING)
+        if out is _MISSING:
+            out = self._eliminated[key] = eliminate_var_system(s, var)
+        return out
+
+    def _system_sat(self, s: System) -> bool:
+        for v in sorted(_system_vars(s), key=var_key, reverse=True):
+            ns = self._eliminate(s, v)
+            if ns is None:
+                return False
+            if not ns:
+                return True
+            s = ns
+        return normalize_system(s) is not None
+
+    def _sat(self, sigma: PolyConstraint) -> bool:
+        """`satisfiable` for this backend's own calls; decides each system once."""
+        for s in sigma.disjuncts:
+            out = self._decided.get(s)
+            if out is None:
+                out = self._decided[s] = self._system_sat(s)
+            if out:
+                return True
+        return False
 
     # -- constraint algebra ------------------------------------------------
 
@@ -401,11 +381,11 @@ class LraTheory(Theory):
 
     def project_payload(self, sigma: PolyConstraint, meta: MetaVar,
                         domain: Domain) -> PolyConstraint:
-        return PolyConstraint(domain, _fm(sigma, meta, self._eliminated).disjuncts)
+        return make_poly(domain, (self._eliminate(s, meta) for s in sigma.disjuncts))
 
     def meet(self, a: PolyConstraint, b: PolyConstraint) -> Optional[PolyConstraint]:
         out = _conjoin(a, b)
-        return out if _sat(out, self._eliminated, self._sat) else None
+        return out if self._sat(out) else None
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
         """Stream of leaf closures, each candidate built when a pull
@@ -413,7 +393,7 @@ class LraTheory(Theory):
         single arithmetic literals.  A negated equality raises
         PreconditionError by the pull that reaches it at the latest."""
         lits = tuple(lits)
-        memo, eliminated, sat = self._candidates, self._eliminated, self._sat
+        memo, sat = self._candidates, self._sat
 
         def outputs(current: PolyConstraint):
             arith = [(l,) for l in lits if isinstance(l.atom, ArithAtom)]
@@ -425,7 +405,7 @@ class LraTheory(Theory):
                     continue
                 used, system = cand
                 out = _conjoin(current, PolyConstraint(current.domain, (system,)))
-                if _sat(out, eliminated, sat):
+                if sat(out):
                     yield used, out
 
         return ConstraintStream(outputs)
@@ -433,7 +413,9 @@ class LraTheory(Theory):
     # -- semantics ----------------------------------------------------------
 
     def satisfiable(self, sigma: PolyConstraint) -> bool:
-        return _sat(sigma, self._eliminated, self._sat)
+        """Native satisfiability: some rational assignment to every variable
+        (meta and eigen alike) satisfies some disjunct."""
+        return self._sat(sigma)
 
     def _assignment(self, rho: Instantiation, vars_needed: Iterable[Term]) -> dict[Term, Fraction]:
         out: dict[Term, Fraction] = {}

@@ -21,7 +21,7 @@ from seqmod.kernel import (
     prove,
     reconstruct_ground,
 )
-from seqmod.lra import LinAtom, LraTheory, lra_sat, make_atom, make_poly
+from seqmod.lra import LinAtom, LraTheory, make_atom, make_poly
 from seqmod.terms import SORT_RAT, Domain, Instantiation, MetaVar, RatConst
 from seqmod.theory import PreconditionError, WitnessUnsupported
 
@@ -281,7 +281,7 @@ def test_c7_elimination_round_trip_and_flat_oracle():
             atoms.append(make_atom(rng.choice(("<=", "<", "=")), coeffs,
                                    Fraction(rng.randint(-8, 8))))
         sigma = make_poly(dom, [atoms])
-        if lra_sat(sigma):
+        if LraTheory().satisfiable(sigma):
             sat_seen += 1
             rho = fold(sigma, theory)
             env = {m: t.value for m, t in rho.entries}
@@ -328,7 +328,7 @@ def test_c7_elimination_round_trip_and_flat_oracle():
             atoms.append(make_atom(rng.choice(("<=", "<=", "=")),
                                    {vx: Fraction(ca), vy: Fraction(cb)},
                                    Fraction(rng.randint(-10, 10))))
-        if lra_sat(make_poly(dom2, [atoms])) != brute_sat(atoms):
+        if LraTheory().satisfiable(make_poly(dom2, [atoms])) != brute_sat(atoms):
             mismatches += 1
     assert mismatches == 0
     verdict("C7 round trip on %d satisfiable systems; flat oracle agreed "

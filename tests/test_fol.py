@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqmod
-from seqmod.fol import SubstConstraint, SubstTheory, _extend, _solve_linear, mgu, subst_meet
+from seqmod.fol import SubstConstraint, SubstTheory, _extend, _solve_linear, mgu
 from seqmod.terms import (
     BoundVar,
     Domain,
@@ -119,24 +119,14 @@ def test_seeded_mgu_returns_a_seed_the_pairs_add_nothing_to():
     # the seed itself is the result, not an equal copy rebuilt from it.
     d = dom(M("X"), M("Y"))
     seed = mgu([(M("X"), f(M("Y")))], d)
-    assert mgu([], d, seed=seed) is seed
-    assert mgu([(f(M("X")), f(f(M("Y"))))], d, seed=seed) is seed
-    assert mgu([(M("Y"), a)], d, seed=seed) == mgu([(M("X"), f(a)), (M("Y"), a)], d)
+    assert _extend([], d, seed) is seed
+    assert _extend([(f(M("X")), f(f(M("Y"))))], d, seed) is seed
+    assert TH.meet(seed, TH.top(d)) is seed
+    assert TH.meet(seed, mgu([(M("X"), f(M("Y")))], d)) is seed
+    assert TH.meet(seed, mgu([(M("Y"), a)], d)) == mgu([(M("X"), f(a)), (M("Y"), a)], d)
     longer = d.add_eigen(E("e"))
-    out = mgu([], longer, seed=seed)
+    out = TH.meet(seed, TH.top(longer))
     assert out is not seed and (out.domain, out.entries) == (longer, seed.entries)
-
-
-def test_seeded_mgu_rejects_a_seed_of_another_family():
-    # A closed seed whose metas the domain does not declare would give a
-    # constraint marked closed that is not; mgu refuses the seed instead.
-    seed = mgu([(M("Z"), f(M("W")))], dom(M("Z"), M("W")))
-    assert seed.closed
-    d = dom(M("X"))
-    with pytest.raises(DomainMismatch):
-        mgu([(M("X"), a)], d, seed=seed)
-    with pytest.raises(DomainMismatch):
-        mgu([], dom(M("W"), M("Z")), seed=seed)
 
 def test_bound_variable_nested_in_an_argument_is_a_precondition_error():
     d = dom(M("X"))
@@ -196,21 +186,21 @@ def test_meet_merges_independent_bindings():
     d = dom(M("X"), M("Y"))
     sa = mgu([(M("X"), a)], d)
     sb = mgu([(M("Y"), b)], d)
-    m = subst_meet(sa, sb)
+    m = TH.meet(sa, sb)
     assert m.get(M("X")) == a
     assert m.get(M("Y")) == b
 
 
 def test_meet_detects_clash():
     d = dom(M("X"))
-    assert subst_meet(mgu([(M("X"), a)], d), mgu([(M("X"), b)], d)).is_bot
+    assert TH.meet(mgu([(M("X"), a)], d), mgu([(M("X"), b)], d)) is None
 
 
 def test_meet_unifies_shared_bindings():
     d = dom(M("X"), M("Y"))
     sa = mgu([(M("X"), f(M("Y")))], d)
     sb = mgu([(M("X"), f(a))], d)
-    m = subst_meet(sa, sb)
+    m = TH.meet(sa, sb)
     assert m.get(M("Y")) == a
 
 
@@ -218,15 +208,15 @@ def test_meet_requires_same_meta_family():
     da = dom(M("X"))
     db = dom(M("Y"))
     with pytest.raises(DomainMismatch):
-        subst_meet(SubstTheory().top(da), SubstTheory().top(db))
+        TH.meet(TH.top(da), TH.top(db))
 
 
 def test_meet_tolerates_trailing_eigens():
     d = dom(M("X"))
     sa = SubstTheory().top(d)
     sb = SubstTheory().top(d.add_eigen(E("tail")))
-    m = subst_meet(sa, sb)
-    assert not m.is_bot
+    m = TH.meet(sa, sb)
+    assert m is not None and not m.is_bot
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +608,13 @@ def _input(d, bindings, project):
 @example(dom(_X0, _X1), [(_X0, _X1)], [(_X1, _X0)], False)
 def test_meet_agrees_with_the_eager_reference(d, left, right, project):
     sa, sb = _input(d, left, project), _input(d, right, project)
-    out = _outcome(subst_meet, sa, sb)
-    assert out == _outcome(_eager_meet, sa, sb)
-    _assert_closed_is_exact(out[0])
     met = _outcome(TH.meet, sa, sb)
-    if isinstance(out[0], SubstConstraint) and out[0].is_bot:
+    expected = _outcome(_eager_meet, sa, sb)
+    if isinstance(expected[0], SubstConstraint) and expected[0].is_bot:
         assert met == (None, "None")
     else:
-        assert met == out
+        assert met == expected
+        _assert_closed_is_exact(met[0])
 
 
 def _eager_pulls(current, lits):

@@ -11,7 +11,6 @@ from seqmod.ground import (
     GroundEnumTheory,
     _walk,
     _within_cap,
-    ground_meet,
 )
 from seqmod.terms import (
     ArithAtom,
@@ -100,7 +99,7 @@ def test_meet_unions_agreeing_maps():
     d = dom(M("X"), M("Y"))
     ga = GroundConstraint(d, ((M("X"), a),))
     gb = GroundConstraint(d, ((M("Y"), b),))
-    m = ground_meet(ga, gb)
+    m = TH.meet(ga, gb)
     assert m.entries == ((M("X"), a), (M("Y"), b))
 
 
@@ -108,7 +107,7 @@ def test_meet_refuses_disagreement():
     d = dom(M("X"))
     ga = GroundConstraint(d, ((M("X"), a),))
     gb = GroundConstraint(d, ((M("X"), b),))
-    assert ground_meet(ga, gb) is None
+    assert TH.meet(ga, gb) is None
 
 
 def test_project_drops_only_the_last_meta():
@@ -605,7 +604,7 @@ def test_meet_agrees_with_the_eager_merge(operands, longer):
     if longer:
         right = GroundConstraint(right.domain.add_eigen(E("e9")), right.entries)
     expected = _eager_merge(meet_domain(left, right), left, right.entries)
-    assert ground_meet(left, right) == expected
+    assert TH.meet(left, right) == expected
 
 
 # ---------------------------------------------------------------------------

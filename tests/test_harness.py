@@ -55,6 +55,15 @@ def test_seed_changes_sampling_not_verdict():
         assert run_conformance("lra", cases=60, seed=seed).ok
 
 
+@pytest.mark.parametrize("cases", [0, -1])
+def test_a_non_positive_case_count_is_refused(cases, monkeypatch):
+    # Zero cases would check nothing and report ok; a negative count
+    # would fail inside a law.  Either is refused before the bench exists.
+    monkeypatch.setattr(harness, "make_bench", lambda kind: pytest.fail("bench built"))
+    with pytest.raises(ValueError, match="got %d$" % cases):
+        run_conformance("lra", cases=cases)
+
+
 def test_all_mutants_are_caught():
     for name, (kind, factory, expected) in mutants().items():
         res = run_conformance(kind, cases=120, seed=0, theory=factory(), label=name)

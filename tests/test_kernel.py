@@ -132,6 +132,23 @@ def test_node_budget_reports_exhaustion():
     assert out.detail == "node budget exhausted"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("calculus", "SDI"), ("calculus", ""), ("order", "Right"), ("order", "random "),
+    ("max_exists", -1), ("pulls", -1), ("nodes", -1)])
+def test_search_config_rejects_an_unknown_value(field, value):
+    # An unknown calculus used to run di, an unknown order the random one.
+    with pytest.raises(ValueError, match="^(unknown %s|%s must)" % (field, field)):
+        SearchConfig(**{field: value})
+    with pytest.raises(ValueError):
+        dataclasses.replace(SearchConfig(), **{field: value})
+
+
+def test_search_config_accepts_every_known_value():
+    for calculus in ("di", "sdi"):
+        for order in ("left", "right", "random"):
+            SearchConfig(calculus=calculus, order=order, max_exists=0, pulls=0, nodes=0)
+
+
 def test_root_constraint_accepts_the_empty_instantiation():
     for out in run_both(drinker()):
         assert TH.compatible(Instantiation(Domain(), ()), out.constraint)
