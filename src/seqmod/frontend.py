@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from . import kernel
@@ -194,6 +193,7 @@ class _GoalBuilder:
         self.funs = dict(sig.funs)
         self.consts = frozenset(sig.consts)
         self.counter = 0
+        self.binds_term = False  # whether some binder is term-sorted
 
     def binder_specs(self, node: SNode) -> list[tuple[SNode, Optional[str]]]:
         out: list[tuple[SNode, Optional[str]]] = []
@@ -263,8 +263,9 @@ class _GoalBuilder:
                 if len(uses) == 2:
                     raise name_node.err(
                         "variable %s is used at both sorts" % (name_node.value,))
-                resolved.append((internal, explicit or (
-                    SORT_RAT if SORT_RAT in uses else SORT_TERM)))
+                sort = explicit or (SORT_RAT if SORT_RAT in uses else SORT_TERM)
+                self.binds_term |= sort == SORT_TERM
+                resolved.append((internal, sort))
             universal = (head == "forall") == positive
             cls = Forall if universal else Exists
             for internal, sort in reversed(resolved):
@@ -419,11 +420,15 @@ def parse_problem(text: str, name: str = "<input>") -> Problem:
     if not goal_nodes:
         raise ParseError("no goal", 1, 1)
 
-    if not consts and (funs or any(SORT_TERM in sorts for _, sorts in preds)):
-        # A closed term of the uninterpreted sort: the first cN not declared.
-        consts.append(next(c for c in map("c%d".__mod__, count()) if c not in declared))
     sig = Signature(tuple(preds), tuple(funs), tuple(consts))
-    return Problem(name, sig, tuple(_GoalBuilder(sig).build(g, True, {}) for g in goal_nodes))
+    builder = _GoalBuilder(sig)
+    goals = tuple(builder.build(g, True, {}) for g in goal_nodes)
+    if not consts and (funs or builder.binds_term
+                       or any(SORT_TERM in sorts for _, sorts in preds)):
+        # A closed term of the uninterpreted sort: the first cN not declared.
+        sig = Signature(sig.preds, sig.funs,
+                        (next(c for c in map("c%d".__mod__, count()) if c not in declared),))
+    return Problem(name, sig, goals)
 
 
 # ---------------------------------------------------------------------------
@@ -454,36 +459,27 @@ def render_term(t: Term) -> str:
 
 
 def render_formula(f: Formula) -> str:
-    return _render_node(f, {})
-
-
-def _render_node(f: Formula, rendered: dict[int, str]) -> str:
-    """The text of `f`, stored in `rendered` under id(f).  A subformula
-    already there, by its id, is not rendered again."""
     cls = type(f)
     if cls is Literal:
-        atom = f.atom
-        if isinstance(atom, ArithAtom):
-            if not f.positive:
-                raise ValueError("negated arithmetic literal in normal form output")
-            text = "(%s %s %s)" % (atom.op, render_term(atom.lhs), render_term(atom.rhs))
-        else:
-            text = atom.name if not atom.args else "(%s %s)" % (
-                atom.name, " ".join(render_term(a) for a in atom.args))
-            if not f.positive:
-                text = "(not %s)" % text
-    elif cls is And or cls is Or:
-        left = rendered.get(id(f.left)) or _render_node(f.left, rendered)
-        right = rendered.get(id(f.right)) or _render_node(f.right, rendered)
-        text = "(%s %s %s)" % ("and" if cls is And else "or", left, right)
-    elif cls is Forall or cls is Exists:
-        body = rendered.get(id(f.body)) or _render_node(f.body, rendered)
-        text = "(%s ((%s %s)) %s)" % ("forall" if cls is Forall else "exists",
-                                      f.var.rsplit("!", 1)[0], f.sort, body)
-    else:
-        raise TypeError(f)
-    rendered[id(f)] = text
-    return text
+        return _render_literal(f)
+    if cls is And or cls is Or:
+        return "(%s %s %s)" % ("and" if cls is And else "or",
+                               render_formula(f.left), render_formula(f.right))
+    if cls is Forall or cls is Exists:
+        return "(%s ((%s %s)) %s)" % ("forall" if cls is Forall else "exists",
+                                      f.var.rsplit("!", 1)[0], f.sort, render_formula(f.body))
+    raise TypeError(f)
+
+
+def _render_literal(f: Literal) -> str:
+    atom = f.atom
+    if isinstance(atom, ArithAtom):
+        if not f.positive:
+            raise ValueError("negated arithmetic literal in normal form output")
+        return "(%s %s %s)" % (atom.op, render_term(atom.lhs), render_term(atom.rhs))
+    text = atom.name if not atom.args else "(%s %s)" % (
+        atom.name, " ".join(render_term(a) for a in atom.args))
+    return text if f.positive else "(not %s)" % text
 
 
 def print_problem(problem: Problem) -> str:
@@ -503,155 +499,84 @@ def print_problem(problem: Problem) -> str:
 # Proof serialization
 
 
-def _render_domain(domain: Domain) -> list[list[str]]:
-    return [
-        ["meta" if isinstance(v, MetaVar) else "eigen", v.name, v.sort]
-        for v in domain.decls
-    ]
-
-
 def tree_to_json(tree: ProofTree) -> dict:
-    """The proof as nested dicts; every backend's constraints print with `str`."""
-    return _node_json(tree, {})
+    """The proof as a flat report, `{"formulas": [...], "nodes": [...]}`.
 
-
-def _node_json(tree: ProofTree, rendered: dict[int, str]) -> dict:
-    # Sibling sequents share almost every formula and constraint object,
-    # so each one is rendered once per proof, keyed by id(): the tree keeps
-    # them alive.  A node's new formulas are mostly parts of its parent's
-    # principal, rendered with it.
-    try:
-        context = list(map(rendered.__getitem__, map(id, tree.context)))
-    except KeyError:  # a formula not rendered yet: the root's, a quantifier's instance
-        context = [rendered.get(id(f)) or _render_node(f, rendered) for f in tree.context]
-    output = rendered.get(id(tree.output))
-    if output is None:
-        output = rendered[id(tree.output)] = str(tree.output)
-    node: dict = {
-        "rule": tree.rule,
-        "domain": _render_domain(tree.domain),
-        "context": context,
-        "output": output,
-    }
-    if tree.input is not None:
-        text = rendered.get(id(tree.input))
-        if text is None:
-            text = rendered[id(tree.input)] = str(tree.input)
-        node["input"] = text
-    if tree.rule == "leaf":
-        node["used"] = sorted(str(l) for l in tree.used)
-        node["stream_index"] = tree.stream_index
-    else:
-        node["principal"] = tree.principal
-    if tree.rule == "exists":
-        node["meta"] = tree.meta.name
-    if tree.rule == "forall":
-        node["eigen"] = tree.eigen.name
-    if tree.rule == "and":
-        node["order_bit"] = tree.order_bit
-    if tree.children:
-        # A plain loop: a comprehension would add a frame per level.
-        children = node["children"] = []
-        for c in tree.children:
-            children.append(_node_json(c, rendered))
-    return node
-
-
-def _json_leaf(o) -> str:
-    """A scalar or an empty container as `json.dumps` writes it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if type(o) is int:
-        return int.__repr__(o)
-    return json.dumps(o)  # floats, empty containers; a TypeError for the rest
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError("keys must be str, not %s" % type(key).__name__)
-    return encode_basestring_ascii(key)
-
-
-_CONTAINERS = (list, tuple, dict)
-
-
-def json_text(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, from an explicit stack.
-
-    The standard encoder recurses once per level when it indents; this
-    writer takes a proof of any depth.  Keys must be strings, which is
-    all a report holds.  Each container's loop writes its scalar items
-    and its lists of strings, and stops at any other non-empty
-    container, which it opens.
+    `formulas` holds each formula object of the proof once, after its
+    parts: a literal is its text, a connective `["and", l, r]` or `["or",
+    l, r]`, a quantifier `["forall", var, sort, body]` or `["exists",
+    var, sort, body]`, where l, r and body are table indices.  `nodes`
+    lists the nodes in preorder, node 0 the root.  A node's context is
+    its `added` formulas followed by its parent's context without the
+    parent's principal, and its domain is its parent's followed by its
+    `declared` [kind, name, sort] triples; the root's are all its own.
+    That is how the search builds every premise.  Every backend's
+    constraints print with `str`.
     """
-    if not (isinstance(obj, _CONTAINERS) and obj):
-        return _json_leaf(obj)
-    out: list[str] = []
-    write = out.append
-    newlines = ["\n"]  # newlines[d]: a line break and the indentation of depth d
-    seps = [",\n"]  # seps[d]: a comma, then newlines[d]
-    stack: list[tuple] = []  # open containers: (remaining items, is a dict, id)
-    open_ids: set[int] = set()
-    value = obj
-    while True:  # `value` is a non-empty container: open it
-        if id(value) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(value))
-        depth = len(stack) + 1
-        while len(newlines) <= depth + 1:  # its lists of strings are one deeper
-            newlines.append(newlines[-1] + "  ")
-            seps.append("," + newlines[-1])
-        if isinstance(value, dict):
-            write("{")
-            stack.append((iter(sorted(value.items())), True, id(value)))
+    formulas: list = []
+    positions: dict[int, int] = {}  # id(formula) -> its index in `formulas`
+    texts: dict[int, str] = {}  # id(constraint) -> str: siblings share them
+    nodes: list[dict] = []
+    parents: dict[int, tuple] = {}  # id(child) -> (parent's dict, context kept, decls kept)
+    for node in tree.walk():
+        parent, kept, known = parents.pop(id(node), (None, 0, 0))
+        if parent is not None:
+            parent["children"].append(len(nodes))
+        context, decls = node.context, node.domain.decls
+        output = texts.get(id(node.output))
+        if output is None:
+            output = texts[id(node.output)] = str(node.output)
+        record = {
+            "rule": node.rule,
+            "added": [_formula_index(f, positions, formulas)
+                      for f in context[:len(context) - kept]],
+            "declared": [["meta" if isinstance(v, MetaVar) else "eigen", v.name, v.sort]
+                         for v in decls[known:]],
+            "output": output,
+        }
+        if node.input is not None:
+            text = texts.get(id(node.input))
+            if text is None:
+                text = texts[id(node.input)] = str(node.input)
+            record["input"] = text
+        if node.rule == "leaf":
+            record["used"] = sorted(str(l) for l in node.used)
+            record["stream_index"] = node.stream_index
         else:
-            write("[")
-            stack.append((iter(value), False, id(value)))
-        prefix = newlines[depth]
-        while stack:  # the innermost open container's items, up to one to open
-            items, is_dict, key = stack[-1]
-            depth = len(stack)
-            sep = seps[depth]
-            for value in items:
-                write(prefix)
-                prefix = sep
-                if is_dict:
-                    k, value = value
-                    write(_json_key(k))
-                    write(": ")
-                if type(value) is str:
-                    write(encode_basestring_ascii(value))
-                elif not (isinstance(value, _CONTAINERS) and value):
-                    write(_json_leaf(value))
-                elif isinstance(value, dict) or type(value[0]) is not str:
-                    break
-                else:  # one call, no join: a joined list would be copied twice
-                    pieces = [seps[depth + 1]] * (2 * len(value) + 1)
-                    try:
-                        pieces[1::2] = map(encode_basestring_ascii, value)
-                    except TypeError:  # not all strings: opened as any list is
-                        break
-                    pieces[0] = newlines[depth + 1]
-                    pieces[-1] = newlines[depth]
-                    write("[")
-                    out += pieces
-                    write("]")
-            else:
-                stack.pop()
-                open_ids.discard(key)
-                write(newlines[depth - 1])
-                write("}" if is_dict else "]")
-                prefix = seps[depth - 1]
-                continue
-            break
-        else:
-            return "".join(out)
+            record["principal"] = node.principal
+            record["children"] = []
+            for c in node.children:
+                parents[id(c)] = (record, len(context) - 1, len(decls))
+        if node.rule == "exists":
+            record["meta"] = node.meta.name
+        if node.rule == "forall":
+            record["eigen"] = node.eigen.name
+        if node.rule == "and":
+            record["order_bit"] = node.order_bit
+        nodes.append(record)
+    return {"formulas": formulas, "nodes": nodes}
+
+
+def _formula_index(f: Formula, positions: dict[int, int], formulas: list) -> int:
+    """The index of `f` in a proof's formula table, entering it, after
+    its parts, if it is not there yet; `positions` maps id() to index."""
+    index = positions.get(id(f))
+    if index is not None:
+        return index
+    cls = type(f)
+    if cls is Literal:
+        entry = _render_literal(f)
+    elif cls is And or cls is Or:
+        entry = ["and" if cls is And else "or", _formula_index(f.left, positions, formulas),
+                 _formula_index(f.right, positions, formulas)]
+    elif cls is Forall or cls is Exists:
+        entry = ["forall" if cls is Forall else "exists", f.var.rsplit("!", 1)[0], f.sort,
+                 _formula_index(f.body, positions, formulas)]
+    else:
+        raise TypeError(f)
+    index = positions[id(f)] = len(formulas)
+    formulas.append(entry)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +626,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json_text(self.canonical())
+        return json.dumps(self.canonical(), sort_keys=True)
 
     def to_text(self) -> str:
         lines = ["%s: %s" % (self.problem, self.outcome.upper())]

@@ -28,6 +28,7 @@ Laws:
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Optional
 from . import fol as fol_mod
 from . import lra as lra_mod
 from .fol import SubstConstraint, SubstTheory, mgu
-from .frontend import json_text, make_theory
+from .frontend import make_theory
 from .ground import GroundConstraint, GroundEnumTheory
 from .lra import (
     LraTheory,
@@ -116,7 +117,7 @@ class ConformanceResult:
 
 
 def report_json(result: ConformanceResult) -> str:
-    return json_text(result.as_dict())
+    return json.dumps(result.as_dict(), indent=2, sort_keys=True)
 
 
 def report_text(result: ConformanceResult) -> str:

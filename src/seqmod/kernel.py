@@ -83,7 +83,7 @@ from .terms import (
     literals_of,
     substitute,
 )
-from .theory import PreconditionError, ResourceLimit, Theory, rehouse
+from .theory import PreconditionError, ResourceLimit, Theory, TheoryError, rehouse
 
 log = logging.getLogger("seqmod.kernel")
 
@@ -494,19 +494,23 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
                        % (node.rule, len(node.children), arity)):
             continue
         if node.rule == "leaf":
-            lits = literals_of(node.context)
-            stream = theory.consistency(lits, node.domain)
-            inp = node.input if node.input is not None else theory.top(node.domain)
-            got = None
-            for _ in range(node.stream_index + 1):
-                got = stream.pull(inp)
-                if got is None:
-                    diags.append("leaf stream exhausted before index %d" % node.stream_index)
-                    break
-            else:
-                _expect(got == (node.used, node.output), diags,
-                        "leaf replay mismatch at index %d" % node.stream_index)
-                _expect(node.used <= set(lits), diags, "leaf used literals outside the context")
+            try:  # a backend error in the replay is a diagnostic too
+                lits = literals_of(node.context)
+                stream = theory.consistency(lits, node.domain)
+                inp = node.input if node.input is not None else theory.top(node.domain)
+                got = None
+                for _ in range(node.stream_index + 1):
+                    got = stream.pull(inp)
+                    if got is None:
+                        diags.append("leaf stream exhausted before index %d" % node.stream_index)
+                        break
+                else:
+                    _expect(got == (node.used, node.output), diags,
+                            "leaf replay mismatch at index %d" % node.stream_index)
+                    _expect(node.used <= set(lits), diags,
+                            "leaf used literals outside the context")
+            except (ValueError, TheoryError) as exc:
+                diags.append("leaf replay: %s" % (exc,))
             continue
         ctx = node.context
         if not _expect(0 <= node.principal < len(ctx), diags, "principal index out of range"):
@@ -517,7 +521,7 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
             continue
         try:
             premises, out = _premises(node, principal, theory)
-        except ValueError as exc:  # DomainError among them
+        except (ValueError, TheoryError) as exc:  # DomainError, DomainMismatch among them
             diags.append("%s rule: %s" % (node.rule, exc))
             continue
         rest = ctx[:node.principal] + ctx[node.principal + 1:]
@@ -606,38 +610,44 @@ def reconstruct_ground(tree: ProofTree, rho: Instantiation, theory: Theory,
     output fails at once, with one diagnostic that says so.
     """
     diags: list[str] = []
-    if not theory.compatible(rho, tree.output):
-        return False, ["instantiation incompatible with the final constraint"]
+    try:
+        if not theory.compatible(rho, tree.output):
+            return False, ["instantiation incompatible with the final constraint"]
+    except (ValueError, TheoryError) as exc:
+        return False, ["root: %s" % (exc,)]
     stack = [(tree, rho, None)]  # (node, its rho, the rule of a parent sharing rho)
     while stack:
         node, rho, parent = stack.pop()
-        if parent is not None and not theory.compatible(rho, node.output):
-            diags.append("instantiation incompatible with a %s child" % (parent,))
-        elif node.rule == "leaf":
-            ground = tuple(rho.apply_literal(l) for l in sorted(node.used, key=str))
-            loose = [g for g in ground if any(isinstance(v, (MetaVar, BoundVar))
-                                              for v in literal_vars(g))]
-            if loose:
-                diags.append("leaf literal %s is not ground" % (loose[0],))
-            elif not theory.ground_valid(ground):
-                diags.append("leaf %s not valid under %s" % ([str(g) for g in ground], rho))
-        elif node.rule == "exists":
-            if len(node.children) != 1:  # the diagnostic check_proof gives
-                diags.append("exists node has %d children, not 1" % len(node.children))
-                continue
-            (child,) = node.children
-            try:
-                t = theory.witness(child.output, rho)
-                rho2 = rho.extend(child.output.domain, node.meta, t)
-            except Exception as exc:  # surfaced as an audit failure, not a crash
-                diags.append("witness failed at %s: %s" % (node.meta, exc))
-                continue
-            if witnesses is not None:
-                witnesses.append((node.meta, t))
-            if not theory.compatible(rho2, child.output):
-                diags.append("extended instantiation incompatible below %s" % (node.meta,))
-                continue
-            stack.append((child, rho2, None))
-        else:
-            stack.extend((c, rho, node.rule) for c in reversed(node.children))
+        try:  # a backend error is a diagnostic, as a failed test is
+            if parent is not None and not theory.compatible(rho, node.output):
+                diags.append("instantiation incompatible with a %s child" % (parent,))
+            elif node.rule == "leaf":
+                ground = tuple(rho.apply_literal(l) for l in sorted(node.used, key=str))
+                loose = [g for g in ground if any(isinstance(v, (MetaVar, BoundVar))
+                                                  for v in literal_vars(g))]
+                if loose:
+                    diags.append("leaf literal %s is not ground" % (loose[0],))
+                elif not theory.ground_valid(ground):
+                    diags.append("leaf %s not valid under %s" % ([str(g) for g in ground], rho))
+            elif node.rule == "exists":
+                if len(node.children) != 1:  # the diagnostic check_proof gives
+                    diags.append("exists node has %d children, not 1" % len(node.children))
+                    continue
+                (child,) = node.children
+                try:
+                    t = theory.witness(child.output, rho)
+                    rho2 = rho.extend(child.output.domain, node.meta, t)
+                except Exception as exc:  # surfaced as an audit failure, not a crash
+                    diags.append("witness failed at %s: %s" % (node.meta, exc))
+                    continue
+                if witnesses is not None:
+                    witnesses.append((node.meta, t))
+                if not theory.compatible(rho2, child.output):
+                    diags.append("extended instantiation incompatible below %s" % (node.meta,))
+                    continue
+                stack.append((child, rho2, None))
+            else:
+                stack.extend((c, rho, node.rule) for c in reversed(node.children))
+        except (ValueError, TheoryError) as exc:
+            diags.append("%s node: %s" % (node.rule, exc))
     return not diags, diags

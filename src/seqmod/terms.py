@@ -3,9 +3,9 @@
 Terms come in an uninterpreted sort and a rational sort.  Rational terms
 admit exact linear combinations over `fractions.Fraction`.  Three kinds of
 variables coexist: bound variables (placeholders under a quantifier),
-eigenvariables (rigid: introduced by universal quantifiers, plus the
-problem constants), and meta-variables (flexible: introduced by
-existential quantifiers, to be solved by a theory backend).
+eigenvariables (rigid: introduced by universal quantifiers), and
+meta-variables (flexible: introduced by existential quantifiers, to be
+solved by a theory backend).  A constant is a nullary `FunApp`.
 
 Formulas are in negation normal form, and a literal is a formula:
 

@@ -1,6 +1,5 @@
 """Problem format, normal form construction, CLI behaviour."""
 
-import functools
 import json
 import os
 import subprocess
@@ -435,9 +434,11 @@ P1 = ("p", (SORT_TERM,))
      (Signature((P1,), (), ("c0",)), Forall("x!0", SORT_TERM, And(
          _p(X0_TERM),
          Exists("x!1", SORT_RAT, _lt(BoundVar("x!1", SORT_RAT), RatConst(Fraction(0)))))))),
-    # an unused binder is term-sorted
+    # an unused binder is term-sorted, and a term-sorted binder needs a
+    # closed term of its sort: the constant c0
     ("(declare-pred q 0)\n(goal (forall (x) q))",
-     (Signature((("q", ()),)), Forall("x!0", SORT_TERM, Literal(True, PredAtom("q", ()))))),
+     (Signature((("q", ()),), (), ("c0",)),
+      Forall("x!0", SORT_TERM, Literal(True, PredAtom("q", ()))))),
     # an annotated binder used at the other sort: the error is at the use
     ("(declare-pred p 1)\n(goal (forall ((x rat)) (p x)))",
      ("variable x has sort rat, expected term", 2, 28)),
@@ -456,6 +457,25 @@ def test_binder_sort_inference(text, expected):
     else:
         sig, goal = expected
         assert parse_problem(text) == Problem("<input>", sig, (goal,))
+
+
+# Valid goals that bind a term-sorted variable but declare no constant:
+# the witness of that variable needs a closed term, so the parser adds c0.
+UNUSED_BINDER = ("(declare-pred p 0) (declare-pred q 0)"
+               " (goal (=> (forall (x) q) (=> (not q) (not p))))")
+UNUSED_BINDER_BESIDE_RAT = "(goal (exists (y) (exists ((x rat)) (and (<= 0 x) (<= x 1)))))"
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+@pytest.mark.parametrize("text, theory", [(UNUSED_BINDER, "fol"), (UNUSED_BINDER, "enum"),
+                                          (UNUSED_BINDER_BESIDE_RAT, "lra")],
+                         ids=["unused-fol", "unused-enum", "beside-rat-lra"])
+def test_a_term_binder_gets_the_default_constant(text, theory, calculus):
+    prob = parse_problem(text)
+    assert prob.signature.consts == ("c0",)
+    report = run(prob, theory, SearchConfig(calculus=calculus), check=True)
+    assert report.outcome == "proved"
+    assert report.check == {"proof": True, "reconstruction": True, "diagnostics": []}
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +515,21 @@ def test_render_formula_only_accepts_nnf():
 
 def test_a_proof_renders_each_formula_once(monkeypatch):
     # Sibling sequents share their formulas, and a node's new formulas
-    # are parts of its parent's principal: one tree_to_json renders each
-    # distinct formula object once, however many contexts hold it.
+    # are parts of its parent's principal: the formula table holds each
+    # distinct formula object once, however many contexts hold it, and
+    # each literal is rendered once.
     names = ["p%d" % i for i in range(101)]
     prob = parse_problem("".join("(declare-pred %s 0)\n" % p for p in names)
                          + "(goal (or %s (not p0)))\n" % " ".join(names))
     tree = kernel.prove(prob.goals, Domain.initial(()), SubstTheory(), SearchConfig("di")).tree
     calls = Counter()
-    for name in ("render_formula", "_render_node"):  # whichever renders one formula
-        if hasattr(frontend, name):
-            real = getattr(frontend, name)
-            monkeypatch.setattr(frontend, name, functools.partial(_counted, real, calls))
-    frontend.tree_to_json(tree)
-    assert max(calls.values()) == 1
-    assert len(calls) == 203  # 102 literals and 101 disjunctions
-
-
-def _counted(real, calls, f, *rest):
-    calls[id(f)] += 1
-    return real(f, *rest)
+    real = frontend._render_literal
+    monkeypatch.setattr(frontend, "_render_literal",
+                        lambda f: calls.update([id(f)]) or real(f))
+    proof = frontend.tree_to_json(tree)
+    assert len(proof["formulas"]) == 203  # 102 literals and 101 disjunctions
+    assert len(calls) == 102 and max(calls.values()) == 1
+    assert len(proof["nodes"]) == len(list(tree.walk()))
 
 
 def test_render_term_forms():
@@ -597,7 +613,7 @@ def test_run_report_json_is_deterministic():
     data = json.loads(r1.to_json())
     assert data["outcome"] == "proved"
     assert data["check"] == {"proof": True, "reconstruction": True, "diagnostics": []}
-    assert data["proof"]["rule"] == "exists"
+    assert data["proof"]["nodes"][0]["rule"] == "exists"
 
 
 def test_run_report_records_witnesses():
@@ -684,11 +700,9 @@ def test_cli_accepts_a_byte_order_mark(tmp_path):
 
 @pytest.mark.parametrize("calculus", ["di", "sdi"])
 def test_cli_deep_proof_is_never_reported_exhausted(tmp_path, calculus):
-    # A proof 500 conjunctions deep: the JSON report nests about 1,000
-    # levels, which json.dumps(indent=2) cannot encode at the default
-    # recursion limit, and it must not read as exit 1 ("exhausted").  The report repeats each node's context, so this
-    # goal keeps it at about 23 MB; the disjunction (or p0 ... p900 (not
-    # p0)) proves too, but its report is about 1 GB.
+    # A proof 500 conjunctions deep, about 1,000 nodes from root to leaf:
+    # it must not read as exit 1 ("exhausted").  The report lists the
+    # nodes flat, so json.loads reads it at the default recursion limit.
     names = ["p%d" % i for i in range(500)]
     path = tmp_path / "deep_and.prob"
     path.write_text("".join("(declare-pred %s 0)\n" % p for p in names)
@@ -698,30 +712,7 @@ def test_cli_deep_proof_is_never_reported_exhausted(tmp_path, calculus):
          "--calculus", calculus, "--output", "json"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # json.loads would recurse per level too; the top-level keys are the
-    # lines indented by two spaces.
-    assert '\n  "outcome": "proved",\n' in proc.stdout
-
-
-def test_json_text_is_json_dumps_at_any_depth():
-    values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 10 ** 30, True, False,
-              None, "\u00e9\n\"", [], {}, (), (1, "a"), {"b": [], "a": {"c": ()}}]
-    deep = {"values": values}
-    for i in range(3000):
-        deep = {"z": i, "inner": deep} if i % 2 else [i, deep, []]
-    limit = sys.getrecursionlimit()
-    text = frontend.json_text(deep)
-    sys.setrecursionlimit(limit + 10000)  # the standard encoder recurses per level
-    try:
-        assert text == json.dumps(deep, indent=2, sort_keys=True)
-    finally:
-        sys.setrecursionlimit(limit)
-    cycle = [1]
-    cycle.append({"back": cycle})
-    with pytest.raises(ValueError):
-        frontend.json_text(cycle)
-    with pytest.raises(TypeError):
-        frontend.json_text({"a": Fraction(1, 2)})
+    assert json.loads(proc.stdout)["outcome"] == "proved"
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from report_v1 import expand, v1_json
 from seqmod import ground, kernel
 from seqmod.fol import SubstTheory, mgu
 from seqmod.frontend import make_theory, parse_problem, render_formula, run, tree_to_json
@@ -161,7 +162,8 @@ def test_search_is_deterministic():
     assert tree_to_json(runs[0].tree) == tree_to_json(runs[1].tree)
 
 
-# sha256 of `run(...).to_json()` with `SearchConfig(order="random", seed=s)`.
+# sha256 of `run(...)`'s report with `SearchConfig(order="random", seed=s)`,
+# its proof nested as `report_v1.v1_json` writes it.
 # Under each seed these problems' proofs split their conjunctions in a
 # different order, so a changed order bit changes a digest.
 RANDOM_ORDER_DIGESTS = {
@@ -213,7 +215,7 @@ def test_random_order_bits_are_pinned(key):
     report = run(prob, entry["theory"], SearchConfig(calculus=calculus, order="random",
                                                      seed=int(seed)))
     assert report.outcome == "proved"
-    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == RANDOM_ORDER_DIGESTS[key]
+    assert hashlib.sha256(v1_json(report).encode("utf-8")).hexdigest() == RANDOM_ORDER_DIGESTS[key]
 
 
 def test_sdi_threads_inputs_and_di_does_not():
@@ -400,6 +402,13 @@ def _with_child_input(node, index, current):
 
 
 SHIFT = "(declare-pred p 1) (goal (forall (x) (exists (y) (=> (p x) (p y)))))"
+DRINKER = (ROOT / "src" / "seqmod" / "problems" / "fol_drinker.prob").read_text()
+OTHER_FAMILY = Domain((M("Z9"),))  # a meta the drinker's proofs never declare
+
+
+def _with_child_output(node, output):
+    return dataclasses.replace(node, children=(dataclasses.replace(
+        node.children[0], output=output),) + node.children[1:])
 
 
 def _reuse_domain_name(node, field):
@@ -450,6 +459,17 @@ TAMPERINGS = {
     "exists-meta-variable-not-fresh": (SHIFT, "fol", "sdi", "exists",
                                        lambda n: _reuse_domain_name(n, "meta"),
                                        "exists rule: name 'x1' already declared"),
+    # backend errors get diagnostics too
+    "exists-child-output-at-the-empty-domain-di": (
+        DRINKER, "fol", "di", "exists", lambda n: _with_child_output(n, TH.top(Domain())),
+        "exists rule: projection must target the last meta-variable"),
+    "exists-child-output-at-the-empty-domain-sdi": (
+        DRINKER, "fol", "sdi", "exists", lambda n: _with_child_output(n, TH.top(Domain())),
+        "exists rule: projection must target the last meta-variable"),
+    "forall-input-of-another-family": (
+        DRINKER, "fol", "sdi", "forall",
+        lambda n: dataclasses.replace(n, input=TH.top(OTHER_FAMILY)),
+        "forall rule: domains disagree on meta-variables: (?Z9 sees {}) vs (?X2 sees {})"),
 }
 
 
@@ -469,6 +489,17 @@ def test_reconstruction_reports_an_exists_node_without_exactly_one_child(copies)
     assert ok is False
     assert "exists node has %d children, not 1" % copies in diags
     assert "exists node has %d children, not 1" % copies in check_proof(tree, theory)[1]
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_reconstruction_reports_an_output_of_another_family(calculus):
+    tree, theory = _tampered(DRINKER, "fol", calculus, "or",
+                             lambda n: _with_child_output(n, TH.top(OTHER_FAMILY)))
+    ok, diags = reconstruct_ground(tree, Instantiation(Domain(), ()), theory)
+    assert ok is False
+    # the or node's child, a forall node, fails to read its output
+    assert "forall node: domains disagree on meta-variables: (?X2 sees {}) vs (?Z9 sees {})" \
+        in diags
 
 
 def _preorder(node):
@@ -981,13 +1012,13 @@ def test_implication_chain_is_pinned(calculus, expected, digest):
     prob = parse_problem(CHAIN, name="chain")
     cfg = SearchConfig(calculus=calculus)
     report = run(prob, "fol", cfg, check=True)
-    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(v1_json(report).encode("utf-8")).hexdigest() == digest
     theory = make_theory("fol", prob.signature)
     out = prove(prob.goals, Domain(), theory, cfg)
     s = out.stats
     assert (out.status, s.nodes, s.pulls, s.backtracks, s.rounds) == expected
     nodes = list(out.tree.walk())
-    rendered = list(_json_walk(tree_to_json(out.tree)))
+    rendered = list(_json_walk(expand(tree_to_json(out.tree))))
     assert len(nodes) == len(rendered)
     for node, js in zip(nodes, rendered):
         assert js["context"] == [render_formula(f) for f in node.context]
