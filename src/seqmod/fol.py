@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .terms import (
     BoundVar,
@@ -71,7 +71,6 @@ from .theory import (
     Theory,
     check_metas_compatible,
     dual_pred_pairs,
-    first_ground,
     meet_domain,
 )
 
@@ -340,11 +339,6 @@ class SubstTheory(Theory):
 
     name = "fol"
 
-    def __init__(self, ground_base: Sequence[Term] = ()) -> None:
-        # Closed terms of the uninterpreted sort, used when a witness has to
-        # be invented and no eigenvariable is authorised.
-        self.ground_base = tuple(ground_base)
-
     # -- constraint algebra ------------------------------------------------
 
     def top(self, domain: Domain) -> SubstConstraint:
@@ -402,9 +396,8 @@ class SubstTheory(Theory):
         # against the projection.
         bindings = self._match_all(rho, sigma)
         pattern = subst_term(subst_term(sigma.get(meta), rho.mapping()), bindings)
-        auth = sigma.domain.authorised(meta)
-        fill = {v: first_ground(v.sort, auth, sigma.domain, self.ground_base)
-                for v in term_metas(pattern)}
+        # Every meta-variable left in the image has `meta`'s sort.
+        fill = {v: self.first_ground(sigma.domain, meta) for v in term_metas(pattern)}
         return subst_term(pattern, fill)
 
     def shrink(self, sigma: SubstConstraint) -> Iterator[SubstConstraint]:

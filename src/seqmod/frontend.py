@@ -585,13 +585,12 @@ def _formula_index(f: Formula, positions: dict[int, int], formulas: list) -> int
 
 def make_theory(name: str, sig: Signature, depth: int = 3) -> Theory:
     """The backend called `name` over a signature; `depth` is enum's term ceiling."""
-    ground_base = tuple(FunApp(c, ()) for c in sig.consts)
     if name == "fol":
-        return SubstTheory(ground_base=ground_base)
+        return SubstTheory(sig)
     if name == "enum":
         return GroundEnumTheory(sig, ceiling=depth)
     if name == "lra":
-        return LraTheory(ground_base=ground_base)
+        return LraTheory(sig)
     raise ValueError("unknown theory %r" % (name,))
 
 

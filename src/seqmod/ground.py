@@ -44,10 +44,8 @@ of the stream's family, as `meet_domain` does for a meet's operands;
 see `_trusted` for the argument.
 
 The witness of a meta-variable the constraint leaves unassigned is
-`theory.first_ground` over the signature's constants: the first default
-rational sample, or the first authorised term-sorted eigenvariable, else
-the first constant.  That is the first candidate the leaf stream tries
-for it.
+`Theory.first_ground`, the first term of `ground_candidates`: the first
+candidate the leaf stream tries for it.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from typing import Iterator, Optional, Sequence
 from .terms import (
     BoundVar,
     Domain,
-    FunApp,
     Instantiation,
     Literal,
     MetaVar,
@@ -80,7 +77,6 @@ from .theory import (
     Theory,
     check_metas_compatible,
     complementary_pair,
-    first_ground,
     meet_domain,
 )
 
@@ -239,7 +235,7 @@ class GroundEnumTheory(Theory):
     name = "enum"
 
     def __init__(self, sig: Signature = Signature(), ceiling: int = 3) -> None:
-        self.sig = sig
+        super().__init__(sig)
         self.ceiling = ceiling
         self._memo: dict = {}  # see `_candidates`
         self._leaves: dict = {}  # see `_leaf`
@@ -374,8 +370,7 @@ class GroundEnumTheory(Theory):
         assigned = sigma.get(meta)
         if assigned is not None:
             return assigned
-        return first_ground(meta.sort, sigma.domain.authorised(meta), sigma.domain,
-                            tuple(FunApp(c, ()) for c in self.sig.consts))
+        return self.first_ground(sigma.domain, meta)
 
     def shrink(self, sigma: GroundConstraint) -> Iterator[GroundConstraint]:
         for i in range(len(sigma.entries)):

@@ -65,7 +65,7 @@ from .terms import (
     subst_literal,
     subst_term,
 )
-from .theory import Theory, WitnessUnsupported, first_ground, meet_domain
+from .theory import Theory, WitnessUnsupported, meet_domain
 
 UNIVERSE_DEPTH = 1
 MAX_POOL = 24
@@ -720,8 +720,7 @@ class _FolLiftBindsExtra(SubstTheory):
         lifted = super().lift(sigma, meta)
         if lifted.is_bot:
             return lifted
-        image = first_ground(meta.sort, lifted.domain.authorised(meta), lifted.domain,
-                             self.ground_base)
+        image = self.first_ground(lifted.domain, meta)
         return replace(lifted, entries=lifted.entries + ((meta, image),))
 
 
@@ -748,16 +747,15 @@ class _LraWitnessAlwaysZero(LraTheory):
 def mutants() -> dict:
     """name -> (bench kind, factory, laws expected to flag it)."""
     sig = make_bench("fol").sig
-    fol_base = tuple(FunApp(c, ()) for c in sig.consts)
     return {
         "fol-proj-drops-wrong-entry": (
-            "fol", lambda: _FolProjDropsWrongEntry(ground_base=fol_base),
+            "fol", lambda: _FolProjDropsWrongEntry(sig),
             frozenset(("AX_proj",))),
         "fol-meet-ignores-clash": (
-            "fol", lambda: _FolMeetIgnoresClash(ground_base=fol_base),
+            "fol", lambda: _FolMeetIgnoresClash(sig),
             frozenset(("AX_meet",))),
         "fol-lift-binds-extra": (
-            "fol", lambda: _FolLiftBindsExtra(ground_base=fol_base),
+            "fol", lambda: _FolLiftBindsExtra(sig),
             frozenset(("AX_lift",))),
         "lra-proj-drops-var-atoms": (
             "lra", lambda: _LraProjDropsVarAtoms(),

@@ -60,7 +60,6 @@ from __future__ import annotations
 import copy
 import itertools
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -475,9 +474,9 @@ _RULES = {"leaf": (None, "", 0), "or": (Or, "disjunction", 1), "and": (And, "con
 
 def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
     """Recompute every rule application of a derivation: context bookkeeping
-    (as multisets), domain growth with the freshness of each new variable,
-    constraint threading and outputs, and each leaf's stream replayed to its
-    recorded index.  Returns (ok, diagnostics), never raising on a bad tree.
+    (each premise's context is added + rest, in that order), domain growth
+    with the freshness of each new variable, constraint threading and
+    outputs, and each leaf's stream replayed to its recorded index.  Returns (ok, diagnostics), never raising on a bad tree.
 
     One loop checks the nodes children first, in reverse preorder, so a
     subtree's diagnostics precede its root's.  The order lets the audit
@@ -527,12 +526,9 @@ def check_proof(tree: ProofTree, theory: Theory) -> tuple[bool, list[str]]:
         rest = ctx[:node.principal] + ctx[node.principal + 1:]
         for (name, domain, added, current), child in zip(premises, node.children):
             _expect(child.domain == domain, diags, name + " domain mismatch")
-            # The search builds each premise's context as added + rest, so
-            # comparing tuples settles almost every node; any other order
-            # is still compared as a multiset.
-            got, expected = child.context, added + rest
-            _expect(got == expected or Counter(got) == Counter(expected), diags,
-                    name + " context mismatch")
+            # The search builds each premise's context as added + rest, in
+            # that order, and the flat report relies on it.
+            _expect(child.context == added + rest, diags, name + " context mismatch")
             _expect(child.input == current, diags, name + " input mismatch")
         _expect(out is not None and node.output == out, diags, node.rule + " output mismatch")
     return not diags, diags

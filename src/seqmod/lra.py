@@ -13,8 +13,8 @@ literals, and conjoins each with the input.  Compatibility and leaf
 validity evaluate every eigenvariable at the module constant
 EIGEN_VALUE (0), since witness terms are rational constants, not
 symbolic expressions.  A meta-variable of the uninterpreted sort is
-never constrained here; its witness is the first authorised
-eigenvariable of that sort, else the first constant.
+never constrained here; its witness is the default one, the first
+authorised eigenvariable of that sort, else the first constant.
 
 An `LraTheory` computes each of these values once, in dicts it creates
 in `__init__`: the leaf candidate of each literal and dual predicate
@@ -27,7 +27,9 @@ carried from one run to the next.  The `--check` audit shares
 the search's instance, and so its tables, without taking on any of the
 search's assumptions: each entry is the output of a pure function of its
 key, so the audit gets exactly what computing the value again would
-give.  Each atom also renders its text once.
+give.  Each atom also renders its text once.  `meet` and the leaf
+stream decide satisfiability by calling `satisfiable`, so a wrapper on
+it sees every decision.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .terms import (
     ArithAtom,
@@ -48,6 +50,7 @@ from .terms import (
     PredAtom,
     RatConst,
     SORT_RAT,
+    Signature,
     Term,
     ZERO,
     as_fraction,
@@ -65,7 +68,6 @@ from .theory import (
     check_metas_compatible,
     complementary_pair,
     dual_pred_pairs,
-    first_ground,
     meet_domain,
 )
 
@@ -336,10 +338,8 @@ class LraTheory(Theory):
 
     name = "lra"
 
-    def __init__(self, ground_base: Sequence[Term] = ()) -> None:
-        # Closed terms of the uninterpreted sort, for the witness of a
-        # meta-variable this backend never constrains.
-        self.ground_base = tuple(ground_base)
+    def __init__(self, sig: Signature = Signature()) -> None:
+        super().__init__(sig)
         # Values computed once for the life of this instance; see the
         # module docstring.
         self._candidates: dict[tuple[Literal, ...], Optional[Candidate]] = {}
@@ -364,16 +364,6 @@ class LraTheory(Theory):
             s = ns
         return normalize_system(s) is not None
 
-    def _sat(self, sigma: PolyConstraint) -> bool:
-        """`satisfiable` for this backend's own calls; decides each system once."""
-        for s in sigma.disjuncts:
-            out = self._decided.get(s)
-            if out is None:
-                out = self._decided[s] = self._system_sat(s)
-            if out:
-                return True
-        return False
-
     # -- constraint algebra ------------------------------------------------
 
     def top(self, domain: Domain) -> PolyConstraint:
@@ -385,7 +375,7 @@ class LraTheory(Theory):
 
     def meet(self, a: PolyConstraint, b: PolyConstraint) -> Optional[PolyConstraint]:
         out = _conjoin(a, b)
-        return out if self._sat(out) else None
+        return out if self.satisfiable(out) else None
 
     def consistency(self, lits: tuple[Literal, ...], domain: Domain) -> ConstraintStream:
         """Stream of leaf closures, each candidate built when a pull
@@ -393,7 +383,7 @@ class LraTheory(Theory):
         single arithmetic literals.  A negated equality raises
         PreconditionError by the pull that reaches it at the latest."""
         lits = tuple(lits)
-        memo, sat = self._candidates, self._sat
+        memo = self._candidates
 
         def outputs(current: PolyConstraint):
             arith = [(l,) for l in lits if isinstance(l.atom, ArithAtom)]
@@ -405,7 +395,7 @@ class LraTheory(Theory):
                     continue
                 used, system = cand
                 out = _conjoin(current, PolyConstraint(current.domain, (system,)))
-                if sat(out):
+                if self.satisfiable(out):
                     yield used, out
 
         return ConstraintStream(outputs)
@@ -414,8 +404,15 @@ class LraTheory(Theory):
 
     def satisfiable(self, sigma: PolyConstraint) -> bool:
         """Native satisfiability: some rational assignment to every variable
-        (meta and eigen alike) satisfies some disjunct."""
-        return self._sat(sigma)
+        (meta and eigen alike) satisfies some disjunct.  Decides each
+        system once."""
+        for s in sigma.disjuncts:
+            out = self._decided.get(s)
+            if out is None:
+                out = self._decided[s] = self._system_sat(s)
+            if out:
+                return True
+        return False
 
     def _assignment(self, rho: Instantiation, vars_needed: Iterable[Term]) -> dict[Term, Fraction]:
         out: dict[Term, Fraction] = {}
@@ -442,8 +439,7 @@ class LraTheory(Theory):
     def witness_payload(self, sigma: PolyConstraint, meta: MetaVar,
                         rho: Instantiation) -> Term:
         if meta.sort != SORT_RAT:
-            return first_ground(meta.sort, sigma.domain.authorised(meta), sigma.domain,
-                                self.ground_base)
+            return self.first_ground(sigma.domain, meta)
         for s in sigma.disjuncts:
             value = self._witness_in_system(s, meta, rho)
             if value is not None:

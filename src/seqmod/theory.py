@@ -23,10 +23,13 @@ operands and picks the result's domain.  Each backend's `compatible`
 calls `check_metas_compatible` itself.  The `fol` and `lra` leaf
 streams build their outputs at the input's domain and never read their
 `domain` argument; `enum`'s checks the input's family against it.
-A backend implements `top`, `meet`, `consistency`, `satisfiable`,
-`compatible` and the two payload hooks; `ground_valid` (default: a
-complementary pair) and `shrink` are optional.  Constraints are shown
-with `str`.
+A backend is built from the problem's `Signature`, kept as `sig`, and
+implements `top`, `meet`, `consistency`, `satisfiable`, `compatible`
+and the two payload hooks; `ground_valid` (default: a complementary
+pair) and `shrink` are optional.  `first_ground(domain, meta)`, the
+first term `ground_candidates` gives a meta-variable, is the default
+witness a payload hook falls back on.  Constraints are shown with
+`str`.
 
 Every backend's leaf stream is one `ConstraintStream` over a backend
 generator `outputs(current)`, which yields the leaf's closures under
@@ -37,20 +40,17 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .terms import (
-    DEFAULT_RATIONAL_SAMPLES,
     Domain,
-    EigenVar,
     Instantiation,
     Literal,
     MetaVar,
     PredAtom,
-    RatConst,
-    SORT_RAT,
-    SORT_TERM,
+    Signature,
     Term,
+    ground_candidates,
 )
 
 
@@ -148,25 +148,6 @@ def rehouse(sigma, domain: Domain):
     return dataclasses.replace(sigma, domain=domain)
 
 
-def first_ground(sort: str, auth: frozenset[EigenVar], domain: Domain,
-                 ground_base: Sequence[Term]) -> Term:
-    """A closed term of `sort` to invent a witness with.
-
-    A rational is the first default sample.  A term of the uninterpreted
-    sort is the first eigenvariable of the domain in `auth`, else the
-    first such term of `ground_base` (the problem's constants).
-    """
-    if sort == SORT_RAT:
-        return RatConst(DEFAULT_RATIONAL_SAMPLES[0])
-    for e in domain.eigens:
-        if e in auth and e.sort == SORT_TERM:
-            return e
-    for t in ground_base:
-        if t.sort == SORT_TERM:
-            return t
-    raise WitnessUnsupported("no authorised ground term of the uninterpreted sort")
-
-
 def complementary_pair(lits) -> Optional[tuple[Literal, Literal]]:
     """First pair of syntactically complementary literals, context order."""
     lits = tuple(lits)
@@ -202,6 +183,9 @@ class Theory(ABC):
     """Abstract backend; see the module docstring for the operation set."""
 
     name: str = "abstract"
+
+    def __init__(self, sig: Signature = Signature()) -> None:
+        self.sig = sig
 
     @abstractmethod
     def top(self, domain: Domain):
@@ -253,6 +237,14 @@ class Theory(ABC):
     def witness_payload(self, sigma, meta: MetaVar, rho: Instantiation) -> Term:
         """witness once its precondition holds; `meta` is the last meta."""
         raise NotImplementedError
+
+    def first_ground(self, domain: Domain, meta: MetaVar) -> Term:
+        """The default witness of `meta`: the first term `ground_candidates`
+        gives it, the first default rational sample, or the first authorised
+        eigenvariable of the uninterpreted sort, else the first constant."""
+        for term, _ in ground_candidates(self.sig, domain, meta, 0):
+            return term
+        raise WitnessUnsupported("no authorised ground term of the uninterpreted sort")
 
     def ground_valid(self, lits: tuple[Literal, ...]) -> bool:
         """Ground-leaf validity used by proof reconstruction: a

@@ -55,3 +55,28 @@ def _orphans(src):
 
 def test_every_definition_has_a_caller():
     assert _orphans(SRC) == []
+
+
+def _unused_imports(src):
+    """`module:line: name` for each name a module other than `__init__.py`
+    imports but never reads; `from __future__` imports are exempt."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append("%s:%d: %s" % (path.name, node.lineno, name))
+    return out
+
+
+def test_every_import_is_read():
+    assert _unused_imports(SRC) == []

@@ -24,6 +24,7 @@ from seqmod.terms import (
     RatConst,
     SORT_RAT,
     SORT_TERM,
+    Signature,
     lin_combine,
     mk_lin,
     subst_term,
@@ -223,7 +224,7 @@ def test_meet_tolerates_trailing_eigens():
 # the theory interface
 
 
-TH = SubstTheory(ground_base=(a,))
+TH = SubstTheory(Signature(consts=("a",)))
 
 
 def test_project_erases_the_last_meta():
@@ -278,7 +279,7 @@ def test_witness_reads_the_binding():
     assert TH.witness(sigma, rho) == f(a)
 
 
-def test_witness_falls_back_to_ground_base():
+def test_witness_falls_back_to_the_first_constant():
     d = dom(M("X"))
     rho = Instantiation(Domain(), ())
     assert TH.witness(TH.top(d), rho) == a

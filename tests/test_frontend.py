@@ -801,9 +801,7 @@ class _NonGroundLeaf(SubstTheory):
 def test_check_reports_a_broken_backend_as_a_failed_audit(monkeypatch, broken, diagnostic):
     # A backend that breaks its contract fails the --check audit: not a
     # crash (exit 4), and not bad input (exit 2).
-    make = frontend.make_theory
-    monkeypatch.setattr(frontend, "make_theory",
-                        lambda name, sig, depth=3: broken(make(name, sig, depth).ground_base))
+    monkeypatch.setattr(frontend, "make_theory", lambda name, sig, depth=3: broken(sig))
     code, out, err = cli("prove", str(PROBLEMS / "fol_drinker.prob"), "--check")
     assert code == 0
     assert "reconstruction: FAILED" in out

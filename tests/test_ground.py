@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from seqmod.fol import SubstTheory
 from seqmod.ground import (
     _MAX_ASSIGNMENTS,
     GroundConstraint,
@@ -12,6 +13,7 @@ from seqmod.ground import (
     _walk,
     _within_cap,
 )
+from seqmod.lra import LraTheory
 from seqmod.terms import (
     ArithAtom,
     Domain,
@@ -645,17 +647,19 @@ _RE = EigenVar("r", SORT_RAT)
     (_R, _RE),
 ])
 def test_witness_default_agrees_with_the_first_enumerated_term(decls):
+    # Every backend's witness under `top` is its default witness.
     # Reference: the first term enumerate_ground_terms gives the meta at
-    # the theory's ceiling; no term at all means no witness.
+    # enum's ceiling (the first term is the same at every ceiling); no
+    # term at all means no witness.
     d = dom(*decls)
     meta = d.last_meta()
     rho = Instantiation.empty(d.drop_meta(meta))
     for sig in _WITNESS_SIGS:
-        for ceiling in range(4):
-            theory = GroundEnumTheory(sig, ceiling=ceiling)
-            terms = enumerate_ground_terms(sig, d, meta, ceiling)
+        backends = [GroundEnumTheory(sig, ceiling=c) for c in range(4)]
+        for theory in backends + [SubstTheory(sig), LraTheory(sig)]:
+            terms = enumerate_ground_terms(sig, d, meta, getattr(theory, "ceiling", 0))
             if terms:
-                assert theory.witness(theory.top(d), rho) == terms[0], (sig, ceiling)
+                assert theory.witness(theory.top(d), rho) == terms[0], (sig, theory.name)
             else:
                 with pytest.raises(WitnessUnsupported):
                     theory.witness(theory.top(d), rho)

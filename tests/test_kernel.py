@@ -54,7 +54,7 @@ a = FunApp("a", ())
 x = BoundVar("x", SORT_TERM)
 y = BoundVar("y", SORT_TERM)
 
-TH = SubstTheory(ground_base=(a,))
+TH = SubstTheory(Signature(consts=("a",)))
 ROOT = Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "src" / "seqmod" / "problems"
 
@@ -356,9 +356,9 @@ def test_context_multiset_check_tells_formulas_apart(calc):
 
 
 @pytest.mark.parametrize("calculus", ["di", "sdi"])
-def test_a_permuted_child_context_is_accepted(calculus):
-    # Contexts are multisets: a premise listing its formulas in another
-    # order than the search's (added + rest) passes the audit.
+def test_a_permuted_child_context_is_rejected(calculus):
+    # A premise lists its formulas in the search's order, added + rest;
+    # the flat report relies on it, so any other order fails the audit.
     text = "(declare-pred p 0) (declare-pred q 0) (goal (or q (or p (not p))))"
     tree, theory = _tampered(text, "fol", calculus, "or", lambda n: n)
     child = tree.children[0]
@@ -366,7 +366,9 @@ def test_a_permuted_child_context_is_accepted(calculus):
     assert permuted != child.context
     child = dataclasses.replace(child, context=permuted,
                                 principal=len(permuted) - 1 - child.principal)
-    assert check_proof(dataclasses.replace(tree, children=(child,)), theory) == (True, [])
+    ok, diags = check_proof(dataclasses.replace(tree, children=(child,)), theory)
+    assert not ok
+    assert "or child context mismatch" in diags
 
 
 FORALL_CONJ = (ROOT / "src" / "seqmod" / "problems" / "fol_forall_conj.prob").read_text()

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmod.frontend import parse_problem, run
 from seqmod import lra
-from seqmod.kernel import SearchConfig
+from seqmod.kernel import SearchConfig, prove
 from seqmod.lra import (
     LinAtom,
     LraTheory,
@@ -263,6 +264,47 @@ def test_term_sorted_witness_is_an_authorised_eigenvariable_or_a_constant(
     assert report.outcome == "proved"
     assert report.witnesses == witnesses
     assert report.check["proof"] and report.check["reconstruction"]
+
+
+EXISTS_BETWEEN = (Path(__file__).resolve().parents[1] / "src" / "seqmod" / "problems"
+                  / "lra_exists_between.prob").read_text()
+
+
+@pytest.mark.parametrize("calculus", ["di", "sdi"])
+def test_the_search_decides_satisfiability_through_satisfiable(calculus):
+    # `meet` and the leaf stream call the public `satisfiable`, so a
+    # wrapper on one instance counts every decision, each nested in the
+    # operation that made it.  Only di meets constraints in this proof.
+    prob = parse_problem(EXISTS_BETWEEN)
+    theory = LraTheory(prob.signature)
+    where, calls = [], []
+    satisfiable, meet, consistency = theory.satisfiable, theory.meet, theory.consistency
+
+    def within(name, fn):
+        def wrapped(*args):
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        return wrapped
+
+    def counted_consistency(lits, domain):
+        stream = consistency(lits, domain)
+        stream.pull = within("pull", stream.pull)
+        return stream
+
+    def counted_satisfiable(sigma):
+        calls.append(where[-1] if where else None)
+        return satisfiable(sigma)
+
+    theory.satisfiable = counted_satisfiable
+    theory.meet = within("meet", meet)
+    theory.consistency = counted_consistency
+    assert prove(prob.goals, Domain(), theory, SearchConfig(calculus=calculus)).status == "proved"
+    assert None not in calls
+    assert "pull" in calls
+    assert ("meet" in calls) == (calculus == "di")
 
 
 def test_witness_tie_between_bounds_is_strict_when_any_tied_bound_is():
