@@ -6,6 +6,10 @@ with OP among <=, <, =.  Conjunction distributes over the disjuncts,
 projection is Fourier-Motzkin elimination per disjunct (equalities are
 expanded into a pair of bounds only while eliminating; they are stored
 as equalities), and satisfiability eliminates every variable.
+Elimination and atom evaluation compute on the integer numerators and
+denominators of the coefficients, not with `Fraction` operators; every
+coefficient they store is still the canonical `Fraction`, so memo keys
+and rendering are what rational arithmetic would give.
 
 The leaf stream proposes lazily, in context order, equality systems
 from opposite-polarity predicate pairs, then single arithmetic
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .terms import (
@@ -52,7 +57,6 @@ from .terms import (
     SORT_RAT,
     Signature,
     Term,
-    ZERO,
     as_fraction,
     hash_once,
     lin_combine,
@@ -241,24 +245,63 @@ def _split(atoms: Iterable[LinAtom], var: Term) -> tuple[list[LinAtom], list[Bou
     return keep, lowers, uppers
 
 
+def _integer_row(atom: LinAtom, c: Fraction) -> tuple[list[tuple[Term, int]], int, int, bool]:
+    """`atom` times the lcm of its denominators: its integer coefficients,
+    its integer constant, what its coefficient `c` becomes, and whether
+    it is strict."""
+    const = atom.const
+    scale = lcm(const.denominator, *(cc.denominator for _, cc in atom.coeffs))
+    return ([(v, cc.numerator * (scale // cc.denominator)) for v, cc in atom.coeffs],
+            const.numerator * (scale // const.denominator),
+            c.numerator * (scale // c.denominator), atom.op == "<")
+
+
 def eliminate_var_system(atoms: System, var: Term) -> Optional[System]:
     """Existentially eliminate one variable from a conjunctive system.
 
+    A lower row `a*X + r + k OP 0` and an upper row `b*X + r' + k' OP' 0`
+    combine into `-(r + k)/a + (r' + k')/b OP'' 0`: the lower bound they
+    put on X lies below the upper one.  Each row is first scaled to
+    integers, which leaves that sum unchanged, so each coefficient is one
+    `Fraction` of an integer numerator over the scaled `a*b`.  X's own
+    coefficient cancels to 0 and is dropped with every other 0.  Each
+    atom is the one `make_atom` would give.
+
     Returns None when the elimination exposes a contradiction.
     """
-    keep, lowers, uppers = _split(atoms, var)
+    keep: list[LinAtom] = []
+    lowers: list[tuple[LinAtom, Fraction]] = []
+    uppers: list[tuple[LinAtom, Fraction]] = []
+    for atom in atoms:
+        for v, c in atom.coeffs:
+            if v == var:
+                break
+        else:
+            keep.append(atom)
+            continue
+        # An equality is both a lower and an upper bound.
+        if atom.op == "=" or c.numerator < 0:
+            lowers.append((atom, c))
+        if atom.op == "=" or c.numerator > 0:
+            uppers.append((atom, c))
     out = set(keep)
-    for lo_c, lo_k, lo_s in lowers:
-        for hi_c, hi_k, hi_s in uppers:
-            coeffs = dict(lo_c)
-            for v, c in hi_c:
-                coeffs[v] = coeffs.get(v, ZERO) - c
-            atom = make_atom("<" if (lo_s or hi_s) else "<=", coeffs, lo_k - hi_k)
-            t = _const_truth(atom)
-            if t is False:
-                return None
-            if t is None:
-                out.add(atom)
+    if lowers and uppers:
+        his = [_integer_row(atom, c) for atom, c in uppers]
+        for atom, c in lowers:
+            lo, lo_k, a, lo_strict = _integer_row(atom, c)
+            for hi, hi_k, b, hi_strict in his:
+                num = {v: -n * b for v, n in lo}
+                for v, n in hi:
+                    num[v] = num.get(v, 0) + n * a
+                den = a * b
+                k = hi_k * a - lo_k * b
+                op = "<" if (lo_strict or hi_strict) else "<="
+                coeffs = tuple((v, Fraction(num[v], den))
+                               for v in sorted(num, key=var_key) if num[v])
+                if coeffs:
+                    out.add(LinAtom(op, coeffs, Fraction(k, den)))
+                elif not _holds(op, k if den > 0 else -k):
+                    return None
     if len(out) > MAX_ATOMS:
         raise ResourceLimit("elimination exceeds %d atoms" % MAX_ATOMS)
     return normalize_system(out)
@@ -321,7 +364,16 @@ def _eval_term(t: Term) -> Fraction:
 
 
 def _eval_atom(atom: LinAtom, assignment: Mapping[Term, Fraction]) -> bool:
-    return _holds(atom.op, _value(atom.coeffs, atom.const, assignment))
+    """The truth of `atom` at `assignment`: the sign of the integer
+    numerator of its value over a positive common denominator."""
+    num, den = atom.const.numerator, atom.const.denominator
+    for v, c in atom.coeffs:
+        x = assignment[v]
+        if x:
+            q = c.denominator * x.denominator
+            num = num * q + c.numerator * x.numerator * den
+            den *= q
+    return _holds(atom.op, num)
 
 
 def _tightest(bounds: list[tuple[Fraction, bool]], pick) -> tuple[Optional[Fraction], bool]:

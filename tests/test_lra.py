@@ -1,6 +1,7 @@
 """Linear rational arithmetic backend: atoms, elimination, witnesses."""
 
 import dataclasses
+import hashlib
 import itertools
 from fractions import Fraction
 from pathlib import Path
@@ -135,6 +136,25 @@ def test_eliminate_var_equality_substitutes():
     assert out == frozenset({make_atom("<=", {M("Y"): Q(-1)}, Q(3))})
 
 
+def test_eliminate_var_drops_a_coefficient_that_cancels():
+    # -Y <= X and X <= Z - Y gives 0 <= Z: Y's coefficients cancel exactly
+    X, Y, Z = M("X"), M("Y"), M("Z")
+    s = frozenset({make_atom("<=", {X: Q(-1), Y: Q(-1)}, Q(0)),
+                   make_atom("<=", {X: Q(1), Y: Q(1), Z: Q(-1)}, Q(0))})
+    out = eliminate_var_system(s, X)
+    assert out == _fraction_eliminate(s, X) == frozenset({make_atom("<=", {Z: Q(-1)}, Q(0))})
+    assert [v for v, _ in next(iter(out)).coeffs] == [Z]
+
+
+def test_eliminate_var_decides_a_constant_pair():
+    # X/3 - 1/6 <= 0 and 1 - 3X/2 < 0, i.e. 2/3 < X <= 1/2: no variable is
+    # left, and the constant is a contradiction
+    s = frozenset({make_atom("<=", {M("X"): Q(1, 3)}, Q(-1, 6)),
+                   make_atom("<", {M("X"): Q(-3, 2)}, Q(1))})
+    assert eliminate_var_system(s, M("X")) is None
+    assert _fraction_eliminate(s, M("X")) is None
+
+
 def is_true(sigma):
     """Some disjunct of the constraint is the empty system."""
     return any(not s for s in sigma.disjuncts)
@@ -218,6 +238,18 @@ def test_compatible_uses_the_eigen_valuation():
     sigma = make_poly(d, [(make_atom("<=", {M("X"): Q(1), ex: Q(-1)}, Q(0)),)])
     assert TH.compatible(point(d, -1), sigma)
     assert not TH.compatible(point(d, 1), sigma)
+
+
+@pytest.mark.parametrize("op, lhs, rhs, value, holds", [
+    ("<", R(0), M("X"), 0, False),
+    ("<", R(0), M("X"), Q(1, 2), True),
+    ("<=", M("X"), R(0), 0, True),
+    ("=", lin_combine((Q(3), M("X")), (Q(-1), R(1))), R(0), Q(1, 3), True),
+], ids=["lt-at-0", "lt-at-half", "le-at-0", "eq-at-third"])
+def test_compatible_at_the_boundary(op, lhs, rhs, value, holds):
+    d = dom(M("X"))
+    sigma = make_poly(d, [(atom_from_terms(op, lhs, rhs),)])
+    assert TH.compatible(point(d, value), sigma) is holds
 
 
 def test_witness_midpoint_of_a_band():
@@ -427,16 +459,65 @@ def test_negated_equality_is_true_unless_equal():
 
 
 small = st.integers(-4, 4)
+rational = st.fractions(-4, 4, max_denominator=6)
 
 
-def sys_strategy(vars_):
+def sys_strategy(vars_, coeff=small):
     atom = st.builds(
         lambda cs, c, op: make_atom(op, dict(zip(vars_, map(Q, cs))), Q(c)),
-        st.lists(small, min_size=len(vars_), max_size=len(vars_)),
-        small,
+        st.lists(coeff, min_size=len(vars_), max_size=len(vars_)),
+        coeff,
         st.sampled_from(["<=", "<", "="]),
     )
     return st.lists(atom, min_size=1, max_size=4)
+
+
+def _fraction_eliminate(atoms, var):
+    """eliminate_var_system on `Fraction` operators: the reference the
+    integer elimination must match atom for atom."""
+    keep, lowers, uppers = lra._split(atoms, var)
+    out = set(keep)
+    for lo_c, lo_k, lo_s in lowers:
+        for hi_c, hi_k, hi_s in uppers:
+            coeffs = dict(lo_c)
+            for v, c in hi_c:
+                coeffs[v] = coeffs.get(v, Q(0)) - c
+            atom = make_atom("<" if (lo_s or hi_s) else "<=", coeffs, lo_k - hi_k)
+            t = lra._const_truth(atom)
+            if t is False:
+                return None
+            if t is None:
+                out.add(atom)
+    return normalize_system(out)
+
+
+MIXED = [M("X"), E("e"), M("Y")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sys_strategy(MIXED), sys_strategy(MIXED, rational)), st.permutations(MIXED))
+def test_integer_elimination_is_fraction_elimination(atoms, order):
+    s = ref = frozenset(atoms)
+    for var in order:
+        s, ref = eliminate_var_system(s, var), _fraction_eliminate(ref, var)
+        assert (s is None) == (ref is None)
+        if s is None:
+            return
+        assert s == ref
+        rendered = {a: str(a) for a in ref}
+        for a in s:
+            assert str(a) == rendered[a]
+            assert type(a.const) is Fraction
+            assert all(type(c) is Fraction for _, c in a.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sys_strategy(MIXED, rational),
+       st.lists(st.one_of(st.just(Q(0)), rational), min_size=3, max_size=3))
+def test_sign_evaluation_is_fraction_evaluation(atoms, values):
+    env = dict(zip(MIXED, values))
+    for a in atoms:
+        assert lra._eval_atom(a, env) == lra._holds(a.op, lra._value(a.coeffs, a.const, env))
 
 
 @settings(max_examples=60, deadline=None)
@@ -583,6 +664,42 @@ def test_a_size_cap_raises_on_every_call_that_exceeds_it(monkeypatch):
             th.satisfiable(sigma)
         with pytest.raises(ResourceLimit):
             LraTheory().project(sigma, Y)
+
+
+def _strict_chain(n):
+    # 0 < x0 < x1 < ... < x(n-1) < 1, atoms in natural order
+    atoms = (["(< 0 x0)"] + ["(< x%d x%d)" % (i, i + 1) for i in range(n - 1)]
+             + ["(< x%d 1)" % (n - 1)])
+    binders = " ".join("(x%d rat)" % i for i in range(n))
+    return "(goal (exists (%s) (and %s)))\n" % (binders, " ".join(atoms))
+
+
+# sha256 of each report's `to_json()`, recorded before elimination and
+# atom evaluation moved to integer numerators.
+STRICT_CHAIN_DIGESTS = {
+    (2, "di"): "37860a643460f30ee6eacfd63b586a1bcd203c0792d82cd18930e9f7ff74ee8a",
+    (2, "sdi"): "4aebc76777a46d1889c408a2d0660a14351faa919d147328e6f92bccfe43c46a",
+    (3, "di"): "071f13531d761b7f0918e3f1909fa311251488fecf05c5f4f01f25d3fe757a44",
+    (3, "sdi"): "c60428514afae22a10d79cd23096dcd480566b62873f3ff9296fa3f434a8734f",
+    (4, "di"): "eab0e2b8b69fd2121e2a6d8371e11cc0be260ba29f25061b9cc377d0800362c5",
+    (4, "sdi"): "8f72fff754272a0976d1b16dc5743a6ea986aa3fed8c275547501096114d2af3",
+    (5, "di"): "3f325b0bd7b5457ad12a3b888d80e98ec6da8174874c74bfc2671f2d4fe18730",
+    (5, "sdi"): "514e8e0a2385bb55262ed4ef1aab73f158b9978f780dc93a388778df05851749",
+    (6, "di"): "1df105a11b49f75f08faa34411c9bcbfa775187bd0ea74a487cd74caabbfb91d",
+    (6, "sdi"): "b6cdf277f4276068e75d23f92a0dc88207cfe359e59423c8be6c31ad53b93cbc",
+    (7, "di"): "7ffb9db1c516ee4f510dd8c13a53d82ac9b9ff7938faa05a35c6eb602de12fdc",
+    (7, "sdi"): "9870cefa606bb0a64968168f5cd8ac608eff589b1ba084a4364ae15dbdb708e2",
+}
+
+
+@pytest.mark.parametrize("n, calculus", sorted(STRICT_CHAIN_DIGESTS),
+                         ids=["%d-%s" % key for key in sorted(STRICT_CHAIN_DIGESTS)])
+def test_strict_chain_is_pinned(n, calculus):
+    prob = parse_problem(_strict_chain(n), name="strict_chain_n%d" % n)
+    report = run(prob, "lra", SearchConfig(calculus=calculus), check=True)
+    assert report.outcome == "proved"
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == STRICT_CHAIN_DIGESTS[n, calculus]
 
 
 def test_an_atom_renders_its_text_once():
