@@ -11,8 +11,9 @@ budget or a backend's size cap), 4 internal error (any other exception
 during search or audit).  Neither the --check audit nor --output json
 causes "input nested too deeply": both take a proof of any depth the
 search reaches.
-Conformance exits 0 when every law holds, 1 otherwise, and 2 on a bad
-option.  A reader that closes stdout early leaves either exit code
+Conformance exits 0 when every law holds, 1 when one fails, 2 on a bad
+option and 4 on an internal error (any exception while checking or
+reporting).  A reader that closes stdout early leaves either exit code
 unchanged.
 Set SEQMOD_LOG=debug (or info, warning) for progress logging on stderr.
 """
@@ -107,6 +108,12 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _internal_error(exc: Exception) -> int:
+    message = " ".join(str(exc).split())
+    print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
@@ -143,9 +150,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a crash must not look like bad input or "exhausted"
-        message = " ".join(str(exc).split())
-        print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(exc)
     _print(text)
     if report.check is not None and not (
             report.check["proof"] and report.check["reconstruction"]):
@@ -160,8 +165,12 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from . import harness  # here, so that a prove run does not load it
 
-    result = harness.run_conformance(args.theory, cases=args.cases, seed=args.seed)
-    _print(harness.report_json(result) if args.output == "json" else harness.report_text(result))
+    try:
+        result = harness.run_conformance(args.theory, cases=args.cases, seed=args.seed)
+        text = harness.report_json(result) if args.output == "json" else harness.report_text(result)
+    except Exception as exc:  # a crash must not look like a failed law
+        return _internal_error(exc)
+    _print(text)
     return 0 if result.ok else 1
 
 

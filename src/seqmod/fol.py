@@ -14,9 +14,10 @@ image.  Unification looks only at the top of each side through the
 bindings; a new image is resolved once, so the checks above see it as
 an idempotent substitution would, and `mgu` resolves each image once
 more when it builds the constraint, which therefore stays idempotent.
-Two closed terms (no variables at all) unify iff they are equal, so two
-applications that are both closed are decided by their cached hashes
-and equality, not by descending into their arguments.
+Two closed terms (no variables at all) unify iff they are equal.
+Variables and applications are interned (see `terms`), so two
+applications that are both closed are decided by identity, not by
+descending into their arguments.
 
 A leaf closure or a meet extends a constraint that is already solved,
 so `_extend` takes it as a seed: its entries are the starting substitution
@@ -182,14 +183,14 @@ def _unify(domain: Domain, subst: dict[MetaVar, Term], a: Term, b: Term) -> None
         # constant, so linear terms are compared fully resolved.
         a = _resolve(a, subst)
         b = _resolve(b, subst)
-    # Hashes are cached, so terms that differ are told apart without
-    # comparing the common part above the difference at every level.
-    if a is b or (hash(a) == hash(b) and a == b):
+    # Variables and applications are interned, so equal ones are one
+    # object; equal rational terms are left to `_unify_rational`.
+    if a is b:
         return
     kind_a, kind_b = type(a), type(b)
     if kind_a is FunApp and kind_b is FunApp:
-        # Two closed applications unify iff they are equal, and these
-        # are not.
+        # Two closed applications unify iff they are the same object,
+        # and these are not.
         if (a.symbol != b.symbol or len(a.args) != len(b.args)
                 or not (term_vars(a) or term_vars(b))):
             raise _Clash

@@ -20,20 +20,31 @@ terms built from the eigenvariables declared before it.
 All of these values are immutable by contract: no code changes a field
 after construction.  They are plain, not frozen, dataclasses: a frozen
 dataclass's `__init__` sets each field through a call to `object`'s
-attribute setter, which about doubles the cost of building one.  A test
-checks, over the proofs of the corpus, that every value still hashes
-as its fields do.  Each value caches its hash on first use
-(`hash_once`), a FunApp also its variable set (`term_vars`) and its
+attribute setter, which about doubles the cost of building one.
+
+Variables (BoundVar, EigenVar, MetaVar) and applications (FunApp) are
+interned (hash-consed): building one with the fields of a live one
+returns that object, so equal ones are one object, and `==` and `hash`
+are `object`'s, by identity.  Unification, matching and enumeration key
+dicts and sets by them and compare them all the time.  Their hashes
+follow memory addresses, which no hash seed fixes, so no output may
+depend on the iteration order of a set or dict of them.  Every other
+value (RatConst, LinTerm, atoms, literals, formulas, Domain) compares
+by value and caches its hash on first use (`hash_once`); a test checks,
+over the proofs of the corpus, that each still hashes as its fields do.
+A FunApp also caches its variable set (`term_vars`) and its
 meta-variables and eigenvariables (`term_metas`, `term_eigens`), and a
 Domain its lookups.  The caches are plain attributes, not fields, and
-hold per-process values, such as string hashes; nothing in seqmod
-pickles these objects.
+hold per-process values, such as string hashes and addresses; `copy`,
+`deepcopy` and `pickle` rebuild an interned value through its
+constructor and so return the live instance.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
@@ -68,6 +79,15 @@ class SortError(ValueError):
 def hash_once(cls):
     """Class decorator: an immutable dataclass whose instances hash once.
 
+    For the values that compare by value: every class here except the
+    interned variables and applications, which hash by identity.  Those
+    four are what unification and enumeration hash and compare on every
+    step, so a table lookup per construction pays for itself there.
+    Rational constants and linear terms stay values because `lra`
+    computes them by `Fraction` arithmetic; atoms, literals, formulas,
+    domains and constraints are not interned yet, so each caches the
+    hash of its fields instead.
+
     A plain `@dataclass` with equality is unhashable, and a frozen one's
     generated `__hash__` hashes the tuple of the fields on every call,
     and so the whole tree below a node.  This `__hash__` computes the
@@ -95,40 +115,105 @@ def hash_once(cls):
 
 
 # ---------------------------------------------------------------------------
+# Interning
+
+# The live instances of the interned classes, keyed by class and fields.
+# The table holds weak references, so it keeps no term alive.  An entry
+# whose term has died is overwritten when its key is built again, and
+# dead entries are dropped in sweeps, amortised over the insertions:
+# after every _YOUNG insertions the newest _YOUNG entries are swept, as
+# most terms die young, and the whole table once it has doubled since
+# its last whole sweep.  Being module state, the table dies with the
+# module on a re-import.
+_interned: dict[tuple, weakref.ref] = {}
+_YOUNG = 4096
+_young_left = _YOUNG
+_sweep_at = 2 * _YOUNG
+
+
+def _sweep(newest: Optional[int]) -> None:
+    """Drop the dead entries among the `newest` latest ones, or all."""
+    entries = reversed(_interned.items())
+    if newest is not None:
+        entries = itertools.islice(entries, newest)
+    for key in [key for key, ref in entries if ref() is None]:
+        del _interned[key]
+
+
+def _register(key: tuple, term):
+    global _young_left, _sweep_at
+    _interned[key] = weakref.ref(term)
+    _young_left -= 1
+    if not _young_left:
+        _young_left = _YOUNG
+        if len(_interned) < _sweep_at:
+            _sweep(_YOUNG)
+        else:
+            _sweep(None)
+            _sweep_at = max(2 * len(_interned), 2 * _YOUNG)
+    return term
+
+
+def _new_var(cls, name: str, sort: str = SORT_TERM):
+    key = (cls, name, sort)
+    ref = _interned.get(key)
+    if ref is not None:
+        v = ref()
+        if v is not None:
+            return v
+    v = object.__new__(cls)
+    v.name = name
+    v.sort = sort
+    return _register(key, v)
+
+
+def _reduce_var(v):
+    # copy, deepcopy and pickle rebuild through the constructor, so
+    # they return the interned instance.
+    return type(v), (v.name, v.sort)
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@hash_once
-@dataclass
+@dataclass(eq=False, init=False)
 class BoundVar:
     """Occurrence of a quantified variable inside its binder's body."""
 
     name: str
     sort: str = SORT_TERM
 
+    __new__ = _new_var
+    __reduce__ = _reduce_var
+
     def __str__(self) -> str:
         return self.name
 
 
-@hash_once
-@dataclass
+@dataclass(eq=False, init=False)
 class EigenVar:
     """Rigid variable: a problem constant or a universally bound witness."""
 
     name: str
     sort: str = SORT_TERM
 
+    __new__ = _new_var
+    __reduce__ = _reduce_var
+
     def __str__(self) -> str:
         return self.name
 
 
-@hash_once
-@dataclass
+@dataclass(eq=False, init=False)
 class MetaVar:
     """Flexible variable awaiting instantiation by a theory backend."""
 
     name: str
     sort: str = SORT_TERM
+
+    __new__ = _new_var
+    __reduce__ = _reduce_var
 
     def __str__(self) -> str:
         return "?" + self.name
@@ -149,8 +234,7 @@ class RatConst:
         return str(self.value)
 
 
-@hash_once
-@dataclass
+@dataclass(eq=False, init=False)
 class FunApp:
     """Application of an uninterpreted function symbol.
 
@@ -161,10 +245,23 @@ class FunApp:
     symbol: str
     args: tuple["Term", ...] = ()
 
-    def __post_init__(self) -> None:
-        for a in self.args:
-            if a.sort != SORT_TERM:
-                raise SortError("argument %s of %s is not term-sorted" % (a, self.symbol))
+    def __new__(cls, symbol: str, args: tuple["Term", ...] = ()):
+        key = (cls, symbol, args)
+        ref = _interned.get(key)
+        if ref is not None:
+            app = ref()
+            if app is not None:
+                return app
+        for a in args:
+            if type(a) is not FunApp and a.sort != SORT_TERM:
+                raise SortError("argument %s of %s is not term-sorted" % (a, symbol))
+        app = object.__new__(cls)
+        app.symbol = symbol
+        app.args = args
+        return _register(key, app)
+
+    def __reduce__(self):
+        return FunApp, (self.symbol, self.args)
 
     @property
     def sort(self) -> str:

@@ -24,6 +24,7 @@ from pathlib import Path
 from report_v1 import v1_json
 from seqmod.frontend import parse_problem, run
 from seqmod.kernel import SearchConfig
+from seqmod.terms import EigenVar, FunApp
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "src" / "seqmod" / "problems"
@@ -66,6 +67,24 @@ def test_corpus_proof_json_is_byte_identical():
         assert sorted(hashes) == sorted(golden)
         changed = sorted(k for k in golden if hashes[k] != golden[k])
         assert not changed, "%s: proof JSON changed for %s" % (path.name, changed)
+
+
+def _reports():
+    return {key: run(problem, theory, SearchConfig(calculus=calculus), check=True).to_json()
+            for key, problem, theory, calculus in corpus_runs()}
+
+
+def test_corpus_reports_do_not_depend_on_term_addresses():
+    # Variables and applications are interned and hash by address, which
+    # no hash seed fixes.  A second run, after unrelated terms have taken
+    # and freed memory and left some of it held, lays the terms out at
+    # other addresses; no set or dict order may reach a report.
+    first = _reports()
+    unrelated = [FunApp("u%d" % i, (EigenVar("v%d" % (i % 50)),)) for i in range(3000)]
+    del unrelated[::2]
+    second = _reports()
+    assert len(first) == 100
+    assert [k for k in first if first[k] != second[k]] == []
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmod import frontend, kernel
+from seqmod import frontend, harness, kernel
 from seqmod.cli import main
 from seqmod.fol import SubstTheory
 from seqmod.frontend import (
@@ -751,6 +751,23 @@ def test_cli_exit_code_for_errors_during_search(monkeypatch, exc, code):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: " if code == 4 else "error: ")
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("two\nlines"),
+    DomainError("meta-variable ?X1 not declared"),
+], ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_cli_conformance_exit_code_for_internal_errors(monkeypatch, exc, output):
+    # Exit 1 means that a law failed; a crash must not read as one.
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(harness, "run_conformance", crash)
+    got, out, err = cli("conformance", "fol", "--output", output)
+    assert got == 4
+    assert out == ""
+    assert err == "internal error: %s: %s\n" % (type(exc).__name__, " ".join(str(exc).split()))
 
 
 @pytest.mark.parametrize("theory", ["fol", "enum"])

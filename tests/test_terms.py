@@ -1,8 +1,11 @@
 """Core syntax: terms, literals, formulas, domains, instantiations."""
 
+import copy
 import dataclasses
+import gc
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -431,12 +434,13 @@ def test_signature_lookup():
 # ---------------------------------------------------------------------------
 # cached hashes
 
-# Every value that is hashed on a search or audit path: the `hash_once`
-# classes.  They are immutable by contract, not frozen: a frozen
-# dataclass's `__init__` costs about twice as much.
-HASHED = (BoundVar, EigenVar, MetaVar, RatConst, FunApp, LinTerm, PredAtom,
-          ArithAtom, Literal, And, Or, Forall, Exists, Domain,
-          LinAtom, PolyConstraint, SubstConstraint, GroundConstraint)
+# Every value that is hashed on a search or audit path is interned or a
+# `hash_once` class.  Neither kind is frozen: a frozen dataclass's
+# `__init__` costs about twice as much.
+INTERNED = (BoundVar, EigenVar, MetaVar, FunApp)
+HASHED = (RatConst, LinTerm, PredAtom, ArithAtom, Literal, And, Or, Forall,
+          Exists, Domain, LinAtom, PolyConstraint, SubstConstraint,
+          GroundConstraint)
 # Built once per run, so they keep the runtime guard of `frozen=True`.
 COLD = (SearchConfig, SearchOutcome, Problem, Signature, Instantiation)
 
@@ -458,11 +462,19 @@ def test_every_hashed_value_caches_its_hash_and_is_not_frozen():
     hashed = {cls for cls in classes
               if getattr(cls.__hash__, "__code__", None) is _Decorated.__hash__.__code__}
     assert hashed == set(HASHED)
-    # The caches are instance attributes, so no hashed class has slots.
-    for cls in HASHED:
+    # The caches are instance attributes, and the intern table holds weak
+    # references, so no hashed or interned class has slots.
+    for cls in HASHED + INTERNED:
         assert not cls.__dataclass_params__.frozen, cls
         assert "__slots__" not in vars(cls), cls
     assert {cls for cls in classes if cls.__dataclass_params__.frozen} == set(COLD)
+    assert set(INTERNED) <= classes
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+def test_interned_classes_compare_and_hash_by_identity(cls):
+    assert cls.__eq__ is object.__eq__
+    assert cls.__hash__ is object.__hash__
 
 
 def test_sequents_and_proof_nodes_have_slots():
@@ -536,13 +548,15 @@ def _ground_constraints(draw):
     return GroundConstraint(_D, _D.in_declaration_order(entries))
 
 
-_VALUES = {
-    BoundVar: st.builds(BoundVar, _NAMES),
+_INTERNED_VALUES = {
+    BoundVar: st.builds(BoundVar, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT))),
     EigenVar: st.builds(EigenVar, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT))),
     MetaVar: st.builds(MetaVar, _NAMES, st.sampled_from((SORT_TERM, SORT_RAT))),
-    RatConst: st.builds(RatConst, _Q),
     FunApp: st.builds(FunApp, st.sampled_from("fg"),
-                      st.lists(_tterms, min_size=1, max_size=2).map(tuple)),
+                      st.lists(_tterms, max_size=2).map(tuple)),
+}
+_VALUES = {
+    RatConst: st.builds(RatConst, _Q),
     LinTerm: _lin_terms,
     PredAtom: _preds,
     ArithAtom: _ariths,
@@ -563,7 +577,10 @@ _VALUES = {
 
 
 def _rebuild(v):
-    """An equal copy of v that shares no hashed object with it."""
+    """An equal copy of v that shares no `hash_once` object with it.
+
+    Its variables and applications are v's own: they are interned.
+    """
     if dataclasses.is_dataclass(v):
         return type(v)(**{f.name: _rebuild(getattr(v, f.name))
                           for f in dataclasses.fields(v)})
@@ -607,6 +624,58 @@ def test_cached_hash_is_the_hash_of_the_fields(cls, data):
     assert r == y and "_hash" not in vars(r) and hash(r) == fields_hash
 
 
+# ---------------------------------------------------------------------------
+# interning
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_equal_fields_give_the_same_object(cls, data):
+    x = data.draw(_INTERNED_VALUES[cls])
+    assert type(x) is cls
+    values = {name: getattr(x, name) for name in _field_names(x)}
+    assert cls(*values.values()) is x
+    assert cls(**values) is x
+    assert _rebuild(x) is x  # fresh argument tuples too
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert dataclasses.replace(x) is x
+    assert hash(x) == hash(cls(**values))
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+def test_the_default_sort_and_arguments_are_interned_too(cls):
+    if cls is FunApp:
+        assert FunApp("a") is FunApp("a", ()) is FunApp(symbol="a", args=())
+        assert FunApp("a") is not FunApp("f", (FunApp("a"),))
+    else:
+        assert cls("x") is cls("x", SORT_TERM) is cls(name="x", sort=SORT_TERM)
+        assert cls("x") is not cls("x", SORT_RAT)
+        assert cls("x") is not cls("y")
+        assert all(cls("x") is not other("x") for other in INTERNED[:3] if other is not cls)
+
+
+def test_an_ill_sorted_application_is_refused_every_time():
+    for arg in (RatConst(Fraction(1, 2)), EigenVar("q", SORT_RAT)):
+        for _ in range(2):
+            with pytest.raises(SortError, match="not term-sorted"):
+                FunApp("f", (arg,))
+        assert (FunApp, "f", (arg,)) not in terms._interned
+
+
+def test_the_intern_table_drops_dead_terms():
+    gc.collect()
+    before = len(terms._interned)
+    for i in range(10_000):
+        FunApp("dropped%d" % i)
+    gc.collect()
+    # The newest entries are swept every `_YOUNG` insertions, so fewer
+    # than that separate the two sizes, not 10,000.
+    assert len(terms._interned) < before + terms._YOUNG
+
+
 def _variables(t):
     """The variable occurrences of t, by a walk that reads no cache."""
     if isinstance(t, FunApp):
@@ -646,13 +715,41 @@ print(sum(isinstance(o, dict) and o.get("__name__") == "seqmod.terms" for o in g
 """
 
 
+# Each term built by the proof below is a key of the old module's intern
+# table; neither may keep that module alive once seqmod is re-imported.
+_REIMPORT_WEAKREF = """
+import gc, importlib, sys, weakref
+frontend = importlib.import_module("seqmod.frontend")
+kernel = importlib.import_module("seqmod.kernel")
+problem = frontend.parse_problem(open(sys.argv[1]).read(), "fol_drinker")
+assert frontend.run(problem, "fol", kernel.SearchConfig(), check=True).outcome == "proved"
+old = weakref.ref(sys.modules["seqmod.terms"])
+assert old()._interned
+del frontend, kernel, problem
+for name in [m for m in sys.modules if m == "seqmod" or m.startswith("seqmod.")]:
+    del sys.modules[name]
+importlib.import_module("seqmod")
+gc.collect()
+print(old() is None)
+"""
+
+
+def _run_with_src(script, *args):
+    src = str(Path(terms.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
+def test_a_reimport_frees_the_old_terms_module_and_its_intern_table():
+    drinker = Path(terms.__file__).resolve().parent / "problems" / "fol_drinker.prob"
+    assert _run_with_src(_REIMPORT_WEAKREF, str(drinker)) == "True\n"
+
+
 def test_a_reimported_package_frees_the_old_terms_module():
     # `typing` caches a `Union[...]` alias with strong references, so a
     # module-level one kept every earlier copy of the module alive (15
     # here).  Run in a subprocess: re-importing in this process would
     # give the tests after it a second set of classes.
-    src = str(Path(terms.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", _REIMPORT], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout == "1\n"
+    assert _run_with_src(_REIMPORT) == "1\n"
