@@ -27,7 +27,6 @@ import sys
 
 from . import frontend
 from .kernel import IllFormed, SearchConfig
-from .terms import DomainError, SortError
 
 EXIT_PROVED = 0
 EXIT_EXHAUSTED = 1
@@ -132,7 +131,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     )
     try:
         problem = frontend.parse_problem(text, name)
-    except (frontend.ParseError, SortError, DomainError, ValueError) as exc:
+    except ValueError as exc:  # ParseError, SortError and DomainError among them
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

@@ -43,6 +43,7 @@ erased variable by one-way matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -93,31 +94,26 @@ class SubstConstraint:
 
     def get(self, meta: MetaVar) -> Term:
         """Image of a meta-variable; unmapped variables stand for themselves."""
-        return self.mapping().get(meta, meta)
+        return self.mapping.get(meta, meta)
 
-    @property
+    @cached_property
     def closed(self) -> bool:
         """Every meta-variable of the entries is declared in the domain.
 
         Only projection breaks this: the remaining images may still
-        mention the erased meta-variable.  Computed once per constraint.
+        mention the erased meta-variable.
         """
-        out = self.__dict__.get("_closed")
-        if out is None:
-            position = self.domain.position
-            out = self._closed = self.entries is not None and all(
-                position(y) is not None
-                for m, t in self.entries for y in (m, *term_metas(t)))
-        return out
+        position = self.domain.position
+        return self.entries is not None and all(
+            position(y) is not None
+            for m, t in self.entries for y in (m, *term_metas(t)))
 
+    @cached_property
     def mapping(self) -> dict[Term, Term]:
         """The entries as a dict, built once per constraint; not to be mutated."""
         if self.entries is None:
             raise PreconditionError("the absurd constraint maps nothing")
-        out = self.__dict__.get("_mapping")
-        if out is None:
-            out = self._mapping = dict(self.entries)
-        return out
+        return dict(self.entries)
 
     def __str__(self) -> str:
         if self.entries is None:
@@ -260,23 +256,23 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
     (every propositional leaf's) starts from an empty dict and caches
     no mapping.
 
-    A constraint this builds is closed, so its `closed` cache is set
-    here, before the constraint is returned, instead of being recomputed
-    when it next seeds a pull.  The seed is only read: like every
-    constraint it is never mutated once built, since its cached hash
-    and mapping assume fixed fields.  Each
-    binding comes from a closed seed or from `_bind`.  A closed seed's
-    keys and image metas are declared in its domain, and the seed is of
-    `domain`'s family (the leaf stream passes the seed's own domain, and
-    `meet` checks the family through `meet_domain`), which declares the
-    same meta-variables.  A binding made
-    by `_bind` passed `_admissible`, which looks up in `domain` the
-    authorised set of its key and of every meta-variable of its image,
-    and raises DomainError for one that is undeclared.  Resolving an
-    image only puts such images in place of meta-variables.
+    A constraint this builds is closed, so assigning `closed = True`
+    here fills that `cached_property` before the constraint is returned,
+    instead of leaving it to be computed when the constraint next seeds
+    a pull.  The seed is only read: like every constraint it is never
+    mutated once built, since its cached hash and mapping assume fixed
+    fields.  Each binding comes from a closed seed or from `_bind`.  A
+    closed seed's keys and image metas are declared in its domain, and
+    the seed is of `domain`'s family (the leaf stream passes the seed's
+    own domain, and `meet` checks the family through `meet_domain`),
+    which declares the same meta-variables.  A binding made by `_bind`
+    passed `_admissible`, which looks up in `domain` the authorised set
+    of its key and of every meta-variable of its image, and raises
+    DomainError for one that is undeclared.  Resolving an image only puts
+    such images in place of meta-variables.
     """
     reuse = seed is not None and seed.closed
-    subst: dict[MetaVar, Term] = seed.mapping().copy() if reuse and seed.entries else {}
+    subst: dict[MetaVar, Term] = seed.mapping.copy() if reuse and seed.entries else {}
     if seed is not None and not reuse:
         pairs = [*seed.entries, *pairs]
     try:
@@ -288,7 +284,7 @@ def _extend(pairs: Iterable[tuple[Term, Term]], domain: Domain,
         return seed
     out = SubstConstraint(domain, domain.in_declaration_order(
         (m, _resolve(t, subst)) for m, t in subst.items()))
-    out._closed = True
+    out.closed = True
     return out
 
 
@@ -383,7 +379,7 @@ class SubstTheory(Theory):
 
     def _match_all(self, rho: Instantiation, sigma: SubstConstraint) -> dict[MetaVar, Term]:
         """Bindings for metas erased by projection making rho an instance."""
-        rmap = rho.mapping()
+        rmap = rho.mapping
         bindings: dict[MetaVar, Term] = {}
         for m in rho.domain.metas:
             pattern = subst_term(sigma.get(m), rmap)
@@ -396,7 +392,7 @@ class SubstTheory(Theory):
         # projection agree, so matching against sigma is matching
         # against the projection.
         bindings = self._match_all(rho, sigma)
-        pattern = subst_term(subst_term(sigma.get(meta), rho.mapping()), bindings)
+        pattern = subst_term(subst_term(sigma.get(meta), rho.mapping), bindings)
         # Every meta-variable left in the image has `meta`'s sort.
         fill = {v: self.first_ground(sigma.domain, meta) for v in term_metas(pattern)}
         return subst_term(pattern, fill)

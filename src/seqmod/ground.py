@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
@@ -116,15 +117,13 @@ class GroundConstraint:
             if not term_eigens(t) <= self.domain.authorised(m):
                 raise PreconditionError("image %s uses unauthorised eigenvariables" % (t,))
 
+    @cached_property
     def mapping(self) -> dict[MetaVar, Term]:
         """The entries as a dict, built once per constraint; not to be mutated."""
-        out = self.__dict__.get("_mapping")
-        if out is None:
-            out = self._mapping = dict(self.entries)
-        return out
+        return dict(self.entries)
 
     def get(self, meta: MetaVar) -> Optional[Term]:
-        return self.mapping().get(meta)
+        return self.mapping.get(meta)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -162,7 +161,7 @@ def _trusted(domain: Domain, entries: tuple[tuple[MetaVar, Term], ...]) -> Groun
 def _merge(domain: Domain, a: GroundConstraint, b_entries) -> Optional[GroundConstraint]:
     """a extended by b_entries, distinct metas in declaration order, at
     domain; None when a maps one of them to another image."""
-    amap = a.mapping()
+    amap = a.mapping
     added: dict[MetaVar, Term] = {}
     for m, t in b_entries:
         old = amap.get(m)
@@ -331,7 +330,7 @@ class GroundEnumTheory(Theory):
                 check_metas_compatible(current.domain, domain)
             if not (nonempty and live):
                 return
-            fixed = current.mapping()
+            fixed = current.mapping
             options = []
             for m, c, ix in zip(metas, cands, indexes):
                 t = fixed.get(m)

@@ -275,7 +275,7 @@ def _fol_extension_exists(sigma: SubstConstraint, rho: Instantiation) -> bool:
     if sigma.is_bot:
         return False
     meta = sigma.domain.last_meta()
-    rmap = rho.mapping()
+    rmap = rho.mapping
     bindings: dict = {}
     try:
         for m in rho.domain.metas:

@@ -31,14 +31,15 @@ carried from one run to the next.  The `--check` audit shares
 the search's instance, and so its tables, without taking on any of the
 search's assumptions: each entry is the output of a pure function of its
 key, so the audit gets exactly what computing the value again would
-give.  Each atom also renders its text once.  `meet` and the leaf
-stream decide satisfiability by calling `satisfiable`, so a wrapper on
-it sees every decision.
+give.  Each atom also renders its text once, on first use, in a
+`cached_property`.  `meet` and the leaf stream decide satisfiability by
+calling `satisfiable`, so a wrapper on it sees every decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -51,7 +52,6 @@ from .terms import (
     Instantiation,
     Literal,
     MetaVar,
-    ONE,
     PredAtom,
     RatConst,
     SORT_RAT,
@@ -59,7 +59,6 @@ from .terms import (
     Term,
     as_fraction,
     hash_once,
-    lin_combine,
     lin_of,
     mk_lin,
     var_key,
@@ -93,16 +92,12 @@ class LinAtom:
     coeffs: tuple[tuple[Term, Fraction], ...]
     const: Fraction
 
-    # The text, rendered on first use and assigned to the instance like
-    # `hash_once`'s `_hash`: not a field, so equality, hashing and `repr`
-    # ignore it, and sound because the fields never change.
-    _text = None
+    @cached_property
+    def _text(self) -> str:
+        return "%s %s 0" % (mk_lin(dict(self.coeffs), self.const), self.op)
 
     def __str__(self) -> str:
-        text = self._text
-        if text is None:
-            text = self._text = "%s %s 0" % (mk_lin(dict(self.coeffs), self.const), self.op)
-        return text
+        return self._text
 
 
 def make_atom(op: str, coeffs: Mapping[Term, Fraction], const: Fraction) -> LinAtom:
@@ -117,9 +112,11 @@ def make_atom(op: str, coeffs: Mapping[Term, Fraction], const: Fraction) -> LinA
 
 def atom_from_terms(op: str, lhs: Term, rhs: Term) -> LinAtom:
     """lhs OP rhs as a canonical atom (difference moved to one side)."""
-    diff = lin_combine((ONE, lhs), (-ONE, rhs))
-    coeffs, const = lin_of(diff)
-    return make_atom(op, coeffs, const)
+    coeffs, const = lin_of(lhs)  # a new dict, so it may be updated
+    rcoeffs, rconst = lin_of(rhs)
+    for v, c in rcoeffs.items():
+        coeffs[v] = coeffs[v] - c if v in coeffs else -c
+    return make_atom(op, coeffs, const - rconst)
 
 
 def lin_atom_of_literal(lit: Literal) -> LinAtom:
@@ -468,7 +465,7 @@ class LraTheory(Theory):
 
     def _assignment(self, rho: Instantiation, vars_needed: Iterable[Term]) -> dict[Term, Fraction]:
         out: dict[Term, Fraction] = {}
-        rmap = rho.mapping()
+        rmap = rho.mapping
         for v in vars_needed:
             if v in rmap:
                 # Images are ground rational terms, possibly mentioning

@@ -22,22 +22,28 @@ after construction.  They are plain, not frozen, dataclasses: a frozen
 dataclass's `__init__` sets each field through a call to `object`'s
 attribute setter, which about doubles the cost of building one.
 
-Variables (BoundVar, EigenVar, MetaVar) and applications (FunApp) are
-interned (hash-consed): building one with the fields of a live one
-returns that object, so equal ones are one object, and `==` and `hash`
-are `object`'s, by identity.  Unification, matching and enumeration key
-dicts and sets by them and compare them all the time.  Their hashes
-follow memory addresses, which no hash seed fixes, so no output may
-depend on the iteration order of a set or dict of them.  Every other
+Variables (BoundVar, EigenVar, MetaVar, all subclasses of one base that
+interns them) and applications (FunApp) are interned (hash-consed):
+building one with the fields of a live one returns that object, so
+equal ones are one object, and `==` and `hash` are `object`'s, by
+identity.  Unification, matching and enumeration key dicts and sets by
+them and compare them all the time.  Their hashes follow memory
+addresses, which no hash seed fixes, so no output may depend on the
+iteration order of a set or dict of them.  Every other
 value (RatConst, LinTerm, atoms, literals, formulas, Domain) compares
 by value and caches its hash on first use (`hash_once`); a test checks,
 over the proofs of the corpus, that each still hashes as its fields do.
-A FunApp also caches its variable set (`term_vars`) and its
-meta-variables and eigenvariables (`term_metas`, `term_eigens`), and a
-Domain its lookups.  The caches are plain attributes, not fields, and
-hold per-process values, such as string hashes and addresses; `copy`,
-`deepcopy` and `pickle` rebuild an interned value through its
-constructor and so return the live instance.
+
+Any other value derived from a value's own fields is computed on first
+use by a `functools.cached_property` and kept in the instance's
+`__dict__`: a FunApp's variable set (`term_vars`) and its meta-variables
+and eigenvariables (`term_metas`, `term_eigens`), a Domain's lookups, an
+Instantiation's `mapping`, and in the backends a constraint's `mapping`
+and an atom's text.  This is sound because no field changes after
+construction.  A cached value is not a field, so equality, `repr` and
+`dataclasses.replace` ignore it; it may hold per-process values, such as
+string hashes and addresses.  `copy`, `deepcopy` and `pickle` rebuild an
+interned value through its constructor and so return the live instance.
 """
 
 from __future__ import annotations
@@ -98,6 +104,13 @@ def hash_once(cls):
     Apply it above a plain `@dataclass` without slots, whose fields are
     never assigned after construction (a frozen one works too, at the
     cost of its slower `__init__`).
+
+    It is the one per-value cache not written as a `cached_property`:
+    most of these values are hashed once, as a dict or set key, and the
+    first hash is the cost that counts.  On Python 3.11.7, a first hash
+    through a `cached_property` read from `__hash__` took 1.05 us
+    against 0.27 us here (later hashes 0.11 us against 0.09 us), and a
+    pass of the `backtrack` benchmark makes about 7,900 first hashes.
     """
     names = [f.name for f in fields(cls)]
     get = operator.attrgetter(*names)
@@ -154,66 +167,48 @@ def _register(key: tuple, term):
     return term
 
 
-def _new_var(cls, name: str, sort: str = SORT_TERM):
-    key = (cls, name, sort)
-    ref = _interned.get(key)
-    if ref is not None:
-        v = ref()
-        if v is not None:
-            return v
-    v = object.__new__(cls)
-    v.name = name
-    v.sort = sort
-    return _register(key, v)
-
-
-def _reduce_var(v):
-    # copy, deepcopy and pickle rebuild through the constructor, so
-    # they return the interned instance.
-    return type(v), (v.name, v.sort)
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
 
 @dataclass(eq=False, init=False)
-class BoundVar:
+class _Var:
+    """The fields, interning and rendering the three variable kinds share."""
+
+    name: str
+    sort: str = SORT_TERM
+
+    def __new__(cls, name: str, sort: str = SORT_TERM):
+        key = (cls, name, sort)
+        ref = _interned.get(key)
+        if ref is not None:
+            v = ref()
+            if v is not None:
+                return v
+        v = object.__new__(cls)
+        v.name = name
+        v.sort = sort
+        return _register(key, v)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so
+        # they return the interned instance.
+        return type(self), (self.name, self.sort)
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class BoundVar(_Var):
     """Occurrence of a quantified variable inside its binder's body."""
 
-    name: str
-    sort: str = SORT_TERM
 
-    __new__ = _new_var
-    __reduce__ = _reduce_var
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(eq=False, init=False)
-class EigenVar:
+class EigenVar(_Var):
     """Rigid variable: a problem constant or a universally bound witness."""
 
-    name: str
-    sort: str = SORT_TERM
 
-    __new__ = _new_var
-    __reduce__ = _reduce_var
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(eq=False, init=False)
-class MetaVar:
+class MetaVar(_Var):
     """Flexible variable awaiting instantiation by a theory backend."""
-
-    name: str
-    sort: str = SORT_TERM
-
-    __new__ = _new_var
-    __reduce__ = _reduce_var
 
     def __str__(self) -> str:
         return "?" + self.name
@@ -238,8 +233,7 @@ class RatConst:
 class FunApp:
     """Application of an uninterpreted function symbol.
 
-    `term_vars`, `term_metas` and `term_eigens` cache their sets on the
-    instance.
+    `term_vars`, `term_metas` and `term_eigens` read its cached sets.
     """
 
     symbol: str
@@ -271,6 +265,18 @@ class FunApp:
         if not self.args:
             return self.symbol
         return "%s(%s)" % (self.symbol, ", ".join(map(str, self.args)))
+
+    @cached_property
+    def _vars(self) -> frozenset["Term"]:
+        return frozenset().union(*[term_vars(a) for a in self.args])
+
+    @cached_property
+    def _metas(self) -> frozenset["MetaVar"]:
+        return frozenset([v for v in self._vars if type(v) is MetaVar])
+
+    @cached_property
+    def _eigens(self) -> frozenset["EigenVar"]:
+        return frozenset([v for v in self._vars if type(v) is EigenVar])
 
 
 @hash_once
@@ -344,7 +350,10 @@ def mk_lin(coeffs: Mapping[Term, Fraction], const: Fraction) -> Term:
 
 
 def lin_of(t: Term) -> tuple[dict[Term, Fraction], Fraction]:
-    """Decompose a rational-sorted term into (coefficient map, constant)."""
+    """Decompose a rational-sorted term into (coefficient map, constant).
+
+    The map is a new dict on every call, which the caller may update.
+    """
     if isinstance(t, RatConst):
         return {}, t.value
     if isinstance(t, LinTerm):
@@ -371,15 +380,7 @@ def lin_combine(*weighted: tuple[Fraction, Term]) -> Term:
 def term_vars(t: Term) -> frozenset[Term]:
     """All variables (bound, eigen, meta) occurring in a term."""
     if isinstance(t, FunApp):
-        # Computed at most once per application, on first use, and kept
-        # for this process only, like the cached hash.  A plain instance
-        # attribute, not a cached_property: most applications compute it
-        # once and are dropped, and before Python 3.12 each
-        # cached_property computation takes a lock.
-        out = t.__dict__.get("_vars")
-        if out is None:
-            out = t._vars = frozenset().union(*[term_vars(a) for a in t.args])
-        return out
+        return t._vars
     if is_var(t):
         return frozenset([t])
     if isinstance(t, RatConst):
@@ -389,23 +390,16 @@ def term_vars(t: Term) -> frozenset[Term]:
     raise TypeError(t)
 
 
-def _vars_of_kind(t: Term, kind: type, key: str) -> frozenset:
-    """The variables of t of one kind; cached on a FunApp beside `_vars`."""
-    if type(t) is not FunApp:
-        return frozenset([v for v in term_vars(t) if type(v) is kind])
-    out = t.__dict__.get(key)
-    if out is None:
-        out = frozenset([v for v in term_vars(t) if type(v) is kind])
-        setattr(t, key, out)
-    return out
-
-
 def term_metas(t: Term) -> frozenset[MetaVar]:
-    return _vars_of_kind(t, MetaVar, "_metas")
+    if type(t) is FunApp:
+        return t._metas
+    return frozenset([v for v in term_vars(t) if type(v) is MetaVar])
 
 
 def term_eigens(t: Term) -> frozenset[EigenVar]:
-    return _vars_of_kind(t, EigenVar, "_eigens")
+    if type(t) is FunApp:
+        return t._eigens
+    return frozenset([v for v in term_vars(t) if type(v) is EigenVar])
 
 
 def subst_term(t: Term, mapping: Mapping[Term, Term]) -> Term:
@@ -757,20 +751,19 @@ class Instantiation:
         return Instantiation(domain, ())
 
     def get(self, meta: MetaVar) -> Term:
-        for m, t in self.entries:
-            if m == meta:
-                return t
-        raise KeyError(meta)
+        return self.mapping[meta]
 
+    @cached_property
     def mapping(self) -> dict[Term, Term]:
-        return {m: t for m, t in self.entries}
+        """The entries as a dict, built once; not to be mutated."""
+        return dict(self.entries)
 
     def extend(self, domain: Domain, meta: MetaVar, image: Term) -> "Instantiation":
         """The instantiation (self, meta -> image) over `domain` = old + meta."""
         return Instantiation(domain, self.entries + ((meta, image),))
 
     def apply_literal(self, lit: Literal) -> Literal:
-        return subst_literal(lit, self.mapping())
+        return subst_literal(lit, self.mapping)
 
     def __str__(self) -> str:
         return "{%s}" % ", ".join("%s -> %s" % (m, t) for m, t in self.entries)

@@ -6,6 +6,10 @@ dunder, must be named somewhere else in `src/`: as a `Name` or an
 exported in `seqmod.__all__` is exempt.  Names are matched as strings,
 not resolved, so a method counts as called when any attribute of that
 name is read.
+
+Two more source checks ride along: every import is read, and no module
+reads an instance `__dict__`, so `functools.cached_property` stays the
+one way a value caches what it derives from its fields.
 """
 
 import ast
@@ -80,3 +84,23 @@ def _unused_imports(src):
 
 def test_every_import_is_read():
     assert _unused_imports(SRC) == []
+
+
+def _dict_reads(src):
+    """`module:line` for each `__dict__` attribute read in `src`."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                out.append("%s:%d" % (path.name, node.lineno))
+    return out
+
+
+def test_no_module_reads_an_instance_dict():
+    assert _dict_reads(SRC) == []
+
+
+def test_the_dict_read_check_sees_a_hand_written_cache(tmp_path):
+    (tmp_path / "cache.py").write_text(
+        "def get(x):\n    return x.__dict__.get('_cache')\n")
+    assert _dict_reads(tmp_path) == ["cache.py:2"]

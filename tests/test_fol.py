@@ -110,7 +110,7 @@ def test_mgu_result_is_idempotent():
     d = dom(M("X"), M("Y"), M("Z"))
     sigma = mgu([(M("X"), f(M("Y"))), (M("Y"), f(M("Z")))], d)
     assert not sigma.is_bot
-    m = sigma.mapping()
+    m = sigma.mapping
     for _, image in sigma.entries:
         assert subst_term(image, m) == image
 
@@ -152,7 +152,7 @@ def test_mgu_solves_equal_depth_chains(i, j):
     sigma = mgu([(lhs, rhs)], d)
     assert sigma.is_bot == (i > j)
     if i <= j:
-        assert subst_term(lhs, sigma.mapping()) == rhs
+        assert subst_term(lhs, sigma.mapping) == rhs
 
 
 def test_mgu_solves_a_rational_term_for_its_only_meta_variable():

@@ -35,7 +35,9 @@ from seqmod.terms import (
     RatConst,
     SORT_RAT,
     SORT_TERM,
+    SortError,
     lin_combine,
+    lin_of,
     mk_lin,
 )
 from seqmod.theory import PreconditionError, ResourceLimit
@@ -86,6 +88,32 @@ def test_atom_from_terms_moves_everything_left():
     assert atom.op == "<="
     assert atom.coeffs == ((M("X"), Q(-1)),)
     assert atom.const == Q(2)
+
+
+_side = st.one_of(
+    st.builds(R, st.integers(-3, 3)),
+    st.sampled_from([M("X"), M("Y"), E("e"), MetaVar("T", SORT_TERM), FunApp("a", ())]),
+    st.builds(lambda k, a, b: lin_combine((Q(1), R(k)), (Q(a), M("X")), (Q(b), M("Y"))),
+              st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+def _atom_or_error(build, *args):
+    try:
+        return build(*args)
+    except SortError as exc:
+        return "SortError: %s" % exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["<=", "<", "="]), _side, _side)
+def test_atom_from_terms_equals_the_difference_by_lin_combine(op, lhs, rhs):
+    def reference(op, lhs, rhs):
+        coeffs, const = lin_of(lin_combine((Q(1), lhs), (Q(-1), rhs)))
+        return make_atom(op, coeffs, const)
+
+    assert (_atom_or_error(atom_from_terms, op, lhs, rhs)
+            == _atom_or_error(reference, op, lhs, rhs))
 
 
 def test_lin_atom_of_literal_flips_negations():

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
 import os
@@ -698,6 +699,57 @@ def test_cached_metas_and_eigens_equal_a_scan_of_the_term(t, args_first):
         assert term_eigens(t) == eigens
     if isinstance(t, FunApp):
         assert vars(t)["_metas"] == metas and vars(t)["_eigens"] == eigens
+
+
+_fresh = itertools.count()
+
+
+def _fresh_app():
+    # A new symbol each time: an interned application may already hold
+    # its caches.
+    return FunApp("cached%d" % next(_fresh), (M("X"), E("e"), FunApp("a", ())))
+
+
+_DX = Domain().add_eigen(E("e")).add_meta(M("X"))
+
+
+def _fresh_instantiation():
+    return Instantiation(_DX, ((M("X"), FunApp("g", (E("e"),))),))
+
+
+# Every value cache in `src/seqmod`, with a way to build a value that has
+# not computed it yet.
+CACHES = [
+    (FunApp, "_vars", _fresh_app),
+    (FunApp, "_metas", _fresh_app),
+    (FunApp, "_eigens", _fresh_app),
+    (SubstConstraint, "mapping", lambda: SubstConstraint(_DX, ((M("X"), E("e")),))),
+    (SubstConstraint, "closed", lambda: SubstConstraint(_DX, ((M("X"), E("e")),))),
+    (GroundConstraint, "mapping", lambda: GroundConstraint(_DX, ((M("X"), E("e")),))),
+    (LinAtom, "_text",
+     lambda: atom_from_terms("<=", MetaVar("x", SORT_RAT), RatConst(Fraction(2)))),
+    (Instantiation, "mapping", _fresh_instantiation),
+]
+
+
+@pytest.mark.parametrize("cls, name, build", CACHES,
+                         ids=["%s.%s" % (c.__name__, n) for c, n, _ in CACHES])
+def test_each_cache_is_a_cached_property_computed_once(cls, name, build):
+    assert isinstance(vars(cls)[name], functools.cached_property)
+    x = build()
+    assert type(x) is cls
+    assert name not in vars(x)
+    first = getattr(x, name)
+    assert getattr(x, name) is first
+    assert vars(x)[name] is first
+
+
+def test_instantiation_get_reads_the_declared_images_only():
+    rho = _fresh_instantiation()
+    assert rho.get(M("X")) is FunApp("g", (E("e"),))
+    for other in (M("Y"), MetaVar("X", SORT_RAT)):
+        with pytest.raises(KeyError):
+            rho.get(other)
 
 
 # ---------------------------------------------------------------------------
